@@ -22,7 +22,7 @@ from .capacity import (ergodic_capacity_bc, ergodic_capacity_mac,
                        fra_baseline_bc, fra_baseline_mac)
 from .constraints import ConstraintCase, PowerBudget, db_to_linear
 from .dual import DualPoint, dual_value_and_subgradient, ellipsoid_solve
-from .errors import CrsumError, UsageError
+from .errors import ConfigurationError, CrsumError, UsageError
 from .fading import FadingModel, sample_bc_states, sample_mac_states
 from .oracle import (case1_problem, case2_problem, case3_problem,
                      case4_problem, grid_state_oracle, saa_primal_oracle)
@@ -305,18 +305,14 @@ def _perturbed_solvers(name):
         return StateAllocation(p=p, active_set=alloc.active_set,
                                sum_rate_term=float(np.log1p(h @ p)))
 
-    if name == "case1_power":
-        real = solvers["case1"]
-        solvers["case1"] = lambda s, lam, mu: (
-            corrupt_alloc(real(s, lam, mu)[0], s.h), real(s, lam, mu)[1])
-    elif name == "case2_power":
-        real = solvers["case2"]
-        solvers["case2"] = lambda s, lam, g: (
-            corrupt_alloc(real(s, lam, g)[0], s.h), real(s, lam, g)[1])
-    elif name == "case3_power":
-        real = solvers["case3"]
-        solvers["case3"] = lambda s, mu, p: (
-            corrupt_alloc(real(s, mu, p)[0], s.h),) + real(s, mu, p)[1:]
+    if name in ("case1_power", "case2_power", "case3_power", "case4_power"):
+        key = name.split("_")[0]
+        real = solvers[key]
+
+        def bad_mac(s, *args):
+            out = real(s, *args)
+            return (corrupt_alloc(out[0], s.h),) + out[1:]
+        solvers[key] = bad_mac
     elif name == "bc_power":
         real = solvers["bc"]
 
@@ -560,7 +556,8 @@ def main(argv=None) -> int:
     ver.add_argument("--checks", type=int, default=25,
                      help="random instances per suite")
     ver.add_argument("--perturb", help="deliberately corrupt one solver "
-                     "(e.g. case1_power) to prove the suites catch it")
+                     "(case1_power .. case4_power or bc_power) to prove "
+                     "the suites catch it")
     ver.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
@@ -568,7 +565,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CrsumError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, (UsageError, ConfigurationError)) else 1
 
 
 if __name__ == "__main__":

@@ -9,18 +9,19 @@ into a small concave program in the per-state power vector p >= 0:
   case 4:  max log(1+h.p)  s.t. p <= p_st, g_m.p <= gamma_m
 
 Cases 1 and 3 have closed forms (a single best-ratio user; a
-sorted-ratio cap-filling sweep). Cases 2 and 4 are solved exactly by
-enumerating KKT active sets: every candidate returned has been checked
-against the full first-order system, and since the programs are concave
-with affine constraints, a consistent candidate is the global optimum.
-All solvers are vectorized across fading states; the scalar operations
-wrap the batch with n = 1 and attach a KKT certificate computed from
-the returned multipliers.
+sorted-ratio cap-filling sweep). Case 2 enumerates KKT active sets;
+case 4, a linear program in h.p, enumerates its dual vertices. Every
+candidate returned has been checked against the first-order system,
+and since the programs are concave with affine constraints, a
+consistent candidate is the global optimum. All solvers are vectorized
+across fading states; the scalar operations wrap the batch with n = 1
+and attach a KKT certificate computed from the returned multipliers.
 """
 from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ ACTIVE_TOL = 1e-9     # powers above this count as "user transmits"
 _STRICT = 1e-9        # candidate accepted as an exact KKT point
 _LOOSE = 1e-7         # fallback acceptance for near-degenerate states
 _DET_RTOL = 1e-12     # singularity screen for active-set linear systems
+_TIE_RTOL = 1e-12     # case-4 reduced gains this small count as ties
 
 # ---------------------------------------------------------------------------
 # result types
@@ -244,15 +246,11 @@ def _rel_neg(x: np.ndarray) -> np.ndarray:
 
 
 def _case2_structures(K: int, M: int):
-    out = []
     for a in range(M + 1):
         for A in itertools.combinations(range(M), a):
-            for js in ({1} if a == 0 else {a, a + 1}):
-                if js < 1 or js > K:
-                    continue
+            for js in ((1,) if a == 0 else (a, a + 1)):
                 for J in itertools.combinations(range(K), js):
-                    out.append((A, J))
-    return out
+                    yield list(A), list(J)
 
 
 def solve_states_case2(H: np.ndarray, G: np.ndarray, lam, gamma,
@@ -265,6 +263,9 @@ def solve_states_case2(H: np.ndarray, G: np.ndarray, lam, gamma,
     """
     n, K = H.shape
     M = G.shape[2]
+    # K + sum_{a>=1} C(M,a) (C(K,a) + C(K,a+1)) structures (Vandermonde)
+    if math.comb(K + M + 1, M + 1) - 1 > 300_000:
+        raise UsageError("case-2 active-set enumeration too large for this K, M")
     LAM = np.broadcast_to(np.asarray(lam, dtype=float), (n, K))
     GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, M))
 
@@ -285,14 +286,7 @@ def solve_states_case2(H: np.ndarray, G: np.ndarray, lam, gamma,
     viol0 = np.maximum((H - LAM).max(axis=1), 0.0) / (1.0 + np.max(LAM, axis=1))
     pool.offer(np.zeros((n, K)), zero_MU, zero_LAM, viol0, np.zeros(n))
 
-    structures = _case2_structures(K, M)
-    if len(structures) > 300_000:
-        raise UsageError("case-2 active-set enumeration too large for this K, M")
-
-    rows = np.arange(n)
-    for A, J in structures:
-        A = list(A)
-        J = list(J)
+    for A, J in _case2_structures(K, M):
         a, js = len(A), len(J)
         GJA = G[:, J][:, :, A]                      # (n, js, a)
         hJ = H[:, J]
@@ -541,35 +535,53 @@ def check_tdma_case3(state: ChannelStateMac, mu, p_st):
 # case 4: rate maximization inside the per-state power polytope
 
 
-def _case4_structures(K: int, M: int):
-    out = []
-    users = range(K)
+def _case4_vertices(K: int, M: int):
     for a in range(1, min(K, M) + 1):
         for A in itertools.combinations(range(M), a):
-            for B in itertools.combinations(users, a):
-                rest = [k for k in users if k not in B]
-                for r in range(len(rest) + 1):
-                    for U in itertools.combinations(rest, r):
-                        out.append((A, B, U))
-    return out
+            for B in itertools.combinations(range(K), a):
+                yield list(A), list(B)
+
+
+def _perturbed_at_cap(GBA, GA, B, tied, up):
+    """Sign tied reduced gains as if each h_k were raised by eps^(k+1).
+
+    User k's gain becomes eps^(k+1) - sum_{j in B} w_kj eps^(j+1), with
+    G_BA^T w_k = g_kA, signed by its lowest-index nonzero coefficient.
+    An optimal basis of the perturbed program is optimal here too and
+    has no zero reduced gain, so at its vertex the rule puts exactly
+    the right users at cap. Identical users fill lowest index first.
+    """
+    rows = np.flatnonzero(tied.any(axis=1))
+    coef = np.tile(np.eye(up.shape[1]), (len(rows), 1, 1))
+    coef[:, :, B] -= np.swapaxes(np.linalg.solve(
+        np.swapaxes(GBA[rows], 1, 2), np.swapaxes(GA[rows], 1, 2)), 1, 2)
+    mag = np.abs(coef)
+    lead = np.argmax(mag > _TIE_RTOL * mag.max(axis=2, keepdims=True), axis=2)
+    sign = np.take_along_axis(coef, lead[..., None], axis=2)[..., 0]
+    up[rows] = np.where(tied[rows], sign > 0.0, up[rows])
+    return up
 
 
 def solve_states_case4(H: np.ndarray, G: np.ndarray, p_st, gamma,
                        want_multipliers: bool = False):
-    """Vectorized case-4 solver via KKT active-set enumeration.
+    """Vectorized case-4 solver via dual-vertex enumeration.
 
-    Candidate structures pick which interference caps bind (A), which
-    users sit strictly between 0 and their cap (B, |B| = |A|), and
-    which sit at their cap (U).
+    log(1+h.p) increases with h.p, so a state's optimum solves the LP
+    max h.p over 0 <= p <= p_st, G^T p <= gamma. A dual vertex pairs
+    binding caps A with users B inside their caps, |A| = |B|; the prices
+    nu = mu / t, t = 1 / (1 + h.p), solve h_B = G_BA nu_A, and any other
+    user is at cap iff h_k - g_k.nu > 0 (ties: _perturbed_at_cap). That
+    is C(K+M, M) - 1 candidates plus the all-at-cap point.
     """
     n, K = H.shape
     M = G.shape[2]
+    if math.comb(K + M, M) - 1 > 300_000:
+        raise UsageError("case-4 dual-vertex enumeration too large for this K, M")
     p_st = np.asarray(p_st, dtype=float)
     GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, M))
     caps = np.broadcast_to(p_st, (n, K))
 
     pool = _Pool(n, K, M)
-    zero_MU = np.zeros((n, M))
 
     # no interference cap binding: every user with positive gain
     # transmits at full power, priced by its own cap multiplier
@@ -578,52 +590,42 @@ def solve_states_case4(H: np.ndarray, G: np.ndarray, p_st, gamma,
     I0 = np.einsum("nk,nkm->nm", P0, G)
     over0 = np.maximum((I0 - GAM) / GAM, 0.0).max(axis=1) if M else np.zeros(n)
     LAM0 = H / (1.0 + sumh0)[:, None]
-    pool.offer(P0, zero_MU, LAM0, over0, np.log1p(sumh0))
+    pool.offer(P0, np.zeros((n, M)), LAM0, over0, np.log1p(sumh0))
 
-    structures = _case4_structures(K, M)
-    if len(structures) > 300_000:
-        raise UsageError("case-4 active-set enumeration too large for this K, M")
+    for A, B in _case4_vertices(K, M):
+        GA = G[:, :, A]                           # (n, K, a)
+        GBA = GA[:, B]                            # (n, a, a)
+        nu, bad = _screened_solve(GBA, H[:, B])
+        r = H - np.einsum("nka,na->nk", GA, nu)
+        r[:, B] = 0.0
+        tied = np.abs(r) <= _TIE_RTOL * (H + np.einsum("nka,na->nk", GA, np.abs(nu)))
+        tied[:, B] = False
+        tied[bad] = False
+        up = r > 0.0
+        if np.any(tied):
+            up = _perturbed_at_cap(GBA, GA, B, tied, up)
 
-    for A, B, U in structures:
-        A, B, U = list(A), list(B), list(U)
-        a = len(A)
-        Z = [k for k in range(K) if k not in B and k not in U]
-        GBA = G[:, B][:, :, A]                    # (n, a, a)
-        rhs = GAM[:, A] - (np.einsum("nk,nkm->nm", caps[:, U], G[:, U][:, :, A])
-                           if U else 0.0)
-        pB, bad = _screened_solve(np.swapaxes(GBA, 1, 2), rhs)
-        sumh = np.einsum("nk,nk->n", H[:, B], pB) + \
-            (np.einsum("nk,nk->n", H[:, U], caps[:, U]) if U else 0.0)
-        t = 1.0 / (1.0 + sumh)
-        mu_A, bad2 = _screened_solve(GBA, H[:, B] * t[:, None])
+        P = np.where(up, caps, 0.0)
+        pB, bad2 = _screened_solve(np.swapaxes(GBA, 1, 2),
+                                   GAM[:, A] - np.einsum("nk,nka->na", P, GA))
         bad |= bad2
-
-        P = np.zeros((n, K))
         P[:, B] = pB
-        if U:
-            P[:, U] = caps[:, U]
-        MU = np.zeros((n, M))
-        MU[:, A] = mu_A
-        LAM = np.zeros((n, K))
-        price = np.einsum("nkm,nm->nk", G, MU)
-        if U:
-            LAM[:, U] = H[:, U] * t[:, None] - price[:, U]
+        sumh = np.einsum("nk,nk->n", H, P)
 
-        checks = [_rel_neg(pB),
-                  _rel_neg((caps[:, B] - pB)),
-                  _rel_neg(mu_A)]
-        if U:
-            checks.append(_rel_neg(LAM[:, U]))
-        if Z:
-            delta_Z = price[:, Z] - H[:, Z] * t[:, None]
-            checks.append(_rel_neg(delta_Z))
-        I = np.einsum("nk,nkm->nm", P, G)
-        over = np.maximum((I - GAM) / GAM, 0.0)
+        # lambda_U and the silent users' slack are nonnegative by the
+        # sign rule; what remains is primal feasibility and nu_A >= 0
+        over = np.maximum((np.einsum("nk,nkm->nm", P, G) - GAM) / GAM, 0.0)
         over[:, A] = 0.0
-        checks.append(over.max(axis=1))
-        viol = np.max(np.stack(checks), axis=0)
+        viol = np.max(np.stack([_rel_neg(pB),
+                                _rel_neg(caps[:, B] - pB),
+                                _rel_neg(nu),
+                                over.max(axis=1)]), axis=0)
         viol = np.where(bad, np.inf, viol)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = 1.0 / (1.0 + sumh)
+            MU = np.zeros((n, M))
+            MU[:, A] = nu * t[:, None]
+            LAM = np.where(up, r * t[:, None], 0.0)
             obj = np.log1p(np.maximum(sumh, -0.5))
         obj = np.where(bad | ~np.isfinite(obj), -np.inf, obj)
         pool.offer(P, MU, LAM, viol, obj)

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from crsum import ConvergenceFailureError, SolverFailureError
+from crsum import cli
 from crsum.cli import main
 
 HEADER_PREFIX = ["case", "P_dB", "Q_dB", "Gamma", "rate_nats",
@@ -102,6 +104,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["verify", "--suite", "bogus"]) == 2
 
 
+def test_configuration_error_exits_2(tmp_path, capsys):
+    assert main(["run", "--channel", "mac", "--case", "I", "--K", "2",
+                 "--P-dB", "0", "--gamma", "-1", "--samples", "10",
+                 "--out", str(tmp_path)]) == 2
+    assert "ipc thresholds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [SolverFailureError("no KKT point"),
+                                 ConvergenceFailureError("dual loop stalled")])
+def test_solver_failures_exit_1(exc, tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "ergodic_capacity_mac", failing)
+    assert main(["run", "--channel", "mac", "--case", "I", "--K", "2",
+                 "--P-dB", "0", "--samples", "10",
+                 "--out", str(tmp_path)]) == 1
+    assert str(exc) in capsys.readouterr().err
+
+
 def test_verify_clean(capsys):
     rc = main(["verify", "--suite", "bc", "--checks", "5", "--seed", "3"])
     out = capsys.readouterr().out
@@ -113,6 +134,7 @@ def test_verify_clean(capsys):
 @pytest.mark.parametrize("perturb,suite", [
     ("case1_power", "perstate"),
     ("case2_power", "perstate"),
+    ("case4_power", "perstate"),
     ("bc_power", "bc"),
 ])
 def test_verify_catches_broken_solver(perturb, suite, capsys):
