@@ -9,8 +9,8 @@ from .dual import (ConvergenceReport, DualPoint, dual_value_and_subgradient,
                    ellipsoid_solve)
 from .errors import (ConfigurationError, ConvergenceFailureError, CrsumError,
                      SolverFailureError, UnboundedSubproblemError, UsageError)
-from .fading import (ChannelStateBc, ChannelStateMac, FadingModel,
-                     bc_arrays, export_bc_csv, export_mac_csv,
+from .fading import (ChannelStateBc, ChannelStateMac, Ensemble, FadingModel,
+                     as_ensemble, bc_arrays, export_bc_csv, export_mac_csv,
                      import_bc_csv, import_mac_csv, mac_arrays,
                      sample_bc_states, sample_mac_states)
 from .oracle import grid_state_oracle, saa_primal_oracle
@@ -29,9 +29,9 @@ __all__ = [
     "BcStateAllocation", "ChannelStateBc", "ChannelStateMac",
     "ConfigurationError", "ConstraintCase", "ConstraintReport",
     "ConvergenceFailureError", "ConvergenceReport", "CrsumError", "DualPoint",
-    "FadingModel", "KktReport", "PolicyResult", "PowerBudget",
+    "Ensemble", "FadingModel", "KktReport", "PolicyResult", "PowerBudget",
     "SolverFailureError", "StateAllocation", "UnboundedSubproblemError",
-    "UsageError", "UserOrdering", "bc_arrays", "bc_via_dual_mac",
+    "UsageError", "UserOrdering", "as_ensemble", "bc_arrays", "bc_via_dual_mac",
     "check_tdma_case2", "check_tdma_case3", "check_tdma_case4", "db_to_linear",
     "dual_value_and_subgradient", "ellipsoid_solve", "ergodic_capacity_bc",
     "ergodic_capacity_mac", "ergodic_capacity_mac_tdma", "export_bc_csv",

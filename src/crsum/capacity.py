@@ -16,7 +16,7 @@ from .constraints import (ConstraintCase, ConstraintReport, PowerBudget,
                           feasibility_check, feasibility_check_bc)
 from .dual import ConvergenceReport, DualPoint, ellipsoid_solve
 from .errors import SolverFailureError, UsageError
-from .fading import ChannelStateBc, ChannelStateMac, bc_arrays, mac_arrays
+from .fading import as_ensemble
 from .perstate_bc import solve_states_bc, solve_states_bc_via_mac
 from .perstate_mac import ACTIVE_TOL
 
@@ -55,14 +55,14 @@ def _rate_stats(rates: np.ndarray) -> tuple[float, float]:
     return mean, stderr
 
 
-def _assemble_mac(states, case, budget, P, *, mode, gap, dual_value,
+def _assemble_mac(ensemble, case, budget, P, *, mode, gap, dual_value,
                   dual_point, scale, report) -> PolicyResult:
-    H, G = mac_arrays(states)
+    H, G = ensemble.H, ensemble.G
     n, K = H.shape
     rates = np.log1p(np.einsum("tk,tk->t", H, P))
     rate, stderr = _rate_stats(rates)
     I = np.einsum("tk,tkm->tm", P, G)
-    feas = feasibility_check(P, states, case, budget)
+    feas = feasibility_check(P, ensemble, case, budget)
     if not feas.all_satisfied:
         raise SolverFailureError("recovered MAC policy failed its feasibility audit",
                                  residual=feas.max_relative_violation)
@@ -91,11 +91,12 @@ def ergodic_capacity_mac(states, case: ConstraintCase, budget: PowerBudget,
     """
     if mode not in ("full", "tdma"):
         raise UsageError("mode must be 'full' or 'tdma'")
+    ensemble = as_ensemble(states, "mac")
     point, report, policy, scale = ellipsoid_solve(
-        states, case, budget, tdma_mode=(mode == "tdma"), **dual_opts)
+        ensemble, case, budget, tdma_mode=(mode == "tdma"), **dual_opts)
     rate = report.best_primal
     gap = report.best_dual - rate
-    return _assemble_mac(states, case, budget, policy, mode=mode,
+    return _assemble_mac(ensemble, case, budget, policy, mode=mode,
                          gap=gap, dual_value=report.best_dual,
                          dual_point=point, scale=scale, report=report)
 
@@ -106,14 +107,14 @@ def ergodic_capacity_mac_tdma(states, case: ConstraintCase, budget: PowerBudget,
     return ergodic_capacity_mac(states, case, budget, mode="tdma", **dual_opts)
 
 
-def _assemble_bc(states, case, budget, q, *, mode, gap, dual_value,
+def _assemble_bc(ensemble, case, budget, q, *, mode, gap, dual_value,
                  dual_point, scale, report) -> PolicyResult:
-    Hb, F = bc_arrays(states)
+    Hb, F = ensemble.H, ensemble.F
     n, K = Hb.shape
     rates = np.log1p(Hb.max(axis=1) * q)
     rate, stderr = _rate_stats(rates)
     I = F * q[:, None]
-    feas = feasibility_check_bc(q, states, case, budget)
+    feas = feasibility_check_bc(q, ensemble, case, budget)
     if not feas.all_satisfied:
         raise SolverFailureError("recovered BC policy failed its feasibility audit",
                                  residual=feas.max_relative_violation)
@@ -132,9 +133,9 @@ def _assemble_bc(states, case, budget, q, *, mode, gap, dual_value,
         n_states=n, alloc=q, feasibility=feas, convergence=report)
 
 
-def _bc_agreement_check(states, case, budget, point: DualPoint):
+def _bc_agreement_check(ensemble, case, budget, point: DualPoint):
     """Solve every state along both BC paths and compare."""
-    Hb, F = bc_arrays(states)
+    Hb, F = ensemble.H, ensemble.F
     M = F.shape[1]
     lam = float(point.lam[0]) if point.lam.size else 0.0
     mu = point.mu if point.mu.size else np.zeros(M)
@@ -163,12 +164,13 @@ def ergodic_capacity_bc(states, case: ConstraintCase, budget: PowerBudget,
     multipliers are then re-solved through the auxiliary MAC and the
     two paths must agree state by state.
     """
-    point, report, policy, scale = ellipsoid_solve(states, case, budget,
+    ensemble = as_ensemble(states, "bc")
+    point, report, policy, scale = ellipsoid_solve(ensemble, case, budget,
                                                    **dual_opts)
-    _bc_agreement_check(states, case, budget, point)
+    _bc_agreement_check(ensemble, case, budget, point)
     rate = report.best_primal
     gap = report.best_dual - rate
-    return _assemble_bc(states, case, budget, policy, mode="full",
+    return _assemble_bc(ensemble, case, budget, policy, mode="full",
                         gap=gap, dual_value=report.best_dual,
                         dual_point=point, scale=scale, report=report)
 
@@ -180,7 +182,8 @@ def fra_baseline_mac(states, budget: PowerBudget) -> PolicyResult:
     its transmit cap and every interference cap; no channel knowledge
     is used beyond the instantaneous caps.
     """
-    H, G = mac_arrays(states)
+    ensemble = as_ensemble(states, "mac")
+    H, G = ensemble.H, ensemble.G
     n, K = H.shape
     M = G.shape[2]
     users = np.arange(n) % K
@@ -192,7 +195,7 @@ def fra_baseline_mac(states, budget: PowerBudget) -> PolicyResult:
     p = np.minimum(budget.tpc[users], cap)
     P = np.zeros((n, K))
     P[rows, users] = p
-    return _assemble_mac(states, ConstraintCase.IV, budget, P, mode="fra",
+    return _assemble_mac(ensemble, ConstraintCase.IV, budget, P, mode="fra",
                          gap=None, dual_value=None, dual_point=None,
                          scale=1.0, report=None)
 
@@ -200,7 +203,8 @@ def fra_baseline_mac(states, budget: PowerBudget) -> PolicyResult:
 def fra_baseline_bc(states, budget: PowerBudget) -> PolicyResult:
     """Round-robin BC baseline: serve user (t mod K) at the fixed power
     min(q_st, min_m gamma_m / f_m)."""
-    Hb, F = bc_arrays(states)
+    ensemble = as_ensemble(states, "bc")
+    Hb, F = ensemble.H, ensemble.F
     n, K = Hb.shape
     M = F.shape[1]
     if budget.bs_tpc is None:
@@ -214,7 +218,7 @@ def fra_baseline_bc(states, budget: PowerBudget) -> PolicyResult:
     rates = np.log1p(Hb[rows, users] * q)
     rate, stderr = _rate_stats(rates)
     I = F * q[:, None]
-    feas = feasibility_check_bc(q, states, ConstraintCase.IV, budget)
+    feas = feasibility_check_bc(q, ensemble, ConstraintCase.IV, budget)
     if not feas.all_satisfied:
         raise SolverFailureError("FRA BC policy failed its feasibility audit",
                                  residual=feas.max_relative_violation)

@@ -390,9 +390,8 @@ def _suite_sparsity(solvers, rng, n_checks):
     n = max(n_checks * 10, 500)
     K, M = 4, 2
     model = FadingModel(K=K, M=M, n_states=n, seed=int(rng.integers(1 << 31)))
-    states = sample_mac_states(model)
-    from .fading import mac_arrays
-    H, G = mac_arrays(states)
+    ensemble = sample_mac_states(model)
+    H, G = ensemble.H, ensemble.G
     lam = rng.uniform(0.2, 1.0, K)
     mu = rng.uniform(0.2, 1.0, M)
     caps = rng.uniform(0.5, 2.0, K)

@@ -21,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .fading import ChannelStateBc, ChannelStateMac, bc_arrays, mac_arrays
+from .fading import bc_arrays, mac_arrays
 
 ST_TOL = 1e-6   # relative slack allowed on per-state constraints
 LT_TOL = 1e-3   # relative slack allowed on averaged constraints
@@ -137,7 +137,7 @@ def _check(constraint_id, kind, achieved, threshold, tol) -> ConstraintRow:
     return ConstraintRow(constraint_id, kind, float(achieved), float(threshold), bool(ok))
 
 
-def feasibility_check(alloc_ensemble, states: list[ChannelStateMac],
+def feasibility_check(alloc_ensemble, states,
                       case: ConstraintCase, budget: PowerBudget,
                       st_tol: float = ST_TOL, lt_tol: float = LT_TOL) -> ConstraintReport:
     """Audit a MAC power policy against every constraint of `case`.
@@ -147,9 +147,8 @@ def feasibility_check(alloc_ensemble, states: list[ChannelStateMac],
     constraints on the worst state.
     """
     P = np.asarray(alloc_ensemble, dtype=float)
-    H, G = mac_arrays(states)
-    n, K = H.shape
-    M = G.shape[2]
+    G = mac_arrays(states)[1]
+    n, K, M = G.shape
     if P.shape != (n, K):
         raise UsageError(f"alloc_ensemble has shape {P.shape}, expected {(n, K)}")
     if budget.K != K or budget.M != M:
@@ -180,7 +179,7 @@ def feasibility_check(alloc_ensemble, states: list[ChannelStateMac],
     return ConstraintReport(rows=tuple(rows))
 
 
-def feasibility_check_bc(q_ensemble, states: list[ChannelStateBc],
+def feasibility_check_bc(q_ensemble, states,
                          case: ConstraintCase, budget: PowerBudget,
                          st_tol: float = ST_TOL, lt_tol: float = LT_TOL) -> ConstraintReport:
     """Audit a BC power policy (one scalar per state) likewise."""

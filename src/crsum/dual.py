@@ -23,7 +23,7 @@ import numpy as np
 
 from .constraints import ConstraintCase, PowerBudget
 from .errors import ConvergenceFailureError, UnboundedSubproblemError, UsageError
-from .fading import ChannelStateBc, ChannelStateMac, bc_arrays, mac_arrays
+from .fading import as_ensemble
 from . import perstate_bc, perstate_mac, tdma
 
 GAP_TOL = 1e-3
@@ -62,15 +62,6 @@ class DualPoint:
 
 
 @dataclass
-class EllipsoidState:
-    """Center, shape matrix, and iteration counter of the search."""
-
-    center: np.ndarray
-    shape: np.ndarray
-    iteration: int = 0
-
-
-@dataclass
 class ConvergenceReport:
     """Per-iteration trace of the dual loop.
 
@@ -106,10 +97,9 @@ class ConvergenceReport:
 
 
 class _MacProblem:
-    def __init__(self, states, case, budget, solver=None, tdma_mode=False):
-        self.H, self.G = mac_arrays(states)
-        n, K = self.H.shape
-        M = self.G.shape[2]
+    def __init__(self, ensemble, case, budget, solver=None, tdma_mode=False):
+        self.H, self.G = ensemble.H, ensemble.G
+        n, K, M = self.G.shape
         if budget.K != K or budget.M != M:
             raise UsageError("budget dimensions do not match the ensemble")
         self.case = case
@@ -181,9 +171,9 @@ class _MacProblem:
 
 
 class _BcProblem:
-    def __init__(self, states, case, budget, solver=None, via_mac=False):
-        self.Hb, self.F = bc_arrays(states)
-        n, K = self.Hb.shape
+    def __init__(self, ensemble, case, budget, solver=None, via_mac=False):
+        self.Hb, self.F = ensemble.H, ensemble.F
+        self.hstar = self.Hb.max(axis=1)     # gain of the served user
         M = self.F.shape[1]
         if budget.M != M:
             raise UsageError("budget dimensions do not match the ensemble")
@@ -213,8 +203,7 @@ class _BcProblem:
     def evaluate(self, x: np.ndarray):
         point = DualPoint.from_vector(x, self.n_lam)
         q = self._solve(self.Hb, self.F, point)
-        hstar = self.Hb.max(axis=1)
-        rates = np.log1p(hstar * q)
+        rates = np.log1p(self.hstar * q)
         usage = []
         terms = rates.copy()
         if self.case.tpc_is_lt:
@@ -239,7 +228,7 @@ class _BcProblem:
         return coef
 
     def primal_value(self, q: np.ndarray) -> float:
-        return float(np.mean(np.log1p(self.Hb.max(axis=1) * q)))
+        return float(np.mean(np.log1p(self.hstar * q)))
 
     def rescale(self, q: np.ndarray, usage: np.ndarray):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -250,13 +239,12 @@ class _BcProblem:
 
 def _make_problem(states, case, budget, per_state_solver=None, tdma_mode=False,
                   bc_via_mac=False):
-    if isinstance(states[0], ChannelStateMac):
-        return _MacProblem(states, case, budget, solver=per_state_solver,
+    ensemble = as_ensemble(states)
+    if ensemble.channel == "mac":
+        return _MacProblem(ensemble, case, budget, solver=per_state_solver,
                            tdma_mode=tdma_mode)
-    if isinstance(states[0], ChannelStateBc):
-        return _BcProblem(states, case, budget, solver=per_state_solver,
-                          via_mac=bc_via_mac)
-    raise UsageError("states must be MAC or BC channel states")
+    return _BcProblem(ensemble, case, budget, solver=per_state_solver,
+                      via_mac=bc_via_mac)
 
 
 def dual_value_and_subgradient(states, case: ConstraintCase, budget: PowerBudget,

@@ -2,10 +2,11 @@ r"""Monte Carlo fading ensembles for the secondary MAC and BC.
 
 All ergodic quantities in this package are sample-average
 approximations over a finite ensemble of channel states, so the
-ensemble is drawn once, up front, and then treated as immutable data.
-Gains are linear-scale power gains; the receiver noise is normalized
-to unit variance throughout, so `rayleigh-unit-mean` fading makes every
-gain an i.i.d. Exponential(1) variate.
+ensemble is drawn once, up front, as the two read-only arrays of an
+`Ensemble` that every layer reads in place. Gains are linear-scale
+power gains; the receiver noise is normalized to unit variance
+throughout, so `rayleigh-unit-mean` fading makes every gain an i.i.d.
+Exponential(1) variate.
 """
 from __future__ import annotations
 
@@ -45,6 +46,18 @@ class FadingModel:
             raise ConfigurationError("n_states must be positive")
 
 
+def _gains(a) -> np.ndarray:
+    """A read-only float view of `a`, checked finite and nonnegative."""
+    a = np.asarray(a, dtype=float).view()
+    lo, hi = a.min(initial=0.0), a.max(initial=0.0)  # no array-sized temporary
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigurationError("gains must be finite")
+    if lo < 0:
+        raise ConfigurationError("power gains are nonnegative")
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ChannelStateMac:
     """One fading state of the secondary MAC.
@@ -58,16 +71,9 @@ class ChannelStateMac:
     g: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        g = np.asarray(self.g, dtype=float)
+        h, g = _gains(self.h), _gains(self.g)
         if h.ndim != 1 or g.ndim != 2 or g.shape[0] != h.shape[0]:
             raise ConfigurationError("h must be (K,), g must be (K, M)")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(g))):
-            raise ConfigurationError("gains must be finite")
-        if np.any(h < 0) or np.any(g < 0):
-            raise ConfigurationError("power gains are nonnegative")
-        h.flags.writeable = False
-        g.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", g)
 
@@ -93,16 +99,9 @@ class ChannelStateBc:
     f: np.ndarray
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        f = np.asarray(self.f, dtype=float)
+        h, f = _gains(self.h), _gains(self.f)
         if h.ndim != 1 or f.ndim != 1:
             raise ConfigurationError("h must be (K,), f must be (M,)")
-        if not (np.all(np.isfinite(h)) and np.all(np.isfinite(f))):
-            raise ConfigurationError("gains must be finite")
-        if np.any(h < 0) or np.any(f < 0):
-            raise ConfigurationError("power gains are nonnegative")
-        h.flags.writeable = False
-        f.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "f", f)
 
@@ -115,117 +114,166 @@ class ChannelStateBc:
         return self.f.shape[0]
 
 
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """n joint fading states of one channel, as two read-only arrays.
+
+    channel "mac": H (n, K) direct gains and X = G (n, K, M)
+    interference gains. channel "bc": H (n, K) gains to the users and
+    X = F (n, M) interference gains of the base station. Row t is
+    state t. `len`, integer indexing and iteration give the states as
+    ChannelStateMac / ChannelStateBc views; none is stored.
+    """
+
+    channel: str
+    H: np.ndarray
+    X: np.ndarray
+
+    def __post_init__(self):
+        if self.channel not in ("mac", "bc"):
+            raise ConfigurationError(f"unknown channel {self.channel!r}")
+        H, X = _gains(self.H), _gains(self.X)
+        lead = 2 if self.channel == "mac" else 1
+        if H.ndim != 2 or X.ndim != lead + 1 or X.shape[:lead] != H.shape[:lead]:
+            raise ConfigurationError("H must be (n, K), G (n, K, M), F (n, M)")
+        if H.shape[0] == 0:
+            raise UsageError("empty ensemble")
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "X", X)
+
+    @property
+    def G(self) -> np.ndarray:
+        if self.channel != "mac":
+            raise AttributeError("a BC ensemble has F, not G")
+        return self.X
+
+    @property
+    def F(self) -> np.ndarray:
+        if self.channel != "bc":
+            raise AttributeError("a MAC ensemble has G, not F")
+        return self.X
+
+    def __len__(self) -> int:
+        return self.H.shape[0]
+
+    def __getitem__(self, t: int):
+        if self.channel == "mac":
+            return ChannelStateMac(h=self.H[t], g=self.X[t])
+        return ChannelStateBc(h=self.H[t], f=self.X[t])
+
+    def __iter__(self):
+        return (self[t] for t in range(len(self)))
+
+
+def as_ensemble(states, channel: str | None = None) -> Ensemble:
+    """`states` as an Ensemble, optionally required to be of `channel`.
+
+    The only place where a list of per-state objects is stacked."""
+    if not isinstance(states, Ensemble):
+        states = list(states)
+        if states and all(isinstance(s, ChannelStateMac) for s in states):
+            states = Ensemble("mac", np.stack([s.h for s in states]),
+                              np.stack([s.g for s in states]))
+        elif states and all(isinstance(s, ChannelStateBc) for s in states):
+            states = Ensemble("bc", np.stack([s.h for s in states]),
+                              np.stack([s.f for s in states]))
+        else:
+            raise UsageError("need a nonempty list of MAC or BC channel states")
+    if channel is not None and states.channel != channel:
+        raise UsageError(f"expected a {channel.upper()} ensemble, "
+                         f"got a {states.channel.upper()} one")
+    return states
+
+
 def _rng(seed: int) -> np.random.Generator:
     # Philox is counter-based: the stream depends only on the key, not
     # on how previous draws were chunked.
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def sample_mac_states(model: FadingModel) -> list[ChannelStateMac]:
+def sample_mac_states(model: FadingModel) -> Ensemble:
     """Draw the MAC ensemble for `model`. Same model => same states."""
     rng = _rng(model.seed)
     H = rng.exponential(1.0, size=(model.n_states, model.K))
     G = rng.exponential(1.0, size=(model.n_states, model.K, model.M))
-    return [ChannelStateMac(h=H[t], g=G[t]) for t in range(model.n_states)]
+    return Ensemble("mac", H, G)
 
 
-def sample_bc_states(model: FadingModel) -> list[ChannelStateBc]:
+def sample_bc_states(model: FadingModel) -> Ensemble:
     """Draw the BC ensemble for `model`. Same model => same states."""
     rng = _rng(model.seed)
     H = rng.exponential(1.0, size=(model.n_states, model.K))
     F = rng.exponential(1.0, size=(model.n_states, model.M))
-    return [ChannelStateBc(h=H[t], f=F[t]) for t in range(model.n_states)]
+    return Ensemble("bc", H, F)
 
 
-def mac_arrays(states: list[ChannelStateMac]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a MAC ensemble into (H, G) of shapes (n, K) and (n, K, M)."""
-    if not states:
-        raise UsageError("empty ensemble")
-    H = np.stack([s.h for s in states])
-    G = np.stack([s.g for s in states])
-    return H, G
+def mac_arrays(states) -> tuple[np.ndarray, np.ndarray]:
+    """(H, G) of shapes (n, K) and (n, K, M): an Ensemble's own arrays."""
+    ens = as_ensemble(states, "mac")
+    return ens.H, ens.G
 
 
-def bc_arrays(states: list[ChannelStateBc]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a BC ensemble into (H, F) of shapes (n, K) and (n, M)."""
-    if not states:
-        raise UsageError("empty ensemble")
-    H = np.stack([s.h for s in states])
-    F = np.stack([s.f for s in states])
-    return H, F
+def bc_arrays(states) -> tuple[np.ndarray, np.ndarray]:
+    """(H, F) of shapes (n, K) and (n, M): an Ensemble's own arrays."""
+    ens = as_ensemble(states, "bc")
+    return ens.H, ens.F
 
 
-def _mac_header(K: int, M: int) -> list[str]:
+def _header(channel: str, K: int, M: int) -> list[str]:
     cols = [f"h_{k}" for k in range(1, K + 1)]
-    cols += [f"g_{k}_{m}" for k in range(1, K + 1) for m in range(1, M + 1)]
+    if channel == "mac":
+        cols += [f"g_{k}_{m}" for k in range(1, K + 1) for m in range(1, M + 1)]
+    else:
+        cols += [f"f_{m}" for m in range(1, M + 1)]
     return cols
 
 
-def _bc_header(K: int, M: int) -> list[str]:
-    cols = [f"h_{k}" for k in range(1, K + 1)]
-    cols += [f"f_{m}" for m in range(1, M + 1)]
-    return cols
+def _export_csv(ens: Ensemble, path) -> None:
+    n, K = ens.H.shape
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(_header(ens.channel, K, ens.X.shape[-1]))
+        rows = np.concatenate([ens.H, ens.X.reshape(n, -1)], axis=1)
+        w.writerows([repr(x) for x in row] for row in rows.tolist())
 
 
-def export_mac_csv(states: list[ChannelStateMac], path) -> None:
+def _import_csv(path, channel: str) -> Ensemble:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise UsageError(f"{path}: empty ensemble file")
+    header, body = rows[0], rows[1:]
+    K = sum(1 for c in header if c.startswith("h_"))
+    per_m = K if channel == "mac" else 1     # columns per primary receiver
+    M = (len(header) - K) // per_m if K else 0
+    if K < 1 or header != _header(channel, K, M):
+        raise UsageError(f"{path}: malformed {channel.upper()} ensemble header")
+    width = K + per_m * M
+    for row in body:
+        if len(row) != width:
+            raise UsageError(f"{path}: row with {len(row)} fields, expected {width}")
+    if not body:
+        raise UsageError(f"{path}: no states in file")
+    vals = np.array([[float(x) for x in row] for row in body])
+    X = vals[:, K:].reshape(len(body), K, M) if channel == "mac" else vals[:, K:]
+    return Ensemble(channel, vals[:, :K], X)
+
+
+def export_mac_csv(states, path) -> None:
     """Write a MAC ensemble as CSV (header row is mandatory)."""
-    K, M = states[0].K, states[0].M
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_mac_header(K, M))
-        for s in states:
-            w.writerow([repr(float(x)) for x in np.concatenate([s.h, s.g.ravel()])])
+    _export_csv(as_ensemble(states, "mac"), path)
 
 
-def import_mac_csv(path) -> list[ChannelStateMac]:
+def import_mac_csv(path) -> Ensemble:
     """Read a MAC ensemble written by `export_mac_csv`."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise UsageError(f"{path}: empty ensemble file")
-    header = rows[0]
-    K = sum(1 for c in header if c.startswith("h_"))
-    M = (len(header) - K) // K if K else 0
-    if K < 1 or header != _mac_header(K, M):
-        raise UsageError(f"{path}: malformed MAC ensemble header")
-    out = []
-    for row in rows[1:]:
-        vals = np.array([float(x) for x in row])
-        if vals.size != K + K * M:
-            raise UsageError(f"{path}: row with {vals.size} fields, expected {K + K * M}")
-        out.append(ChannelStateMac(h=vals[:K], g=vals[K:].reshape(K, M)))
-    if not out:
-        raise UsageError(f"{path}: no states in file")
-    return out
+    return _import_csv(path, "mac")
 
 
-def export_bc_csv(states: list[ChannelStateBc], path) -> None:
+def export_bc_csv(states, path) -> None:
     """Write a BC ensemble as CSV (header row is mandatory)."""
-    K, M = states[0].K, states[0].M
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_bc_header(K, M))
-        for s in states:
-            w.writerow([repr(float(x)) for x in np.concatenate([s.h, s.f])])
+    _export_csv(as_ensemble(states, "bc"), path)
 
 
-def import_bc_csv(path) -> list[ChannelStateBc]:
+def import_bc_csv(path) -> Ensemble:
     """Read a BC ensemble written by `export_bc_csv`."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise UsageError(f"{path}: empty ensemble file")
-    header = rows[0]
-    K = sum(1 for c in header if c.startswith("h_"))
-    M = len(header) - K
-    if K < 1 or header != _bc_header(K, M):
-        raise UsageError(f"{path}: malformed BC ensemble header")
-    out = []
-    for row in rows[1:]:
-        vals = np.array([float(x) for x in row])
-        if vals.size != K + M:
-            raise UsageError(f"{path}: row with {vals.size} fields, expected {K + M}")
-        out.append(ChannelStateBc(h=vals[:K], f=vals[K:]))
-    if not out:
-        raise UsageError(f"{path}: no states in file")
-    return out
+    return _import_csv(path, "bc")

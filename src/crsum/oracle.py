@@ -310,45 +310,6 @@ def case4_problem(state: ChannelStateMac, p_st, gamma_st):
 # SAA primal oracle
 
 
-def proj_halfspace_nonneg(v, a, b, iters=60):
-    """Euclidean projection onto {x >= 0, a.x <= b} with a >= 0, b > 0.
-
-    Bisection on the constraint's own multiplier theta: the map
-    theta -> a.(v - theta*a)^+ is nonincreasing, so the root bracketing
-    is monotone.
-    """
-    out = _proj_halfspace_rows(v[None], a[None], np.asarray([b]), iters)
-    return out[0]
-
-
-def _proj_halfspace_rows(W, A, b, iters=60):
-    """Row-wise projection onto {x >= 0, a_j.x <= b_j}, all rows at once.
-
-    The multiplier bracket needs no search: the linearized root
-    (a.w - b)/|a|^2 underestimates it and the step killing every
-    positive coordinate overestimates it.
-    """
-    X = np.maximum(W, 0.0)
-    usage = (A * X).sum(axis=1)
-    need = usage > b
-    if not np.any(need):
-        return X
-    lo = np.maximum((A * W).sum(axis=1) - b, 0.0) / \
-        np.maximum((A * A).sum(axis=1), 1e-300)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(A > 0.0, W / np.where(A > 0.0, A, 1.0), -np.inf)
-    hi = np.maximum(ratios.max(axis=1), lo) + 1e-12
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        over = (A * np.maximum(W - mid[:, None] * A, 0.0)).sum(axis=1) > b
-        lo = np.where(over, mid, lo)
-        hi = np.where(over, hi, mid)
-    Xp = np.maximum(W - hi[:, None] * A, 0.0)
-    return np.where(need[:, None], Xp, X)
-
-
-
-
 def _saa_constraints(H, G, case, budget):
     """Constraint sets on the flattened (n*K,) power vector."""
     n, K = H.shape

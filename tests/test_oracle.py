@@ -9,7 +9,7 @@ from crsum import (ConstraintCase, FadingModel, PowerBudget, UsageError,
                    grid_state_oracle, saa_primal_oracle, sample_mac_states)
 from crsum.fading import ChannelStateMac
 from crsum.oracle import (case1_problem, case2_problem, case3_problem,
-                          case4_problem, proj_halfspace_nonneg)
+                          case4_problem)
 
 
 def test_grid_oracle_concave_quadratic():
@@ -60,17 +60,6 @@ def test_problem_builders_bound_the_feasible_set():
         assert (np.asarray(upper) > 0).all()
         vals = obj(np.zeros((1, 2)))
         assert np.isfinite(vals).all()
-
-
-def test_projection_halfspace():
-    v = np.array([2.0, 2.0])
-    a = np.array([1.0, 1.0])
-    x = proj_halfspace_nonneg(v, a, 2.0)
-    np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
-    assert a @ x <= 2.0 + 1e-12
-    # already feasible points are returned unchanged (up to clipping)
-    y = proj_halfspace_nonneg(np.array([0.3, -0.2]), a, 2.0)
-    np.testing.assert_allclose(y, [0.3, 0.0], atol=1e-15)
 
 
 def test_saa_matches_two_state_water_filling():
