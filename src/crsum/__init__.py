@@ -1,7 +1,7 @@
 """Ergodic sum-rate power control for spectrum-sharing fading channels."""
 
 from .constraints import (ConstraintCase, ConstraintReport, PowerBudget,
-                          db_to_linear, feasibility_check, feasibility_check_bc)
+                          db_to_linear, feasibility_check)
 from .capacity import (PolicyResult, ergodic_capacity_bc, ergodic_capacity_mac,
                        ergodic_capacity_mac_tdma, fra_baseline_bc,
                        fra_baseline_mac)
@@ -35,7 +35,7 @@ __all__ = [
     "check_tdma_case2", "check_tdma_case3", "check_tdma_case4", "db_to_linear",
     "dual_value_and_subgradient", "ellipsoid_solve", "ergodic_capacity_bc",
     "ergodic_capacity_mac", "ergodic_capacity_mac_tdma", "export_bc_csv",
-    "export_mac_csv", "feasibility_check", "feasibility_check_bc",
+    "export_mac_csv", "feasibility_check",
     "fra_baseline_bc", "fra_baseline_mac", "grid_state_oracle",
     "import_bc_csv", "import_mac_csv", "mac_arrays", "sample_bc_states",
     "sample_mac_states", "saa_primal_oracle", "solve_state_bc",

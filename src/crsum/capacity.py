@@ -2,22 +2,25 @@ r"""Ergodic sum-rate pipelines: DRA solvers and FRA baselines.
 
 Each pipeline draws together a per-state solver family and the dual
 loop, then audits the recovered policy against every constraint before
-reporting. Rates are sample averages in nats. The BC pipeline solves
-every state twice, through the closed forms and through the auxiliary
-MAC, and refuses to return if the two disagree.
+reporting. Rates are sample averages in nats. There is one pipeline:
+the BC is solved, audited and assembled as the one-user MAC of
+`perstate_bc.as_one_user_mac` and its result relabelled as the BC's.
+At the final multipliers every BC state is solved once more through
+the K-user auxiliary MAC, and the BC pipeline refuses to return if the
+two paths disagree.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constraints import (ConstraintCase, ConstraintReport, PowerBudget,
-                          feasibility_check, feasibility_check_bc)
+                          feasibility_check)
 from .dual import ConvergenceReport, DualPoint, ellipsoid_solve
 from .errors import SolverFailureError, UsageError
-from .fading import as_ensemble
-from .perstate_bc import solve_states_bc, solve_states_bc_via_mac
+from .fading import Ensemble, as_ensemble
+from .perstate_bc import as_one_user_mac, solve_states_bc, solve_states_bc_via_mac
 from .perstate_mac import ACTIVE_TOL
 
 BC_STATE_AGREE_TOL = 1e-8
@@ -64,7 +67,7 @@ def _assemble_mac(ensemble, case, budget, P, *, mode, gap, dual_value,
     I = np.einsum("tk,tkm->tm", P, G)
     feas = feasibility_check(P, ensemble, case, budget)
     if not feas.all_satisfied:
-        raise SolverFailureError("recovered MAC policy failed its feasibility audit",
+        raise SolverFailureError("recovered policy failed its feasibility audit",
                                  residual=feas.max_relative_violation)
     hist = np.bincount((P > ACTIVE_TOL).sum(axis=1), minlength=K + 1)
     return PolicyResult(
@@ -81,6 +84,23 @@ def _assemble_mac(ensemble, case, budget, P, *, mode, gap, dual_value,
         n_states=n, alloc=P, feasibility=feas, convergence=report)
 
 
+def _as_bc(res: PolicyResult, K: int, mode: str) -> PolicyResult:
+    """A one-user MAC result relabelled as that of the K-user BC."""
+    hist = np.zeros(K + 1, dtype=res.active_count_histogram.dtype)
+    hist[:2] = res.active_count_histogram
+    return replace(res, channel="bc", mode=mode, alloc=res.alloc[:, 0],
+                   active_count_histogram=hist)
+
+
+def _capacity(ensemble, case, budget, mode, **dual_opts) -> PolicyResult:
+    point, report, policy, scale = ellipsoid_solve(
+        ensemble, case, budget, tdma_mode=(mode == "tdma"), **dual_opts)
+    return _assemble_mac(ensemble, case, budget, policy, mode=mode,
+                         gap=report.best_dual - report.best_primal,
+                         dual_value=report.best_dual, dual_point=point,
+                         scale=scale, report=report)
+
+
 def ergodic_capacity_mac(states, case: ConstraintCase, budget: PowerBudget,
                          *, mode: str = "full", **dual_opts) -> PolicyResult:
     """Ergodic sum capacity of the secondary MAC under `case`.
@@ -91,60 +111,31 @@ def ergodic_capacity_mac(states, case: ConstraintCase, budget: PowerBudget,
     """
     if mode not in ("full", "tdma"):
         raise UsageError("mode must be 'full' or 'tdma'")
-    ensemble = as_ensemble(states, "mac")
-    point, report, policy, scale = ellipsoid_solve(
-        ensemble, case, budget, tdma_mode=(mode == "tdma"), **dual_opts)
-    rate = report.best_primal
-    gap = report.best_dual - rate
-    return _assemble_mac(ensemble, case, budget, policy, mode=mode,
-                         gap=gap, dual_value=report.best_dual,
-                         dual_point=point, scale=scale, report=report)
+    return _capacity(as_ensemble(states, "mac"), case, budget, mode, **dual_opts)
 
 
 def ergodic_capacity_mac_tdma(states, case: ConstraintCase, budget: PowerBudget,
                               **dual_opts) -> PolicyResult:
     """TDMA-restricted ergodic sum capacity of the secondary MAC."""
-    return ergodic_capacity_mac(states, case, budget, mode="tdma", **dual_opts)
+    return _capacity(as_ensemble(states, "mac"), case, budget, "tdma", **dual_opts)
 
 
-def _assemble_bc(ensemble, case, budget, q, *, mode, gap, dual_value,
-                 dual_point, scale, report) -> PolicyResult:
-    Hb, F = ensemble.H, ensemble.F
-    n, K = Hb.shape
-    rates = np.log1p(Hb.max(axis=1) * q)
-    rate, stderr = _rate_stats(rates)
-    I = F * q[:, None]
-    feas = feasibility_check_bc(q, ensemble, case, budget)
-    if not feas.all_satisfied:
-        raise SolverFailureError("recovered BC policy failed its feasibility audit",
-                                 residual=feas.max_relative_violation)
-    hist = np.bincount((q > ACTIVE_TOL).astype(int), minlength=K + 1)
-    return PolicyResult(
-        channel="bc", case=case, mode=mode,
-        ergodic_sum_rate=rate, rate_stderr=stderr,
-        gap=gap, dual_value=dual_value, dual_point=dual_point,
-        rescale_gamma=scale,
-        achieved_avg_tx_power=np.array([q.mean()]),
-        achieved_worst_tx_power=np.array([q.max()]),
-        achieved_avg_interference=I.mean(axis=0) if F.shape[1] else np.zeros(0),
-        achieved_worst_interference=I.max(axis=0) if F.shape[1] else np.zeros(0),
-        active_count_histogram=hist,
-        max_lt_violation=feas.max_relative_violation,
-        n_states=n, alloc=q, feasibility=feas, convergence=report)
+def _bc_prices(point: DualPoint, M: int):
+    """(lam, mu) of the BC per-state solvers at a one-user MAC dual point."""
+    return (float(point.lam[0]) if point.lam.size else 0.0,
+            point.mu if point.mu.size else np.zeros(M))
 
 
 def _bc_agreement_check(ensemble, case, budget, point: DualPoint):
     """Solve every state along both BC paths and compare."""
     Hb, F = ensemble.H, ensemble.F
-    M = F.shape[1]
-    lam = float(point.lam[0]) if point.lam.size else 0.0
-    mu = point.mu if point.mu.size else np.zeros(M)
+    lam, mu = _bc_prices(point, F.shape[1])
     q1, _ = solve_states_bc(Hb, F, case, lam, mu, budget)
     q2, _ = solve_states_bc_via_mac(Hb, F, case, lam, mu, budget)
     worst = float(np.max(np.abs(q1 - q2) / (1.0 + np.abs(q1))))
     if worst > BC_STATE_AGREE_TOL:
         raise SolverFailureError(
-            f"BC closed form and auxiliary-MAC path disagree per state "
+            f"BC one-user and auxiliary-MAC paths disagree per state "
             f"({worst:.3e})", residual=worst)
     hstar = Hb.max(axis=1)
     r1 = float(np.mean(np.log1p(hstar * q1)))
@@ -157,32 +148,27 @@ def _bc_agreement_check(ensemble, case, budget, point: DualPoint):
 
 
 def ergodic_capacity_bc(states, case: ConstraintCase, budget: PowerBudget,
-                        **dual_opts) -> PolicyResult:
+                        *, bc_via_mac: bool = False, **dual_opts) -> PolicyResult:
     """Ergodic capacity of the secondary BC under `case`.
 
-    The dual loop runs on the closed-form per-state solver; the final
-    multipliers are then re-solved through the auxiliary MAC and the
-    two paths must agree state by state.
+    The dual loop runs on the one-user MAC, or with `bc_via_mac` on the
+    K-user auxiliary MAC; the final multipliers are then re-solved along
+    both paths, which must agree state by state.
     """
     ensemble = as_ensemble(states, "bc")
-    point, report, policy, scale = ellipsoid_solve(ensemble, case, budget,
-                                                   **dual_opts)
-    _bc_agreement_check(ensemble, case, budget, point)
-    rate = report.best_primal
-    gap = report.best_dual - rate
-    return _assemble_bc(ensemble, case, budget, policy, mode="full",
-                        gap=gap, dual_value=report.best_dual,
-                        dual_point=point, scale=scale, report=report)
+    Hb, F = ensemble.H, ensemble.F
+    H1, G1, mac = as_one_user_mac(Hb, F, budget)
+    if bc_via_mac:
+        def via_mac(H, G, point):
+            lam, mu = _bc_prices(point, F.shape[1])
+            return solve_states_bc_via_mac(Hb, F, case, lam, mu, budget)[0][:, None]
+        dual_opts["per_state_solver"] = via_mac
+    res = _capacity(Ensemble("mac", H1, G1), case, mac, "tdma", **dual_opts)
+    _bc_agreement_check(ensemble, case, budget, res.dual_point)
+    return _as_bc(res, Hb.shape[1], "full")
 
 
-def fra_baseline_mac(states, budget: PowerBudget) -> PolicyResult:
-    """Round-robin single-user baseline with a fixed per-state power.
-
-    User (t mod K) transmits in state t at the largest power honoring
-    its transmit cap and every interference cap; no channel knowledge
-    is used beyond the instantaneous caps.
-    """
-    ensemble = as_ensemble(states, "mac")
+def _fra(ensemble, budget: PowerBudget) -> PolicyResult:
     H, G = ensemble.H, ensemble.G
     n, K = H.shape
     M = G.shape[2]
@@ -200,38 +186,21 @@ def fra_baseline_mac(states, budget: PowerBudget) -> PolicyResult:
                          scale=1.0, report=None)
 
 
+def fra_baseline_mac(states, budget: PowerBudget) -> PolicyResult:
+    """Round-robin single-user baseline with a fixed per-state power.
+
+    User (t mod K) transmits in state t at the largest power honoring
+    its transmit cap and every interference cap; no channel knowledge
+    is used beyond the instantaneous caps.
+    """
+    return _fra(as_ensemble(states, "mac"), budget)
+
+
 def fra_baseline_bc(states, budget: PowerBudget) -> PolicyResult:
     """Round-robin BC baseline: serve user (t mod K) at the fixed power
-    min(q_st, min_m gamma_m / f_m)."""
+    min(q_st, min_m gamma_m / f_m), the one-user MAC's FRA."""
     ensemble = as_ensemble(states, "bc")
-    Hb, F = ensemble.H, ensemble.F
-    n, K = Hb.shape
-    M = F.shape[1]
-    if budget.bs_tpc is None:
-        raise UsageError("BC baseline needs a bs_tpc threshold")
-    users = np.arange(n) % K
-    rows = np.arange(n)
-    with np.errstate(divide="ignore"):
-        cap = np.where(F > 0.0, budget.ipc[None, :] / F, np.inf).min(axis=1) \
-            if M else np.full(n, np.inf)
-    q = np.minimum(budget.bs_tpc, cap)
-    rates = np.log1p(Hb[rows, users] * q)
-    rate, stderr = _rate_stats(rates)
-    I = F * q[:, None]
-    feas = feasibility_check_bc(q, ensemble, ConstraintCase.IV, budget)
-    if not feas.all_satisfied:
-        raise SolverFailureError("FRA BC policy failed its feasibility audit",
-                                 residual=feas.max_relative_violation)
-    hist = np.bincount((q > ACTIVE_TOL).astype(int), minlength=K + 1)
-    return PolicyResult(
-        channel="bc", case=ConstraintCase.IV, mode="fra",
-        ergodic_sum_rate=rate, rate_stderr=stderr,
-        gap=None, dual_value=None, dual_point=None,
-        rescale_gamma=1.0,
-        achieved_avg_tx_power=np.array([q.mean()]),
-        achieved_worst_tx_power=np.array([q.max()]),
-        achieved_avg_interference=I.mean(axis=0) if M else np.zeros(0),
-        achieved_worst_interference=I.max(axis=0) if M else np.zeros(0),
-        active_count_histogram=hist,
-        max_lt_violation=feas.max_relative_violation,
-        n_states=n, alloc=q, feasibility=feas, convergence=None)
+    n, K = ensemble.H.shape
+    H1, G1, mac = as_one_user_mac(ensemble.H, ensemble.F, budget,
+                                  users=np.arange(n) % K)
+    return _as_bc(_fra(Ensemble("mac", H1, G1), mac), K, "fra")

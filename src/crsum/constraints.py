@@ -10,7 +10,8 @@ short-term (ST, in every fading state), giving four cases:
     IV  ST-TPC + ST-IPC
 
 The same enum labels both MAC budgets (per-user TPC vector) and BC
-budgets (single base-station TPC).
+budgets (single base-station TPC). A BC policy is audited as the
+one-user MAC it is, so its rows read tpc_1 and ipc_m.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigurationError, UsageError
-from .fading import bc_arrays, mac_arrays
+from .fading import mac_arrays
 
 ST_TOL = 1e-6   # relative slack allowed on per-state constraints
 LT_TOL = 1e-3   # relative slack allowed on averaged constraints
@@ -168,40 +169,6 @@ def feasibility_check(alloc_ensemble, states,
 
     if M:
         I = np.einsum("tk,tkm->tm", P, G)
-        if case.ipc_is_lt:
-            ach = I.mean(axis=0)
-            for m in range(M):
-                rows.append(_check(f"ipc_{m + 1}", "LT", ach[m], budget.ipc[m], lt_tol))
-        else:
-            ach = I.max(axis=0)
-            for m in range(M):
-                rows.append(_check(f"ipc_{m + 1}", "ST", ach[m], budget.ipc[m], st_tol))
-    return ConstraintReport(rows=tuple(rows))
-
-
-def feasibility_check_bc(q_ensemble, states,
-                         case: ConstraintCase, budget: PowerBudget,
-                         st_tol: float = ST_TOL, lt_tol: float = LT_TOL) -> ConstraintReport:
-    """Audit a BC power policy (one scalar per state) likewise."""
-    q = np.asarray(q_ensemble, dtype=float)
-    H, F = bc_arrays(states)
-    n, M = F.shape[0], F.shape[1]
-    if q.shape != (n,):
-        raise UsageError(f"q_ensemble has shape {q.shape}, expected {(n,)}")
-    if budget.bs_tpc is None:
-        raise UsageError("BC feasibility needs a bs_tpc threshold")
-    if budget.M != M:
-        raise UsageError("budget dimensions do not match the ensemble")
-    if np.any(q < -1e-12):
-        raise UsageError("negative transmit powers in the policy")
-
-    rows = []
-    if case.tpc_is_lt:
-        rows.append(_check("bs_tpc", "LT", q.mean(), budget.bs_tpc, lt_tol))
-    else:
-        rows.append(_check("bs_tpc", "ST", q.max(), budget.bs_tpc, st_tol))
-    if M:
-        I = F * q[:, None]
         if case.ipc_is_lt:
             ach = I.mean(axis=0)
             for m in range(M):

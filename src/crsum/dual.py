@@ -11,8 +11,9 @@ negativity, and affine domain cuts when a subproblem is unbounded).
 Once the multipliers are near-optimal, a feasible primal policy is
 recovered by scaling the per-state allocations onto the long-term
 budget; the measured dual-primal gap certifies the answer. With zero
-dualized constraints (case 4 and its BC twin) the "dual loop" is a
-single exact evaluation.
+dualized constraints (case 4) the "dual loop" is a single exact
+evaluation. There is one problem adapter, the MAC's: a BC ensemble is
+solved as the one-user TDMA MAC of `perstate_bc.as_one_user_mac`.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ import numpy as np
 
 from .constraints import ConstraintCase, PowerBudget
 from .errors import ConvergenceFailureError, UnboundedSubproblemError, UsageError
-from .fading import as_ensemble
-from . import perstate_bc, perstate_mac, tdma
+from .fading import Ensemble, as_ensemble
+from . import perstate_bc, tdma
 
 GAP_TOL = 1e-3
 FEAS_TOL = 1e-3
@@ -109,20 +110,8 @@ class _MacProblem:
         self.thresholds = np.concatenate([
             budget.tpc if case.tpc_is_lt else np.zeros(0),
             budget.ipc if case.ipc_is_lt else np.zeros(0)])
-        if solver is not None:
-            self._solve = solver
-        else:
-            batch = {
-                (ConstraintCase.I, False): lambda H, G, pt: perstate_mac.solve_states_case1(H, G, pt.lam, pt.mu),
-                (ConstraintCase.I, True): lambda H, G, pt: tdma.tdma_states_case1(H, G, pt.lam, pt.mu),
-                (ConstraintCase.II, False): lambda H, G, pt: perstate_mac.solve_states_case2(H, G, pt.lam, budget.ipc),
-                (ConstraintCase.II, True): lambda H, G, pt: tdma.tdma_states_case2(H, G, pt.lam, budget.ipc),
-                (ConstraintCase.III, False): lambda H, G, pt: perstate_mac.solve_states_case3(H, G, pt.mu, budget.tpc),
-                (ConstraintCase.III, True): lambda H, G, pt: tdma.tdma_states_case3(H, G, pt.mu, budget.tpc),
-                (ConstraintCase.IV, False): lambda H, G, pt: perstate_mac.solve_states_case4(H, G, budget.tpc, budget.ipc),
-                (ConstraintCase.IV, True): lambda H, G, pt: tdma.tdma_states_case4(H, G, budget.tpc, budget.ipc),
-            }
-            self._solve = batch[(case, bool(tdma_mode))]
+        self._solve = solver or (lambda H, G, pt: tdma.solve_states(
+            case, H, G, pt.lam, pt.mu, budget, tdma_mode=tdma_mode))
 
     def initial_center(self) -> np.ndarray:
         return 1.0 / self.thresholds
@@ -170,81 +159,13 @@ class _MacProblem:
         return alloc * scale, scale
 
 
-class _BcProblem:
-    def __init__(self, ensemble, case, budget, solver=None, via_mac=False):
-        self.Hb, self.F = ensemble.H, ensemble.F
-        self.hstar = self.Hb.max(axis=1)     # gain of the served user
-        M = self.F.shape[1]
-        if budget.M != M:
-            raise UsageError("budget dimensions do not match the ensemble")
-        if budget.bs_tpc is None:
-            raise UsageError("BC problems need a bs_tpc threshold")
-        self.case = case
-        self.budget = budget
-        self.n_lam = 1 if case.tpc_is_lt else 0
-        self.n_mu = M if case.ipc_is_lt else 0
-        self.thresholds = np.concatenate([
-            np.array([budget.bs_tpc]) if case.tpc_is_lt else np.zeros(0),
-            budget.ipc if case.ipc_is_lt else np.zeros(0)])
-        if solver is not None:
-            self._solve = solver
-        elif via_mac:
-            self._solve = lambda Hb, F, pt: perstate_bc.solve_states_bc_via_mac(
-                Hb, F, case, float(pt.lam[0]) if pt.lam.size else 0.0,
-                pt.mu if pt.mu.size else np.zeros(M), budget)[0]
-        else:
-            self._solve = lambda Hb, F, pt: perstate_bc.solve_states_bc(
-                Hb, F, case, float(pt.lam[0]) if pt.lam.size else 0.0,
-                pt.mu if pt.mu.size else np.zeros(M), budget)[0]
-
-    def initial_center(self) -> np.ndarray:
-        return 1.0 / self.thresholds
-
-    def evaluate(self, x: np.ndarray):
-        point = DualPoint.from_vector(x, self.n_lam)
-        q = self._solve(self.Hb, self.F, point)
-        rates = np.log1p(self.hstar * q)
-        usage = []
-        terms = rates.copy()
-        if self.case.tpc_is_lt:
-            usage.append(np.array([q.mean()]))
-            terms -= point.lam[0] * q
-        if self.case.ipc_is_lt:
-            I = self.F * q[:, None]
-            usage.append(I.mean(axis=0))
-            terms -= I @ point.mu
-        usage = np.concatenate(usage) if usage else np.zeros(0)
-        value = float(terms.mean() + x @ self.thresholds)
-        subgrad = self.thresholds - usage
-        return value, subgrad, q, usage
-
-    def unbounded_cut(self, exc: UnboundedSubproblemError) -> np.ndarray:
-        t = exc.state_index
-        coef = np.zeros(self.n_lam + self.n_mu)
-        if self.case.tpc_is_lt:
-            coef[0] = 1.0
-        if self.case.ipc_is_lt:
-            coef[self.n_lam:] = self.F[t]
-        return coef
-
-    def primal_value(self, q: np.ndarray) -> float:
-        return float(np.mean(np.log1p(self.hstar * q)))
-
-    def rescale(self, q: np.ndarray, usage: np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(usage > 0.0, self.thresholds / usage, np.inf)
-        scale = float(min(1.0, np.min(ratios, initial=np.inf)))
-        return q * scale, scale
-
-
-def _make_problem(states, case, budget, per_state_solver=None, tdma_mode=False,
-                  bc_via_mac=False):
+def _make_problem(states, case, budget, per_state_solver=None, tdma_mode=False):
     ensemble = as_ensemble(states)
-    if ensemble.channel == "mac":
-        return _MacProblem(ensemble, case, budget, solver=per_state_solver,
-                           tdma_mode=tdma_mode)
-    return _BcProblem(ensemble, case, budget, solver=per_state_solver,
-                      via_mac=bc_via_mac)
+    if ensemble.channel == "bc":
+        H, G, budget = perstate_bc.as_one_user_mac(ensemble.H, ensemble.F, budget)
+        ensemble, tdma_mode = Ensemble("mac", H, G), True
+    return _MacProblem(ensemble, case, budget, solver=per_state_solver,
+                       tdma_mode=tdma_mode)
 
 
 def dual_value_and_subgradient(states, case: ConstraintCase, budget: PowerBudget,
@@ -320,7 +241,7 @@ def _lt_violation(problem, usage) -> float:
 
 
 def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
-                    per_state_solver=None, tdma_mode=False, bc_via_mac=False,
+                    per_state_solver=None, tdma_mode=False,
                     gap_tol=GAP_TOL, feas_tol=FEAS_TOL, vol_tol=VOL_TOL,
                     max_iter=None, radius_scale=10.0):
     """Minimize the SAA dual and recover a feasible near-optimal policy.
@@ -333,7 +254,7 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     """
     problem = _make_problem(states, case, budget,
                             per_state_solver=per_state_solver,
-                            tdma_mode=tdma_mode, bc_via_mac=bc_via_mac)
+                            tdma_mode=tdma_mode)
     d = problem.n_lam + problem.n_mu
     tracker = _Tracker(problem)
 

@@ -254,7 +254,10 @@ def _import_csv(path, channel: str) -> Ensemble:
             raise UsageError(f"{path}: row with {len(row)} fields, expected {width}")
     if not body:
         raise UsageError(f"{path}: no states in file")
-    vals = np.array([[float(x) for x in row] for row in body])
+    try:
+        vals = np.array([[float(x) for x in row] for row in body])
+    except ValueError as exc:
+        raise UsageError(f"{path}: non-numeric field ({exc})") from None
     X = vals[:, K:].reshape(len(body), K, M) if channel == "mac" else vals[:, K:]
     return Ensemble(channel, vals[:, :K], X)
 

@@ -1,18 +1,20 @@
-r"""Per-fading-state optimal BC power control.
+r"""Per-fading-state optimal BC power control, as a one-user MAC.
 
-For the sum rate, the base station serves only the user with the
-largest direct gain in each state, so every per-state subproblem is a
-one-dimensional water-filling with case-specific caps:
-
-  case 1:  q = (1/(lam + mu.f) - 1/h*)^+
-  case 2:  q = min(min_m gamma_m/f_m, (1/lam - 1/h*)^+)
-  case 3:  q = min(q_st, (1/(mu.f) - 1/h*)^+)
-  case 4:  q = min(q_st, min_m gamma_m/f_m)
+D-TDMA is optimal for the sum rate of the fading cognitive BC under
+every LT/ST pair of constraints: in each state the base station serves
+only the user with the largest direct gain (ties go to the lowest
+index). The per-state BC problem is therefore exactly a one-user MAC
+with direct gain h* = max_k h_k, interference gains f, and the base
+station's transmit threshold in place of the user's. `as_one_user_mac`
+is the only place that mapping is written down; every BC entry point
+solves through it with the single-user (TDMA) MAC solvers, which at
+K = 1 are the exact closed forms, e.g. q = (1/(lam + mu.f) - 1/h*)^+ in
+case 1.
 
 As an independent check, every case can also be solved through an
 auxiliary MAC whose K "users" share the BC's direct gains, mapping the
-BC constraint mix onto one of the MAC per-state solvers; both paths
-must agree state by state.
+BC constraint mix onto one of the full MAC per-state solvers; both
+paths must agree state by state.
 """
 from __future__ import annotations
 
@@ -21,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintCase, PowerBudget
-from .errors import UnboundedSubproblemError, UsageError
+from .errors import UsageError
 from .fading import ChannelStateBc
 from .perstate_mac import solve_states_case1, solve_states_case2
+from .tdma import solve_states
 
 
 @dataclass(frozen=True)
@@ -45,51 +48,28 @@ def _require(cond: bool, msg: str):
         raise UsageError(msg)
 
 
+def as_one_user_mac(Hb: np.ndarray, F: np.ndarray, budget: PowerBudget,
+                    users=None):
+    """The BC states (Hb, F) as one-user MAC states and budget.
+
+    State t serves `users[t]`, by default its best user. Returns
+    H1 (n, 1), G1 (n, 1, M) and a budget whose single TPC is bs_tpc.
+    """
+    _require(budget.bs_tpc is not None, "BC problems need a bs_tpc threshold")
+    _require(budget.M == F.shape[1], "budget dimensions do not match the ensemble")
+    if users is None:
+        users = _served(Hb)
+    H1 = Hb[np.arange(Hb.shape[0]), users][:, None]
+    return H1, F[:, None, :], PowerBudget(tpc=[budget.bs_tpc], ipc=budget.ipc)
+
+
 def solve_states_bc(Hb: np.ndarray, F: np.ndarray, case: ConstraintCase,
                     lam: float, mu, budget: PowerBudget):
-    """Vectorized closed-form BC solver. Returns (q, user) arrays."""
-    n, K = Hb.shape
-    M = F.shape[1]
-    mu = np.asarray(mu, dtype=float)
-    user = _served(Hb)
-    hstar = Hb[np.arange(n), user]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_h = np.where(hstar > 0.0, 1.0 / hstar, np.inf)
-        if M:
-            ipc_cap = np.where(F > 0.0, budget.ipc[None, :] / F, np.inf).min(axis=1) \
-                if case in (ConstraintCase.II, ConstraintCase.IV) else None
-        else:
-            ipc_cap = np.full(n, np.inf) \
-                if case in (ConstraintCase.II, ConstraintCase.IV) else None
-
-        if case is ConstraintCase.I:
-            denom = lam + F @ mu
-            bad = (denom <= 0.0) & (hstar > 0.0)
-            if np.any(bad):
-                t = int(np.flatnonzero(bad)[0])
-                raise UnboundedSubproblemError(
-                    "base station faces zero effective price",
-                    state_index=t, user_index=int(user[t]))
-            q = np.maximum(np.where(denom > 0.0, 1.0 / denom, 0.0) - inv_h, 0.0)
-            q = np.where(hstar > 0.0, q, 0.0)
-        elif case is ConstraintCase.II:
-            wf = np.maximum((1.0 / lam if lam > 0.0 else np.inf) - inv_h, 0.0)
-            q = np.minimum(ipc_cap, wf)
-            bad = np.isinf(q) & (hstar > 0.0)
-            if np.any(bad):
-                t = int(np.flatnonzero(bad)[0])
-                raise UnboundedSubproblemError(
-                    "base station faces zero effective price",
-                    state_index=t, user_index=int(user[t]))
-            q = np.where(np.isfinite(q), np.where(hstar > 0.0, q, 0.0), 0.0)
-        elif case is ConstraintCase.III:
-            denom = F @ mu
-            wf = np.maximum(np.where(denom > 0.0, 1.0 / denom, np.inf) - inv_h, 0.0)
-            q = np.minimum(budget.bs_tpc, wf)
-            q = np.where(hstar > 0.0, q, 0.0)
-        else:
-            q = np.minimum(budget.bs_tpc, ipc_cap)
-    return q, user
+    """Vectorized BC solver through the one-user MAC. Returns (q, user)."""
+    H1, G1, mac = as_one_user_mac(Hb, F, budget)
+    P = solve_states(case, H1, G1, np.array([lam], dtype=float),
+                     np.asarray(mu, dtype=float), mac, tdma_mode=True)
+    return P[:, 0], _served(Hb)
 
 
 def solve_state_bc(state: ChannelStateBc, case: ConstraintCase,
@@ -98,8 +78,6 @@ def solve_state_bc(state: ChannelStateBc, case: ConstraintCase,
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     _require(mu.shape == (state.M,), "mu must have shape (M,)")
     _require(lam >= 0.0 and np.all(mu >= 0.0), "prices must be nonnegative")
-    if case in (ConstraintCase.III, ConstraintCase.IV):
-        _require(budget.bs_tpc is not None, "case needs a bs_tpc threshold")
     q, user = solve_states_bc(state.h[None], state.f[None], case, lam, mu, budget)
     return BcStateAllocation(q=float(q[0]), user=int(user[0]),
                              sum_rate_term=float(np.log1p(state.h[user[0]] * q[0])))
@@ -112,7 +90,7 @@ def solve_states_bc_via_mac(Hb: np.ndarray, F: np.ndarray, case: ConstraintCase,
     The auxiliary MAC gives every "user" k the BC gain h_k and lets the
     appropriate MAC case solver allocate; the BC power is the sum over
     users (at most one is active). This exercises entirely different
-    code than the closed forms.
+    code than the one-user path.
     """
     n, K = Hb.shape
     M = F.shape[1]

@@ -5,16 +5,21 @@ each per-state subproblem a one-dimensional maximization per candidate
 user, solved in closed form; the best candidate wins. Case 1 needs no
 restriction at all: its unrestricted optimum is already single-user,
 so the solver delegates and the restricted and unrestricted ergodic
-problems coincide exactly.
+problems coincide exactly. `solve_states` picks a case's solver,
+restricted or not; with one user the restricted solvers are the BC's
+closed forms.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from .constraints import ConstraintCase
 from .errors import UnboundedSubproblemError, UsageError
 from .fading import ChannelStateMac
 from .perstate_mac import (StateAllocation, _allocation, _vec,
-                           solve_state_case1, solve_states_case1)
+                           solve_state_case1, solve_states_case1,
+                           solve_states_case2, solve_states_case3,
+                           solve_states_case4)
 
 
 def tdma_states_case1(H: np.ndarray, G: np.ndarray, lam, mu) -> np.ndarray:
@@ -116,3 +121,18 @@ def tdma_state_case4(state: ChannelStateMac, p_st, gamma_st) -> StateAllocation:
         raise UsageError("p_st and gamma_st must be strictly positive")
     P = tdma_states_case4(state.h[None], state.g[None], p_st, gamma_st)
     return _allocation(state.h, P[0])
+
+
+def solve_states(case: ConstraintCase, H, G, lam, mu, budget,
+                 tdma_mode: bool = False) -> np.ndarray:
+    """The per-state solver of `case`, single-user when `tdma_mode`:
+    prices lam, mu for the long-term constraints, the budget's caps for
+    the short-term ones."""
+    full = not tdma_mode
+    if case is ConstraintCase.I:
+        return (solve_states_case1 if full else tdma_states_case1)(H, G, lam, mu)
+    if case is ConstraintCase.II:
+        return (solve_states_case2 if full else tdma_states_case2)(H, G, lam, budget.ipc)
+    if case is ConstraintCase.III:
+        return (solve_states_case3 if full else tdma_states_case3)(H, G, mu, budget.tpc)
+    return (solve_states_case4 if full else tdma_states_case4)(H, G, budget.tpc, budget.ipc)

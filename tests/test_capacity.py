@@ -5,9 +5,10 @@ fields carried on every result."""
 import numpy as np
 import pytest
 
-from crsum import (ConstraintCase, PowerBudget, ergodic_capacity_bc,
-                   ergodic_capacity_mac, ergodic_capacity_mac_tdma,
-                   fra_baseline_bc, fra_baseline_mac)
+from crsum import (ConstraintCase, Ensemble, FadingModel, PowerBudget,
+                   ergodic_capacity_bc, ergodic_capacity_mac,
+                   ergodic_capacity_mac_tdma, fra_baseline_bc,
+                   fra_baseline_mac, sample_bc_states)
 
 CASES = list(ConstraintCase)
 
@@ -122,3 +123,45 @@ def test_modes_validated(small_mac_ensemble):
     with pytest.raises(UsageError):
         ergodic_capacity_mac(small_mac_ensemble, ConstraintCase.I, budget,
                              mode="round-robin")
+
+
+def test_bc_zero_gain_state_stays_silent():
+    """A state with every h_k = 0 gets no power in any case."""
+    states = Ensemble("bc", [[1.0, 2.0], [0.0, 0.0], [0.5, 0.3]],
+                      [[0.5], [0.7], [1.0]])
+    budget = PowerBudget(tpc=np.zeros(0), ipc=[1.0], bs_tpc=1.0)
+    for case in CASES:
+        res = ergodic_capacity_bc(states, case, budget)
+        assert res.alloc[1] == 0.0
+        assert res.feasibility.all_satisfied
+    fra = fra_baseline_bc(states, budget)
+    assert fra.alloc.shape == (3,)
+    assert fra.feasibility.all_satisfied
+
+
+def test_bc_is_the_one_user_mac():
+    """The BC equals the MAC whose single user has gain max_k h_k (and,
+    for FRA, the round-robin user's gain) with the BC's f and q."""
+    states = sample_bc_states(FadingModel(K=4, M=2, n_states=300, seed=31))
+    H, F = states.H, states.F
+    n, K = H.shape
+    budget = PowerBudget(tpc=np.zeros(0), ipc=np.array([0.8, 1.2]),
+                         bs_tpc=1.5)
+    mac_budget = PowerBudget(tpc=[budget.bs_tpc], ipc=budget.ipc)
+    best = Ensemble("mac", H.max(axis=1)[:, None], F[:, None, :])
+    for case in CASES:
+        bc = ergodic_capacity_bc(states, case, budget)
+        mac = ergodic_capacity_mac(best, case, mac_budget, mode="full")
+        assert bc.channel == "bc" and bc.mode == "full"
+        assert bc.alloc.shape == (n,)
+        assert bc.active_count_histogram.shape == (K + 1,)
+        diff = abs(bc.ergodic_sum_rate - mac.ergodic_sum_rate)
+        assert diff <= max(bc.gap, mac.gap) + 1e-12
+        if case is ConstraintCase.IV:
+            assert diff <= 1e-12
+    rr = Ensemble("mac", H[np.arange(n), np.arange(n) % K][:, None],
+                  F[:, None, :])
+    bc, mac = fra_baseline_bc(states, budget), fra_baseline_mac(rr, mac_budget)
+    assert bc.mode == "fra" and bc.alloc.shape == (n,)
+    assert bc.active_count_histogram.shape == (K + 1,)
+    assert abs(bc.ergodic_sum_rate - mac.ergodic_sum_rate) <= 1e-12

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from crsum import (ConfigurationError, ConstraintCase, PowerBudget, UsageError,
-                   db_to_linear, feasibility_check, feasibility_check_bc,
-                   sample_bc_states, sample_mac_states, FadingModel)
+                   db_to_linear, ergodic_capacity_bc, feasibility_check,
+                   fra_baseline_bc, sample_bc_states, sample_mac_states,
+                   FadingModel)
 
 
 def test_case_labels_and_flags():
@@ -75,12 +76,16 @@ def test_st_vs_lt_semantics(small_mac_ensemble):
 
 
 def test_feasibility_report_bc(small_bc_ensemble):
-    n = len(small_bc_ensemble)
-    q = np.full(n, 0.2)
+    """A BC policy is audited as a one-user MAC: one TPC row, M IPC rows."""
     budget = PowerBudget(tpc=np.zeros(0), ipc=np.array([5.0, 5.0]), bs_tpc=1.0)
-    report = feasibility_check_bc(q, small_bc_ensemble, ConstraintCase.I, budget)
-    assert report.all_satisfied
-    assert report.rows[0].constraint_id == "bs_tpc"
+    for res, kind in ((ergodic_capacity_bc(small_bc_ensemble, ConstraintCase.I,
+                                           budget), "LT"),
+                      (fra_baseline_bc(small_bc_ensemble, budget), "ST")):
+        report = res.feasibility
+        assert report.all_satisfied
+        assert [r.constraint_id for r in report.rows] == ["tpc_1", "ipc_1", "ipc_2"]
+        assert {r.kind for r in report.rows} == {kind}
+        assert report.rows[0].threshold == budget.bs_tpc
 
 
 def test_report_csv_schema(tmp_path, small_mac_ensemble):
@@ -106,6 +111,8 @@ def test_dimension_mismatch_raises(small_mac_ensemble):
 
 def test_bc_budget_requires_bs_tpc(small_bc_ensemble):
     budget = PowerBudget(tpc=np.zeros(0), ipc=np.array([1.0, 1.0]))
+    for case in ConstraintCase:
+        with pytest.raises(UsageError):
+            ergodic_capacity_bc(small_bc_ensemble, case, budget)
     with pytest.raises(UsageError):
-        feasibility_check_bc(np.zeros(len(small_bc_ensemble)),
-                             small_bc_ensemble, ConstraintCase.I, budget)
+        fra_baseline_bc(small_bc_ensemble, budget)

@@ -213,3 +213,14 @@ def test_import_validates_the_rows(tmp_path, body, error):
     path.write_text("h_1,h_2,f_1\n" + body)
     with pytest.raises(error):
         import_bc_csv(path)
+
+
+@pytest.mark.parametrize("header, importer", [
+    ("h_1,f_1", import_bc_csv),
+    ("h_1,g_1_1", import_mac_csv),
+])
+def test_import_rejects_non_numeric_fields(tmp_path, header, importer):
+    path = tmp_path / "states.csv"
+    path.write_text(f"{header}\n1.0,abc\n")
+    with pytest.raises(UsageError, match="states.csv"):
+        importer(path)

@@ -1,4 +1,4 @@
-"""Downlink per-state power: closed forms vs the auxiliary-MAC route."""
+"""Downlink per-state power: the one-user MAC vs the auxiliary-MAC route."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from crsum import ConstraintCase, PowerBudget, UsageError
 from crsum.fading import ChannelStateBc
-from crsum.perstate_bc import (bc_via_dual_mac, solve_state_bc,
-                               solve_states_bc, solve_states_bc_via_mac)
+from crsum.perstate_bc import (as_one_user_mac, bc_via_dual_mac,
+                               solve_state_bc, solve_states_bc,
+                               solve_states_bc_via_mac)
 
 finite_pos = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
 
@@ -108,3 +109,19 @@ def test_bc_requires_bs_budget_fields():
     budget = PowerBudget(tpc=np.zeros(0), ipc=np.array([1.0]))
     with pytest.raises(UsageError):
         solve_state_bc(s, ConstraintCase.IV, 0.0, np.zeros(1), budget)
+
+
+def test_one_user_mac_mapping():
+    H = np.array([[1.0, 3.0, 2.0], [2.0, 2.0, 0.5]])
+    F = np.array([[0.5, 4.0], [1.0, 2.0]])
+    budget = _budget(2, gamma=0.7, q=1.3)
+    H1, G1, mac = as_one_user_mac(H, F, budget)
+    assert np.array_equal(H1, [[3.0], [2.0]])        # ties: lowest index
+    assert np.array_equal(G1, F[:, None, :])
+    assert mac.tpc.tolist() == [1.3] and np.array_equal(mac.ipc, budget.ipc)
+    H1, _, _ = as_one_user_mac(H, F, budget, users=np.array([0, 2]))
+    assert np.array_equal(H1, [[1.0], [0.5]])
+    with pytest.raises(UsageError):
+        as_one_user_mac(H, F, PowerBudget(tpc=np.zeros(0), ipc=[1.0, 1.0]))
+    with pytest.raises(UsageError):
+        as_one_user_mac(H, F, _budget(3))
