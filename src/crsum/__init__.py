@@ -20,8 +20,7 @@ from .perstate_mac import (KktReport, StateAllocation, UserOrdering,
                            check_tdma_case4, solve_state_case1,
                            solve_state_case2, solve_state_case3,
                            solve_state_case4)
-from .tdma import (tdma_state_case1, tdma_state_case2, tdma_state_case3,
-                   tdma_state_case4)
+from .tdma import tdma_state_case2, tdma_state_case3, tdma_state_case4
 
 __version__ = "0.1.0"
 
@@ -40,6 +39,6 @@ __all__ = [
     "import_bc_csv", "import_mac_csv", "mac_arrays", "sample_bc_states",
     "sample_mac_states", "saa_primal_oracle", "solve_state_bc",
     "solve_state_case1", "solve_state_case2", "solve_state_case3",
-    "solve_state_case4", "tdma_state_case1", "tdma_state_case2",
-    "tdma_state_case3", "tdma_state_case4",
+    "solve_state_case4", "tdma_state_case2", "tdma_state_case3",
+    "tdma_state_case4",
 ]

@@ -9,13 +9,17 @@ into a small concave program in the per-state power vector p >= 0:
   case 4:  max log(1+h.p)  s.t. p <= p_st, g_m.p <= gamma_m
 
 Cases 1 and 3 have closed forms (a single best-ratio user; a
-sorted-ratio cap-filling sweep). Case 2 enumerates KKT active sets;
-case 4, a linear program in h.p, enumerates its dual vertices. Every
-candidate returned has been checked against the first-order system,
-and since the programs are concave with affine constraints, a
-consistent candidate is the global optimum. All solvers are vectorized
-across fading states; the scalar operations wrap the batch with n = 1
-and attach a KKT certificate computed from the returned multipliers.
+sorted-ratio cap-filling sweep). With one interference cap (M = 1),
+cases 2 and 4 have closed forms too: case 2 takes the best of the
+single users and the pairs that share the cap, case 4 (a linear
+program in h.p) is a fractional knapsack filled in decreasing h_k/g_k.
+With M >= 2, case 2 enumerates KKT active sets and case 4 enumerates
+the dual vertices of its linear program. Every allocation returned is
+certified against the first-order system, and since the programs are
+concave with affine constraints, a consistent candidate is the global
+optimum. All solvers are vectorized across fading states; the scalar
+operations wrap the batch with n = 1 and attach a KKT certificate
+computed from the returned multipliers.
 """
 from __future__ import annotations
 
@@ -241,6 +245,26 @@ def _rel_neg(x: np.ndarray) -> np.ndarray:
     return np.maximum(-x.min(axis=1), 0.0) / scale
 
 
+def _certify(what, H, G, P, LAM, MU, GAM, caps=None) -> None:
+    """Batched KKT audit of a closed-form allocation.
+
+    The per-state residual is the max_residual of kkt_report_case2
+    (caps None, LAM the transmit prices) or kkt_report_case4 (LAM the
+    power-cap multipliers); any state above _LOOSE raises.
+    """
+    t = 1.0 / (1.0 + np.einsum("nk,nk->n", H, P))
+    need = LAM + np.einsum("nkm,nm->nk", G, MU) - H * t[:, None]
+    slack = np.einsum("nk,nkm->nm", P, G) - GAM
+    parts = [-need, np.abs(np.maximum(need, 0.0) * P), -P, np.abs(MU * slack), slack]
+    if caps is not None:
+        parts += [np.abs(LAM * (P - caps)), P - caps]
+    worst = max(float(np.max(x, initial=0.0)) for x in parts)
+    if not worst <= _LOOSE:
+        raise SolverFailureError(f"{what}: KKT residual {worst:.3e} of the "
+                                 "closed form exceeds the acceptance "
+                                 "tolerance", residual=worst)
+
+
 # ---------------------------------------------------------------------------
 # case 2: water-filling under per-state interference caps
 
@@ -255,12 +279,118 @@ def _case2_structures(K: int, M: int):
 
 def solve_states_case2(H: np.ndarray, G: np.ndarray, lam, gamma,
                        want_multipliers: bool = False):
-    """Vectorized case-2 solver via KKT active-set enumeration.
+    """Vectorized case-2 solver.
 
-    lam broadcasts from (K,) or (n,K); gamma from (M,) or (n,M). At
-    most M+1 users are active in any returned allocation because every
-    enumerated support satisfies |J| <= |A| + 1.
+    lam broadcasts from (K,) or (n,K); gamma from (M,) or (n,M). One
+    interference cap (M = 1) is solved in closed form, several by KKT
+    active-set enumeration. At most M+1 users are active in any
+    returned allocation. With want_multipliers, also returns the
+    per-state cap multipliers mu (n, M).
     """
+    solve = _case2_single_cap if G.shape[2] == 1 else _case2_enumerate
+    P, MU = solve(H, G, lam, gamma)
+    return (P, MU) if want_multipliers else P
+
+
+def _ipc_caps(G, GAM):
+    """Per-user tightest interference cap, +inf when unconstrained."""
+    n, K, M = G.shape
+    if M == 0:
+        return np.full((n, K), np.inf)
+    with np.errstate(divide="ignore"):
+        return np.where(G > 0.0, GAM[:, None, :] / G, np.inf).min(axis=2)
+
+
+def _single_user_case2(H, G, LAM, GAM) -> np.ndarray:
+    """Each user's best case-2 power when it transmits alone:
+    min(1/lam_k - 1/h_k, its tightest cap)^+, zero without gain."""
+    caps = _ipc_caps(G, GAM)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wf = 1.0 / LAM - 1.0 / H
+    wf = np.where(H > 0.0, np.where(LAM > 0.0, np.maximum(wf, 0.0), np.inf), 0.0)
+    P = np.minimum(caps, wf)
+    unbounded = np.isinf(P) & (H > 0.0)
+    if np.any(unbounded):
+        t, k = np.argwhere(unbounded)[0]
+        raise UnboundedSubproblemError(
+            "user has positive gain but zero transmit and interference price",
+            state_index=int(t), user_index=int(k))
+    return np.where(H > 0.0, P, 0.0)
+
+
+def _per_user_value(H, P, price):
+    with np.errstate(invalid="ignore"):
+        val = np.log1p(H * P) - price * P
+    return np.where(np.isfinite(val), val, -np.inf)
+
+
+def _case2_single_cap(H, G, lam, gamma):
+    """Case 2 with one interference cap, in closed form.
+
+    At most two users transmit. The candidates are each user alone at
+    its best power (`_single_user_case2`) and each pair (i, j) sharing
+    the cap: (mu, t) solve the pair's stationarity rows
+    h_k t = lam_k + mu g_k, and the powers solve g.p = gamma,
+    h.p = 1/t - 1 (Cramer's rule). A candidate with p >= 0 is a
+    feasible point and the optimal support is among them, so the best
+    objective wins (ties to the earliest: single users, then pairs, in
+    index order). Memory is O(n K): the pairs are batched per first user.
+    """
+    n, K = H.shape
+    LAM = np.broadcast_to(np.asarray(lam, dtype=float), (n, K))
+    GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, 1))
+    g = G[:, :, 0]
+    rows = np.arange(n)
+
+    alone = _single_user_case2(H, G, LAM, GAM)
+    val = _per_user_value(H, alone, LAM)
+    first = np.argmax(val, axis=1)
+    best = val[rows, first]
+    p1 = alone[rows, first]
+    h1, g1 = H[rows, first], g[rows, first]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        capped = p1 == GAM[:, 0] / g1       # the cap, not the water level, binds
+        mu = np.where(capped, (h1 / (1.0 + h1 * p1) - LAM[rows, first]) / g1, 0.0)
+    second = np.full(n, -1)
+    p2 = np.zeros(n)
+
+    for i in range(K - 1):
+        hi, gi, li = H[:, i, None], g[:, i, None], LAM[:, i, None]
+        hj, gj, lj = H[:, i + 1:], g[:, i + 1:], LAM[:, i + 1:]
+        D = hi * gj - hj * gi
+        ok = np.abs(D) > _DET_RTOL * np.hypot(hi, gi) * np.hypot(hj, gj)
+        D = np.where(ok, D, 1.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            mu_ij = (li * hj - hi * lj) / D
+            S = D / (li * gj - lj * gi) - 1.0        # h.p = 1/t - 1
+            pi = (gj * S - GAM * hj) / D
+            pj = (GAM * hi - gi * S) / D
+            obj = np.log1p(hi * pi + hj * pj) - li * pi - lj * pj
+        ok &= (pi >= 0.0) & (pj >= 0.0) & np.isfinite(obj)
+        obj = np.where(ok, obj, -np.inf)
+        j = np.argmax(obj, axis=1)
+        take = obj[rows, j] > best
+        if not np.any(take):
+            continue
+        best = np.where(take, obj[rows, j], best)
+        first = np.where(take, i, first)
+        second = np.where(take, i + 1 + j, second)
+        p1 = np.where(take, pi[rows, j], p1)
+        p2 = np.where(take, pj[rows, j], p2)
+        mu = np.where(take, mu_ij[rows, j], mu)
+
+    P = np.zeros((n, K))
+    P[rows, first] = p1
+    pair = second >= 0
+    P[rows[pair], second[pair]] = p2[pair]
+    MU = np.maximum(mu, 0.0)[:, None]
+    _certify("case-2 state solver", H, G, P, LAM, MU, GAM)
+    return P, MU
+
+
+def _case2_enumerate(H, G, lam, gamma):
+    """Case 2 by KKT active-set enumeration: every support J with
+    binding caps A, |J| in {|A|, |A| + 1}. Returns (P, MU)."""
     n, K = H.shape
     M = G.shape[2]
     # K + sum_{a>=1} C(M,a) (C(K,a) + C(K,a+1)) structures (Vandermonde)
@@ -348,9 +478,7 @@ def solve_states_case2(H: np.ndarray, G: np.ndarray, lam, gamma,
         pool.offer(P, MU, zero_LAM, viol, obj)
 
     P, MU, _ = pool.resolve("case-2 state solver")
-    if want_multipliers:
-        return P, MU
-    return P
+    return P, MU
 
 
 def kkt_report_case2(h, g, lam, gamma, p, mu_state) -> KktReport:
@@ -564,14 +692,70 @@ def _perturbed_at_cap(GBA, GA, B, tied, up):
 
 def solve_states_case4(H: np.ndarray, G: np.ndarray, p_st, gamma,
                        want_multipliers: bool = False):
-    """Vectorized case-4 solver via dual-vertex enumeration.
+    """Vectorized case-4 solver.
 
     log(1+h.p) increases with h.p, so a state's optimum solves the LP
-    max h.p over 0 <= p <= p_st, G^T p <= gamma. A dual vertex pairs
-    binding caps A with users B inside their caps, |A| = |B|; the prices
-    nu = mu / t, t = 1 / (1 + h.p), solve h_B = G_BA nu_A, and any other
-    user is at cap iff h_k - g_k.nu > 0 (ties: _perturbed_at_cap). That
-    is C(K+M, M) - 1 candidates plus the all-at-cap point.
+    max h.p over 0 <= p <= p_st, G^T p <= gamma: a fractional knapsack
+    with one interference cap (M = 1), a dual-vertex enumeration with
+    several. With want_multipliers, also returns the per-state power-cap
+    multipliers lambda (n, K) and cap multipliers mu (n, M).
+    """
+    solve = _case4_single_cap if G.shape[2] == 1 else _case4_enumerate
+    P, LAM, MU = solve(H, G, p_st, gamma)
+    return (P, LAM, MU) if want_multipliers else P
+
+
+def _case4_single_cap(H, G, p_st, gamma):
+    """Case 4 with one interference cap: a fractional knapsack.
+
+    Users with gain fill their power caps in decreasing h_k / g_k
+    (stable sort, so ties fill lowest index first; g_k = 0 comes first)
+    until the cap binds; user b, on whom it binds, sends the remainder.
+    With nu = h_b / g_b (0 if the cap never binds) and t = 1 / (1 + h.p),
+    mu = t nu and lambda_k = t (h_k - g_k nu) for the users at cap.
+    """
+    n, K = H.shape
+    gam = np.broadcast_to(np.asarray(gamma, dtype=float), (n, 1))
+    caps = np.broadcast_to(np.asarray(p_st, dtype=float), (n, K))
+    g = G[:, :, 0]
+    rows = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(H > 0.0, np.where(g > 0.0, H / g, np.inf), -1.0)
+    order = np.argsort(-ratio, axis=1, kind="stable")
+    hs = np.take_along_axis(H, order, axis=1)
+    gs = np.take_along_axis(g, order, axis=1)
+    full = np.take_along_axis(np.where(H > 0.0, caps, 0.0), order, axis=1)
+    used = np.cumsum(gs * full, axis=1)
+    b = (used <= gam).sum(axis=1)           # users at cap, in sorted order
+    at_cap = np.arange(K)[None, :] < b[:, None]
+    Ps = np.where(at_cap, full, 0.0)
+    binds = b < K
+    fb = np.minimum(b, K - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        prev = np.where(b > 0, used[rows, np.maximum(b - 1, 0)], 0.0)
+        rest = np.clip((gam[:, 0] - prev) / gs[rows, fb], 0.0, full[rows, fb])
+        nu = np.where(binds, hs[rows, fb] / gs[rows, fb], 0.0)
+    Ps[rows[binds], b[binds]] = rest[binds]
+    t = 1.0 / (1.0 + np.einsum("nk,nk->n", hs, Ps))
+    LAMs = np.where(at_cap, np.maximum(hs - gs * nu[:, None], 0.0) * t[:, None], 0.0)
+
+    P = np.zeros((n, K))
+    LAM = np.zeros((n, K))
+    np.put_along_axis(P, order, Ps, axis=1)
+    np.put_along_axis(LAM, order, LAMs, axis=1)
+    MU = (t * nu)[:, None]
+    _certify("case-4 state solver", H, G, P, LAM, MU, gam, caps)
+    return P, LAM, MU
+
+
+def _case4_enumerate(H, G, p_st, gamma):
+    """Case 4 by dual-vertex enumeration. Returns (P, LAM, MU).
+
+    A dual vertex pairs binding caps A with users B inside their caps,
+    |A| = |B|; the prices nu = mu / t, t = 1 / (1 + h.p), solve
+    h_B = G_BA nu_A, and any other user is at cap iff h_k - g_k.nu > 0
+    (ties: _perturbed_at_cap). That is C(K+M, M) - 1 candidates plus
+    the all-at-cap point.
     """
     n, K = H.shape
     M = G.shape[2]
@@ -632,9 +816,7 @@ def solve_states_case4(H: np.ndarray, G: np.ndarray, p_st, gamma,
 
     P, MU, LAM = pool.resolve("case-4 state solver")
     np.minimum(P, caps, out=P)
-    if want_multipliers:
-        return P, LAM, MU
-    return P
+    return P, LAM, MU
 
 
 def kkt_report_case4(h, g, p_st, gamma, p, lam_state, mu_state) -> KktReport:

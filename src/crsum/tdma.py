@@ -4,9 +4,9 @@ Restricting every fading state to at most one transmitting user makes
 each per-state subproblem a one-dimensional maximization per candidate
 user, solved in closed form; the best candidate wins. Case 1 needs no
 restriction at all: its unrestricted optimum is already single-user,
-so the solver delegates and the restricted and unrestricted ergodic
-problems coincide exactly. `solve_states` picks a case's solver,
-restricted or not; with one user the restricted solvers are the BC's
+so the restricted and unrestricted ergodic problems coincide exactly.
+`solve_states` picks a case's solver, restricted or not (case 1 is the
+same in both modes); with one user the restricted solvers are the BC's
 closed forms.
 """
 from __future__ import annotations
@@ -14,27 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from .constraints import ConstraintCase
-from .errors import UnboundedSubproblemError, UsageError
+from .errors import UsageError
 from .fading import ChannelStateMac
-from .perstate_mac import (StateAllocation, _allocation, _vec,
-                           solve_state_case1, solve_states_case1,
-                           solve_states_case2, solve_states_case3,
-                           solve_states_case4)
-
-
-def tdma_states_case1(H: np.ndarray, G: np.ndarray, lam, mu) -> np.ndarray:
-    """Identical to the unrestricted case-1 solver."""
-    return solve_states_case1(H, G, lam, mu)
-
-
-def tdma_state_case1(state: ChannelStateMac, lam, mu):
-    return solve_state_case1(state, lam, mu)
-
-
-def _per_user_value(H, P, price):
-    with np.errstate(invalid="ignore"):
-        val = np.log1p(H * P) - price * P
-    return np.where(np.isfinite(val), val, -np.inf)
+from .perstate_mac import (StateAllocation, _allocation, _ipc_caps,
+                           _per_user_value, _single_user_case2, _vec,
+                           solve_states_case1, solve_states_case2,
+                           solve_states_case3, solve_states_case4)
 
 
 def _pick(H, P, val):
@@ -46,15 +31,6 @@ def _pick(H, P, val):
     return out
 
 
-def _ipc_caps(G, GAM):
-    """Per-user tightest interference cap, +inf when unconstrained."""
-    n, K, M = G.shape
-    if M == 0:
-        return np.full((n, K), np.inf)
-    with np.errstate(divide="ignore"):
-        return np.where(G > 0.0, GAM[:, None, :] / G, np.inf).min(axis=2)
-
-
 def tdma_states_case2(H, G, lam, gamma) -> np.ndarray:
     """Best single user under per-state interference caps and transmit
     prices lam; lam broadcasts from (K,), gamma from (M,)."""
@@ -62,18 +38,7 @@ def tdma_states_case2(H, G, lam, gamma) -> np.ndarray:
     M = G.shape[2]
     LAM = np.broadcast_to(np.asarray(lam, dtype=float), (n, K))
     GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, M))
-    caps = _ipc_caps(G, GAM)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wf = 1.0 / LAM - 1.0 / H
-    wf = np.where(H > 0.0, np.where(LAM > 0.0, np.maximum(wf, 0.0), np.inf), 0.0)
-    P = np.minimum(caps, wf)
-    unbounded = np.isinf(P) & (H > 0.0)
-    if np.any(unbounded):
-        t, k = np.argwhere(unbounded)[0]
-        raise UnboundedSubproblemError(
-            "user has positive gain but zero transmit and interference price",
-            state_index=int(t), user_index=int(k))
-    P = np.where(H > 0.0, P, 0.0)
+    P = _single_user_case2(H, G, LAM, GAM)
     return _pick(H, P, _per_user_value(H, P, LAM))
 
 
@@ -130,7 +95,7 @@ def solve_states(case: ConstraintCase, H, G, lam, mu, budget,
     the short-term ones."""
     full = not tdma_mode
     if case is ConstraintCase.I:
-        return (solve_states_case1 if full else tdma_states_case1)(H, G, lam, mu)
+        return solve_states_case1(H, G, lam, mu)
     if case is ConstraintCase.II:
         return (solve_states_case2 if full else tdma_states_case2)(H, G, lam, budget.ipc)
     if case is ConstraintCase.III:

@@ -145,6 +145,15 @@ def test_verify_catches_broken_solver(perturb, suite, capsys):
     assert "FAIL" in out
 
 
+def test_verify_marks_suites_the_perturbation_misses(capsys):
+    main(["verify", "--suite", "sparsity", "--checks", "1",
+          "--perturb", "case2_power"])
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert lines and all(ln.endswith("(not perturbed)") for ln in lines)
+    main(["verify", "--suite", "sparsity", "--checks", "1"])
+    assert "not perturbed" not in capsys.readouterr().out
+
+
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-c",
                            "from crsum.cli import main; raise SystemExit("

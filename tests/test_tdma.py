@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crsum import FadingModel, sample_mac_states, mac_arrays
+from crsum import (ConstraintCase, FadingModel, PowerBudget,
+                   sample_mac_states, mac_arrays)
 from crsum.fading import ChannelStateMac
 from crsum.perstate_mac import (solve_states_case1, solve_states_case2,
                                 solve_states_case3, solve_states_case4)
-from crsum.tdma import (tdma_state_case2, tdma_state_case3, tdma_state_case4,
-                        tdma_states_case1, tdma_states_case2,
+from crsum.tdma import (solve_states, tdma_state_case2, tdma_state_case3,
+                        tdma_state_case4, tdma_states_case2,
                         tdma_states_case3, tdma_states_case4)
 
 finite_pos = st.floats(min_value=0.05, max_value=5.0, allow_nan=False)
@@ -27,12 +28,14 @@ def _ensemble(n=40, K=3, M=2, seed=77):
 
 def test_case1_restriction_is_free():
     """The unrestricted case-1 optimum is already single-user, so the
-    restricted solver must return bit-identical allocations."""
+    TDMA mode must return bit-identical allocations."""
     H, G = _ensemble()
     lam = np.array([0.5, 0.7, 0.9])
     mu = np.array([0.3, 0.4])
+    budget = PowerBudget.symmetric(3, 2, p=1.0, gamma=1.0)
     P_free = solve_states_case1(H, G, lam, mu)
-    P_tdma = tdma_states_case1(H, G, lam, mu)
+    P_tdma = solve_states(ConstraintCase.I, H, G, lam, mu, budget,
+                          tdma_mode=True)
     assert np.array_equal(P_free, P_tdma)
 
 
