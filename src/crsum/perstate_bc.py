@@ -98,9 +98,6 @@ def solve_states_bc_via_mac(Hb: np.ndarray, F: np.ndarray, case: ConstraintCase,
     if case is ConstraintCase.I:
         G = np.broadcast_to(F[:, None, :], (n, K, M))
         P = solve_states_case1(Hb, G, np.full(K, lam), mu)
-    elif case is ConstraintCase.II:
-        G = np.broadcast_to(F[:, None, :], (n, K, M))
-        P = solve_states_case2(Hb, G, np.full(K, lam), budget.ipc)
     elif case is ConstraintCase.III:
         # a single synthetic constraint sum_k p_k <= q_st, with the
         # interference price folded into each user's transmit price
@@ -109,12 +106,16 @@ def solve_states_bc_via_mac(Hb: np.ndarray, F: np.ndarray, case: ConstraintCase,
         GAM = np.full((n, 1), budget.bs_tpc)
         P = solve_states_case2(Hb, G, LAM, GAM)
     else:
-        G = np.ones((n, K, 1))
+        # every auxiliary user sees the same row f, so the M interference
+        # caps collapse to sum_k p_k <= min_m gamma_m / f_m (none if f = 0)
         with np.errstate(divide="ignore"):
-            cap = np.where(F > 0.0, budget.ipc[None, :] / F, np.inf).min(axis=1) \
-                if M else np.full(n, np.inf)
-        GAM = np.minimum(budget.bs_tpc, cap)[:, None]
-        P = solve_states_case2(Hb, G, np.zeros(K), GAM)
+            cap = np.where(F > 0.0, budget.ipc / F, np.inf).min(axis=1, initial=np.inf)
+        if case is ConstraintCase.IV:
+            cap, lam = np.minimum(budget.bs_tpc, cap), 0.0
+        capped = np.isfinite(cap)
+        G = np.broadcast_to(capped[:, None, None].astype(float), (n, K, 1))
+        GAM = np.where(capped, cap, 1.0)[:, None]
+        P = solve_states_case2(Hb, G, np.full(K, lam), GAM)
     q = P.sum(axis=1)
     return q, _served(Hb)
 

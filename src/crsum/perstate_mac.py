@@ -9,17 +9,17 @@ into a small concave program in the per-state power vector p >= 0:
   case 4:  max log(1+h.p)  s.t. p <= p_st, g_m.p <= gamma_m
 
 Cases 1 and 3 have closed forms (a single best-ratio user; a
-sorted-ratio cap-filling sweep). With one interference cap (M = 1),
-cases 2 and 4 have closed forms too: case 2 takes the best of the
-single users and the pairs that share the cap, case 4 (a linear
-program in h.p) is a fractional knapsack filled in decreasing h_k/g_k.
-With M >= 2, case 2 enumerates KKT active sets and case 4 enumerates
-the dual vertices of its linear program. Every allocation returned is
-certified against the first-order system, and since the programs are
-concave with affine constraints, a consistent candidate is the global
-optimum. All solvers are vectorized across fading states; the scalar
-operations wrap the batch with n = 1 and attach a KKT certificate
-computed from the returned multipliers.
+sorted-ratio cap-filling sweep). Case 4 is the linear program max h.p
+over the power polytope: a fractional knapsack in decreasing h_k/g_k
+with one interference cap (M = 1), the lockstep bounded-variable
+simplex `bounded_simplex` with several, at any K. Case 2 takes the
+best single user or cap-sharing pair at M = 1; at M >= 2 it enumerates
+KKT active sets, refusing (UsageError) more than 300,000 of them.
+Every allocation returned is certified against the first-order
+system; the programs are concave with affine constraints, so a
+consistent candidate is the global optimum. All solvers are
+vectorized across fading states; the scalar operations wrap the batch
+with n = 1 and attach a KKT certificate from the returned multipliers.
 """
 from __future__ import annotations
 
@@ -39,7 +39,9 @@ ACTIVE_TOL = 1e-9     # powers above this count as "user transmits"
 _STRICT = 1e-9        # candidate accepted as an exact KKT point
 _LOOSE = 1e-7         # fallback acceptance for near-degenerate states
 _DET_RTOL = 1e-12     # singularity screen for active-set linear systems
-_TIE_RTOL = 1e-12     # case-4 reduced gains this small count as ties
+_OPT_RTOL = 1e-12     # simplex: reduced costs below this times max |c| are zero
+_PIV_RTOL = 1e-11     # simplex: pivots below this times their column's max are zero
+_MAX_PIVOTS = 10_000  # simplex: a batch needing more pivots raises SolverFailureError
 
 # ---------------------------------------------------------------------------
 # result types
@@ -246,7 +248,7 @@ def _rel_neg(x: np.ndarray) -> np.ndarray:
 
 
 def _certify(what, H, G, P, LAM, MU, GAM, caps=None) -> None:
-    """Batched KKT audit of a closed-form allocation.
+    """Batched KKT audit of a closed-form or simplex allocation.
 
     The per-state residual is the max_residual of kkt_report_case2
     (caps None, LAM the transmit prices) or kkt_report_case4 (LAM the
@@ -258,11 +260,10 @@ def _certify(what, H, G, P, LAM, MU, GAM, caps=None) -> None:
     parts = [-need, np.abs(np.maximum(need, 0.0) * P), -P, np.abs(MU * slack), slack]
     if caps is not None:
         parts += [np.abs(LAM * (P - caps)), P - caps]
-    worst = max(float(np.max(x, initial=0.0)) for x in parts)
+    worst = float(np.max([np.max(x, initial=0.0) for x in parts]))  # NaN fails
     if not worst <= _LOOSE:
-        raise SolverFailureError(f"{what}: KKT residual {worst:.3e} of the "
-                                 "closed form exceeds the acceptance "
-                                 "tolerance", residual=worst)
+        raise SolverFailureError(f"{what}: KKT residual {worst:.3e} exceeds "
+                                 "the acceptance tolerance", residual=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -663,31 +664,86 @@ def check_tdma_case3(state: ChannelStateMac, mu, p_st):
 # case 4: rate maximization inside the per-state power polytope
 
 
-def _case4_vertices(K: int, M: int):
-    for a in range(1, min(K, M) + 1):
-        for A in itertools.combinations(range(M), a):
-            for B in itertools.combinations(range(K), a):
-                yield list(A), list(B)
+def bounded_simplex(c, A, b, u):
+    """Batched bounded-variable primal simplex: max c.x s.t. A x <= b,
+    0 <= x <= u, state by state, for c, u (n, K), A (n, M, K), b (n, M) > 0.
 
-
-def _perturbed_at_cap(GBA, GA, B, tied, up):
-    """Sign tied reduced gains as if each h_k were raised by eps^(k+1).
-
-    User k's gain becomes eps^(k+1) - sum_{j in B} w_kj eps^(j+1), with
-    G_BA^T w_k = g_kA, signed by its lowest-index nonzero coefficient.
-    An optimal basis of the perturbed program is optimal here too and
-    has no zero reduced gain, so at its vertex the rule puts exactly
-    the right users at cap. Identical users fill lowest index first.
+    Each state starts at x = 0 with the slacks basic and the n tableaux
+    (n, M, K+M) pivot in lockstep; optimal states idle and are dropped
+    once they are half the batch. Bland's rule (lowest-index entering
+    and leaving variable) makes ties and identical columns terminate; an
+    entering variable whose own bound comes first flips to it instead.
+    One batched solve with the final bases recomputes the basic values
+    from the data. Returns x (n, K), the row prices y (n, M) >= 0 and
+    the upper-bound prices z (n, K) >= 0: c - A^T y - z <= 0, with
+    equality where 0 < x < u.
     """
-    rows = np.flatnonzero(tied.any(axis=1))
-    coef = np.tile(np.eye(up.shape[1]), (len(rows), 1, 1))
-    coef[:, :, B] -= np.swapaxes(np.linalg.solve(
-        np.swapaxes(GBA[rows], 1, 2), np.swapaxes(GA[rows], 1, 2)), 1, 2)
-    mag = np.abs(coef)
-    lead = np.argmax(mag > _TIE_RTOL * mag.max(axis=2, keepdims=True), axis=2)
-    sign = np.take_along_axis(coef, lead[..., None], axis=2)[..., 0]
-    up[rows] = np.where(tied[rows], sign > 0.0, up[rows])
-    return up
+    n, M, K = A.shape
+    N = K + M
+    full = np.concatenate([A, np.broadcast_to(np.eye(M), (n, M, M))], axis=2)
+    ub = np.concatenate([np.broadcast_to(u, (n, K)), np.full((n, M), np.inf)], axis=1)
+    b = np.broadcast_to(np.asarray(b, dtype=float), (n, M))
+    T, beta = full.copy(), b.copy()
+    basis = np.tile(np.arange(K, N), (n, 1))
+    d = np.concatenate([c, np.zeros((n, M))], axis=1)   # reduced costs
+    upper = np.zeros((n, N), dtype=bool)                # nonbasic at its upper bound
+    tol = _OPT_RTOL * np.abs(c).max(axis=1, initial=0.0)
+    out = [np.empty_like(basis), np.empty_like(d), np.empty_like(upper)]
+    idx, rows, ub_a, pivots = np.arange(n), np.arange(n), ub, 0
+    while True:
+        enter = np.where(upper, d < -tol[:, None], d > tol[:, None])
+        go = enter.any(axis=1)
+        if 2 * np.count_nonzero(go) <= go.size:     # drop the optimal states
+            for o, a in zip(out, (basis, d, upper)):
+                o[idx[~go]] = a[~go]
+            idx, T, beta, basis, d, upper, ub_a, tol, enter, go = (
+                a[go] for a in (idx, T, beta, basis, d, upper, ub_a, tol, enter, go))
+            if not idx.size:
+                break
+            rows = np.arange(idx.size)
+        if pivots == _MAX_PIVOTS:
+            raise SolverFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
+        pivots += 1
+        j = np.argmax(enter, axis=1)
+        sign = np.where(upper[rows, j], -1.0, 1.0)     # entering moves down from u
+        col = T[rows, :, j]
+        alpha = col * sign[:, None]                     # rate at which basics fall
+        mag = np.abs(alpha)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(alpha > 0.0, beta,
+                             np.take_along_axis(ub_a, basis, axis=1) - beta) / mag
+        ratio[mag <= _PIV_RTOL * mag.max(axis=1, keepdims=True, initial=0.0)] = np.inf
+        np.maximum(ratio, 0.0, out=ratio)
+        step = ratio.min(axis=1, initial=np.inf)
+        uj = ub_a[rows, j]
+        flip = uj <= step
+        piv = go & ~flip
+        step = np.where(go, np.minimum(step, uj), 0.0)
+        if np.isinf(step).any():
+            raise SolverFailureError("simplex: the linear program is unbounded")
+        beta -= step[:, None] * alpha
+        f = go & flip
+        upper[rows[f], j[f]] ^= True
+        if not piv.any():
+            continue
+        r = np.argmin(np.where(ratio == step[:, None], basis, N), axis=1)
+        Tr = T[rows, r] / np.where(piv, col[rows, r], 1.0)[:, None]
+        T -= np.where(piv[:, None], col, 0.0)[:, :, None] * Tr[:, None, :]
+        d -= np.where(piv, d[rows, j], 0.0)[:, None] * Tr
+        p, rp, jp, sp = rows[piv], r[piv], j[piv], sign[piv]
+        T[p, rp] = Tr[piv]
+        upper[p, basis[p, rp]] = alpha[p, rp] < 0.0   # leaves at its upper bound
+        upper[p, jp] = False
+        beta[p, rp] = np.where(sp > 0.0, 0.0, uj[piv]) + sp * step[piv]
+        basis[p, rp] = jp
+    basis, d, upper = out
+    x = np.where(upper, ub, 0.0)
+    rhs = b - np.einsum("nmk,nk->nm", full, x)
+    B = np.take_along_axis(full, basis[:, None, :], axis=2)
+    np.put_along_axis(x, basis, np.linalg.solve(B, rhs[..., None])[..., 0], axis=1)
+    y = np.maximum(-d[:, K:], 0.0)
+    z = np.where(upper[:, :K], np.maximum(d[:, :K], 0.0), 0.0)
+    return np.clip(x[:, :K], 0.0, ub[:, :K]), y, z
 
 
 def solve_states_case4(H: np.ndarray, G: np.ndarray, p_st, gamma,
@@ -696,11 +752,11 @@ def solve_states_case4(H: np.ndarray, G: np.ndarray, p_st, gamma,
 
     log(1+h.p) increases with h.p, so a state's optimum solves the LP
     max h.p over 0 <= p <= p_st, G^T p <= gamma: a fractional knapsack
-    with one interference cap (M = 1), a dual-vertex enumeration with
-    several. With want_multipliers, also returns the per-state power-cap
+    with one interference cap (M = 1), `bounded_simplex` otherwise.
+    With want_multipliers, also returns the per-state power-cap
     multipliers lambda (n, K) and cap multipliers mu (n, M).
     """
-    solve = _case4_single_cap if G.shape[2] == 1 else _case4_enumerate
+    solve = _case4_single_cap if G.shape[2] == 1 else _case4_simplex
     P, LAM, MU = solve(H, G, p_st, gamma)
     return (P, LAM, MU) if want_multipliers else P
 
@@ -748,74 +804,17 @@ def _case4_single_cap(H, G, p_st, gamma):
     return P, LAM, MU
 
 
-def _case4_enumerate(H, G, p_st, gamma):
-    """Case 4 by dual-vertex enumeration. Returns (P, LAM, MU).
-
-    A dual vertex pairs binding caps A with users B inside their caps,
-    |A| = |B|; the prices nu = mu / t, t = 1 / (1 + h.p), solve
-    h_B = G_BA nu_A, and any other user is at cap iff h_k - g_k.nu > 0
-    (ties: _perturbed_at_cap). That is C(K+M, M) - 1 candidates plus
-    the all-at-cap point.
-    """
+def _case4_simplex(H, G, p_st, gamma):
+    """Case 4 with several interference caps, by `bounded_simplex`. Its
+    LP prices are the multipliers over the rate's slope t = 1 / (1 + h.p).
+    A user with no gain never has a positive reduced gain: it stays silent."""
     n, K = H.shape
-    M = G.shape[2]
-    if math.comb(K + M, M) - 1 > 300_000:
-        raise UsageError("case-4 dual-vertex enumeration too large for this K, M")
-    p_st = np.asarray(p_st, dtype=float)
-    GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, M))
-    caps = np.broadcast_to(p_st, (n, K))
-
-    pool = _Pool(n, K, M)
-
-    # no interference cap binding: every user with positive gain
-    # transmits at full power, priced by its own cap multiplier
-    P0 = np.where(H > 0.0, caps, 0.0)
-    sumh0 = np.einsum("nk,nk->n", H, P0)
-    I0 = np.einsum("nk,nkm->nm", P0, G)
-    over0 = np.maximum((I0 - GAM) / GAM, 0.0).max(axis=1) if M else np.zeros(n)
-    LAM0 = H / (1.0 + sumh0)[:, None]
-    pool.offer(P0, np.zeros((n, M)), LAM0, over0, np.log1p(sumh0))
-
-    for A, B in _case4_vertices(K, M):
-        GA = G[:, :, A]                           # (n, K, a)
-        GBA = GA[:, B]                            # (n, a, a)
-        nu, bad = _screened_solve(GBA, H[:, B])
-        r = H - np.einsum("nka,na->nk", GA, nu)
-        r[:, B] = 0.0
-        tied = np.abs(r) <= _TIE_RTOL * (H + np.einsum("nka,na->nk", GA, np.abs(nu)))
-        tied[:, B] = False
-        tied[bad] = False
-        up = r > 0.0
-        if np.any(tied):
-            up = _perturbed_at_cap(GBA, GA, B, tied, up)
-
-        P = np.where(up, caps, 0.0)
-        pB, bad2 = _screened_solve(np.swapaxes(GBA, 1, 2),
-                                   GAM[:, A] - np.einsum("nk,nka->na", P, GA))
-        bad |= bad2
-        P[:, B] = pB
-        sumh = np.einsum("nk,nk->n", H, P)
-
-        # lambda_U and the silent users' slack are nonnegative by the
-        # sign rule; what remains is primal feasibility and nu_A >= 0
-        over = np.maximum((np.einsum("nk,nkm->nm", P, G) - GAM) / GAM, 0.0)
-        over[:, A] = 0.0
-        viol = np.max(np.stack([_rel_neg(pB),
-                                _rel_neg(caps[:, B] - pB),
-                                _rel_neg(nu),
-                                over.max(axis=1)]), axis=0)
-        viol = np.where(bad, np.inf, viol)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = 1.0 / (1.0 + sumh)
-            MU = np.zeros((n, M))
-            MU[:, A] = nu * t[:, None]
-            LAM = np.where(up, r * t[:, None], 0.0)
-            obj = np.log1p(np.maximum(sumh, -0.5))
-        obj = np.where(bad | ~np.isfinite(obj), -np.inf, obj)
-        pool.offer(P, MU, LAM, viol, obj)
-
-    P, MU, LAM = pool.resolve("case-4 state solver")
-    np.minimum(P, caps, out=P)
+    GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, G.shape[2]))
+    caps = np.broadcast_to(np.asarray(p_st, dtype=float), (n, K))
+    P, nu, lam = bounded_simplex(H, np.swapaxes(G, 1, 2), GAM, caps)
+    t = 1.0 / (1.0 + np.einsum("nk,nk->n", H, P))[:, None]
+    MU, LAM = t * nu, t * lam
+    _certify("case-4 state solver", H, G, P, LAM, MU, GAM, caps)
     return P, LAM, MU
 
 

@@ -1,83 +1,27 @@
 """Case-4 per-state solver against independent references.
 
-The solver enumerates dual vertices of the linear program
-max h.p s.t. 0 <= p <= p_st, G^T p <= gamma and derives the users at
-cap from reduced-gain signs. It is checked against
- 1. the exhaustive KKT active-set enumeration it replaced (every set
-    of users at cap is tried; exponential in K, so small K only),
+With M >= 2 the solver runs the bounded-variable simplex
+`bounded_simplex` on the linear program
+max h.p s.t. 0 <= p <= p_st, G^T p <= gamma (M = 1 is a fractional
+knapsack). It is checked against
+ 1. the dual-vertex enumeration it replaced and the exhaustive KKT
+    active-set enumeration before that (`case4_oracles`; exponential in
+    K and M, so small instances only),
  2. scipy's linprog on the same linear program (skipped without scipy),
  3. its own KKT report, on random and on degenerate states.
+No K, M is refused for case 4; case 2 still has a size guard.
 """
 
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from crsum import UsageError
-from crsum.perstate_mac import (_Pool, _rel_neg, _screened_solve,
-                                kkt_report_case4, solve_states_case2,
+from case4_oracles import _case4_enumerate, exhaustive_case4
+from crsum import (ConstraintCase, Ensemble, PowerBudget, SolverFailureError,
+                   UsageError, ergodic_capacity_mac)
+from crsum.perstate_mac import (kkt_report_case4, solve_states_case2,
                                 solve_states_case4)
-
-
-def exhaustive_case4(H, G, p_st, gamma):
-    """Reference case-4 solver: enumerate binding caps A, fractional
-    users B (|B| = |A|) and every subset U of the rest at cap."""
-    n, K = H.shape
-    M = G.shape[2]
-    GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, M))
-    caps = np.broadcast_to(np.asarray(p_st, dtype=float), (n, K))
-    pool = _Pool(n, K, M)
-
-    P0 = np.where(H > 0.0, caps, 0.0)
-    sumh0 = np.einsum("nk,nk->n", H, P0)
-    over0 = np.maximum((np.einsum("nk,nkm->nm", P0, G) - GAM) / GAM,
-                       0.0).max(axis=1)
-    pool.offer(P0, np.zeros((n, M)), H / (1.0 + sumh0)[:, None], over0,
-               np.log1p(sumh0))
-
-    users = range(K)
-    for a in range(1, min(K, M) + 1):
-        for A in map(list, itertools.combinations(range(M), a)):
-            for B in map(list, itertools.combinations(users, a)):
-                rest = [k for k in users if k not in B]
-                for U in (list(U) for r in range(len(rest) + 1)
-                          for U in itertools.combinations(rest, r)):
-                    Z = [k for k in rest if k not in U]
-                    GBA = G[:, B][:, :, A]
-                    rhs = GAM[:, A] - np.einsum("nk,nkm->nm", caps[:, U],
-                                                G[:, U][:, :, A])
-                    pB, bad = _screened_solve(np.swapaxes(GBA, 1, 2), rhs)
-                    sumh = np.einsum("nk,nk->n", H[:, B], pB) \
-                        + np.einsum("nk,nk->n", H[:, U], caps[:, U])
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        t = 1.0 / (1.0 + sumh)
-                        mu_A, bad2 = _screened_solve(GBA, H[:, B] * t[:, None])
-                    bad |= bad2
-                    P = np.zeros((n, K))
-                    P[:, B] = pB
-                    P[:, U] = caps[:, U]
-                    MU = np.zeros((n, M))
-                    MU[:, A] = mu_A
-                    price = np.einsum("nkm,nm->nk", G, MU)
-                    LAM = np.zeros((n, K))
-                    over = np.maximum((np.einsum("nk,nkm->nm", P, G) - GAM)
-                                      / GAM, 0.0)
-                    over[:, A] = 0.0
-                    with np.errstate(invalid="ignore"):
-                        LAM[:, U] = H[:, U] * t[:, None] - price[:, U]
-                        viol = np.max(np.stack([
-                            _rel_neg(pB), _rel_neg(caps[:, B] - pB),
-                            _rel_neg(mu_A), _rel_neg(LAM[:, U]),
-                            _rel_neg(price[:, Z] - H[:, Z] * t[:, None]),
-                            over.max(axis=1)]), axis=0)
-                        obj = np.log1p(np.maximum(sumh, -0.5))
-                    viol = np.where(bad, np.inf, viol)
-                    obj = np.where(bad | ~np.isfinite(obj), -np.inf, obj)
-                    pool.offer(P, MU, LAM, viol, obj)
-    P, MU, LAM = pool.resolve("exhaustive case-4")
-    return np.minimum(P, caps), LAM, MU
 
 
 def _batch(seed, n, K, M):
@@ -136,26 +80,26 @@ def test_matches_exhaustive_enumeration(K, M):
     assert _worst_kkt(H, G, p_st, gamma, P, LAM, MU) <= 1e-8
 
 
-@pytest.mark.parametrize("K,M", [(3, 1), (5, 2), (8, 2), (6, 3), (8, 3)])
+@pytest.mark.parametrize("K,M", [(3, 1), (5, 2), (8, 2), (6, 3), (8, 3), (20, 4)])
 def test_matches_linprog(K, M):
-    optimize = pytest.importorskip("scipy.optimize")
-    H, G, p_st, gamma = _batch(100 * K + M, 60, K, M)
-    P, LAM, MU = solve_states_case4(H, G, p_st, gamma, want_multipliers=True)
-    for i in range(len(H)):
-        lp = optimize.linprog(-H[i], A_ub=G[i].T, b_ub=gamma,
-                              bounds=list(zip(np.zeros(K), p_st)),
-                              method="highs")
-        assert lp.status == 0
-        assert abs(np.log1p(H[i] @ P[i]) - np.log1p(-lp.fun)) <= 1e-12
-    assert _worst_kkt(H, G, p_st, gamma, P, LAM, MU) <= 1e-8
+    _check_linprog(*_batch(100 * K + M, 60, K, M))
+
+
+@pytest.mark.parametrize("K,M", [(2, 2), (3, 2), (4, 2), (6, 2), (3, 3), (5, 3), (6, 3)])
+def test_matches_vertex_enumeration(K, M):
+    H, G, p_st, gamma = _batch(1000 + 10 * K + M, 300, K, M)
+    P = solve_states_case4(H, G, p_st, gamma)
+    np.testing.assert_allclose(P, _case4_enumerate(H, G, p_st, gamma)[0],
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("H,G,p_st,gamma", list(_degenerate_batches()))
 def test_degenerate_states(H, G, p_st, gamma):
     P, LAM, MU = solve_states_case4(H, G, p_st, gamma, want_multipliers=True)
-    P_ref, _, _ = exhaustive_case4(H, G, p_st, gamma)
-    np.testing.assert_allclose(_rates(H, P), _rates(H, P_ref),
-                               rtol=0, atol=1e-12)
+    for solve in (exhaustive_case4, _case4_enumerate):
+        P_ref, _, _ = solve(H, G, p_st, gamma)
+        np.testing.assert_allclose(_rates(H, P), _rates(H, P_ref),
+                                   rtol=0, atol=1e-12)
     assert _worst_kkt(H, G, p_st, gamma, P, LAM, MU) <= 1e-8
 
 
@@ -184,11 +128,53 @@ def test_many_users_one_cap():
 @pytest.mark.parametrize("solve", [
     lambda H, G: solve_states_case2(H, G, np.ones(H.shape[1]),
                                     np.ones(G.shape[2])),
-    lambda H, G: solve_states_case4(H, G, np.ones(H.shape[1]),
-                                    np.ones(G.shape[2])),
-], ids=["case2", "case4"])
+], ids=["case2"])
 def test_size_guard_before_any_work(solve):
     K, M = 60, 12
     assert math.comb(K + M, M) > 10 ** 12
     with pytest.raises(UsageError, match="too large"):
         solve(np.ones((1, K)), np.ones((1, K, M)))
+
+
+def _check_linprog(H, G, p_st, gamma):
+    optimize = pytest.importorskip("scipy.optimize")
+    P, LAM, MU = solve_states_case4(H, G, p_st, gamma, want_multipliers=True)
+    K = H.shape[1]
+    for i in range(len(H)):
+        lp = optimize.linprog(-H[i], A_ub=G[i].T, b_ub=gamma,
+                              bounds=list(zip(np.zeros(K), p_st)),
+                              method="highs")
+        assert lp.status == 0
+        assert abs(np.log1p(H[i] @ P[i]) - np.log1p(-lp.fun)) <= 1e-12
+    assert _worst_kkt(H, G, p_st, gamma, P, LAM, MU) <= 1e-8
+
+
+def test_no_size_guard():
+    """K=60, M=12 (10^13 dual vertices) and K=20, M=4 (10,625) solve."""
+    H, G, p_st, gamma = _batch(2004, 2000, 20, 4)
+    P, LAM, MU = solve_states_case4(H, G, p_st, gamma, want_multipliers=True)
+    assert _worst_kkt(H, G, p_st, gamma, P, LAM, MU) <= 1e-8
+    K, M = 60, 12
+    _check_linprog(np.ones((1, K)), np.ones((1, K, M)), np.ones(K), np.ones(M))
+
+
+def test_pivot_cap_raises(monkeypatch):
+    monkeypatch.setattr("crsum.perstate_mac._MAX_PIVOTS", 1)
+    H, G, p_st, gamma = _batch(42, 50, 4, 2)
+    with pytest.raises(SolverFailureError, match="pivots"):
+        solve_states_case4(H, G, p_st, gamma)
+
+
+def test_silent_user_without_gains():
+    """h_k = 0 and g_k = 0: the user sends nothing and is not counted
+    active (the dual-vertex enumeration gave it its full cap)."""
+    H = np.array([[0.0, 1.0, 2.0]])
+    G = np.array([[[0.0, 0.0], [0.5, 0.5], [4.0, 1.0]]])
+    gamma = np.array([1.5, 1.0])
+    P = solve_states_case4(H, G, np.ones(3), gamma)
+    assert P[0, 0] == 0.0
+    np.testing.assert_allclose(P[0], [0.0, 1.0, 0.25], rtol=0, atol=1e-15)
+    res = ergodic_capacity_mac(Ensemble("mac", H, G), ConstraintCase.IV,
+                               PowerBudget(tpc=np.ones(3), ipc=gamma))
+    assert res.alloc[0, 0] == 0.0
+    assert list(res.active_count_histogram) == [0, 0, 1, 0]

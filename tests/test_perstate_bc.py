@@ -125,3 +125,17 @@ def test_one_user_mac_mapping():
         as_one_user_mac(H, F, PowerBudget(tpc=np.zeros(0), ipc=[1.0, 1.0]))
     with pytest.raises(UsageError):
         as_one_user_mac(H, F, _budget(3))
+
+
+def test_auxiliary_mac_without_interference_is_uncapped():
+    """A state with f = 0 has no interference cap in case II: the
+    auxiliary MAC water-fills it like the one-user path."""
+    H = np.array([[1.0, 3.0, 2.0], [2.0, 0.5, 1.0]])
+    F = np.array([[0.0, 0.0], [0.5, 4.0]])
+    budget = _budget(2, gamma=0.7, q=1.3)
+    for case in ConstraintCase:
+        Q1, _ = solve_states_bc(H, F, case, 0.5, np.zeros(2), budget)
+        Q2, _ = solve_states_bc_via_mac(H, F, case, 0.5, np.zeros(2), budget)
+        np.testing.assert_allclose(Q1, Q2, rtol=0, atol=1e-12)
+    Q, _ = solve_states_bc_via_mac(H, F, ConstraintCase.II, 0.5, np.zeros(2), budget)
+    assert abs(Q[0] - (1.0 / 0.5 - 1.0 / 3.0)) <= 1e-12
