@@ -334,7 +334,7 @@ def _random_mac_state(rng, K, M):
 
 
 def _suite_perstate(solvers, rng, n_checks):
-    """Closed forms and enumerations vs the grid oracle, with KKT audits."""
+    """Closed forms and simplex solvers vs the grid oracle, with KKT audits."""
     results = []
     worst_obj = 0.0
     worst_kkt = 0.0

@@ -29,10 +29,10 @@ class UnboundedSubproblemError(CrsumError):
 
 
 class SolverFailureError(CrsumError):
-    """A per-state solver could not certify any KKT point.
+    """A solver or an audit could not certify its result.
 
-    Carries the smallest constraint/multiplier violation seen across
-    all candidate active sets, for diagnosis.
+    Carries the residual or violation that failed, for diagnosis (None
+    when a simplex ran out of pivots or met an unbounded program).
     """
 
     def __init__(self, message, residual=None):

@@ -13,8 +13,9 @@ sorted-ratio cap-filling sweep). Case 4 is the linear program max h.p
 over the power polytope: a fractional knapsack in decreasing h_k/g_k
 with one interference cap (M = 1), the lockstep bounded-variable
 simplex `bounded_simplex` with several, at any K. Case 2 takes the
-best single user or cap-sharing pair at M = 1; at M >= 2 it enumerates
-KKT active sets, refusing (UsageError) more than 300,000 of them.
+best single user or cap-sharing pair at M = 1; at any other M it is the
+same simplex swept in the rate's slope t = 1/(1+h.p) (`_case2_simplex`),
+with no limit on K or M.
 Every allocation returned is certified against the first-order
 system; the programs are concave with affine constraints, so a
 consistent candidate is the global optimum. All solvers are
@@ -23,9 +24,7 @@ with n = 1 and attach a KKT certificate from the returned multipliers.
 """
 from __future__ import annotations
 
-import itertools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +35,8 @@ from .fading import ChannelStateMac
 logger = logging.getLogger(__name__)
 
 ACTIVE_TOL = 1e-9     # powers above this count as "user transmits"
-_STRICT = 1e-9        # candidate accepted as an exact KKT point
-_LOOSE = 1e-7         # fallback acceptance for near-degenerate states
-_DET_RTOL = 1e-12     # singularity screen for active-set linear systems
+_LOOSE = 1e-7         # KKT acceptance tolerance of `_certify`
+_DET_RTOL = 1e-12     # singularity screen for the one-cap pair systems
 _OPT_RTOL = 1e-12     # simplex: reduced costs below this times max |c| are zero
 _PIV_RTOL = 1e-11     # simplex: pivots below this times their column's max are zero
 _MAX_PIVOTS = 10_000  # simplex: a batch needing more pivots raises SolverFailureError
@@ -169,82 +167,7 @@ def solve_state_case1(state: ChannelStateMac, lam, mu):
 
 
 # ---------------------------------------------------------------------------
-# candidate bookkeeping for the enumerated cases
-
-
-class _Pool:
-    """Keeps, per state, the best strict KKT candidate (by objective)
-    and the least-violating candidate overall (fallback)."""
-
-    def __init__(self, n: int, K: int, M: int):
-        self.strict_obj = np.full(n, -np.inf)
-        self.strict_P = np.zeros((n, K))
-        self.strict_MU = np.zeros((n, M))
-        self.strict_LAM = np.zeros((n, K))
-        self.loose_viol = np.full(n, np.inf)
-        self.loose_P = np.zeros((n, K))
-        self.loose_MU = np.zeros((n, M))
-        self.loose_LAM = np.zeros((n, K))
-
-    def offer(self, P, MU, LAM, viol, obj):
-        strict = viol <= _STRICT
-        take = strict & (obj > self.strict_obj)
-        if np.any(take):
-            self.strict_obj[take] = obj[take]
-            self.strict_P[take] = P[take]
-            self.strict_MU[take] = MU[take]
-            self.strict_LAM[take] = LAM[take]
-        take = viol < self.loose_viol
-        if np.any(take):
-            self.loose_viol[take] = viol[take]
-            self.loose_P[take] = P[take]
-            self.loose_MU[take] = MU[take]
-            self.loose_LAM[take] = LAM[take]
-
-    def resolve(self, what: str):
-        have = np.isfinite(self.strict_obj)
-        fallback = ~have
-        if np.any(fallback):
-            bad = self.loose_viol[fallback] > _LOOSE
-            if np.any(bad):
-                worst = float(np.min(self.loose_viol[fallback]))
-                raise SolverFailureError(
-                    f"{what}: no active set satisfied the KKT system "
-                    f"(best violation {worst:.3e})", residual=worst)
-            for arr, src in ((self.strict_P, self.loose_P),
-                             (self.strict_MU, self.loose_MU),
-                             (self.strict_LAM, self.loose_LAM)):
-                arr[fallback] = src[fallback]
-        np.maximum(self.strict_P, 0.0, out=self.strict_P)
-        np.maximum(self.strict_MU, 0.0, out=self.strict_MU)
-        np.maximum(self.strict_LAM, 0.0, out=self.strict_LAM)
-        return self.strict_P, self.strict_MU, self.strict_LAM
-
-
-def _screened_solve(Mat: np.ndarray, rhs: np.ndarray):
-    """Batched linear solve with a determinant screen.
-
-    Returns (x, bad): rows flagged bad were (near-)singular and their
-    x is meaningless.
-    """
-    s = Mat.shape[-1]
-    row_norms = np.sqrt((Mat * Mat).sum(axis=2))
-    scale = row_norms.prod(axis=1)
-    det = np.linalg.det(Mat)
-    bad = ~(np.abs(det) > _DET_RTOL * scale)
-    if np.any(bad):
-        Mat = np.where(bad[:, None, None], np.eye(s), Mat)
-    x = np.linalg.solve(Mat, rhs[..., None])[..., 0]
-    bad |= ~np.all(np.isfinite(x), axis=1)
-    return x, bad
-
-
-def _rel_neg(x: np.ndarray) -> np.ndarray:
-    """Per-row worst negativity of x, scaled by the row magnitude."""
-    if x.shape[1] == 0:
-        return np.zeros(x.shape[0])
-    scale = 1.0 + np.max(np.abs(x), axis=1)
-    return np.maximum(-x.min(axis=1), 0.0) / scale
+# KKT audit of the case-2 and case-4 solvers
 
 
 def _certify(what, H, G, P, LAM, MU, GAM, caps=None) -> None:
@@ -270,26 +193,20 @@ def _certify(what, H, G, P, LAM, MU, GAM, caps=None) -> None:
 # case 2: water-filling under per-state interference caps
 
 
-def _case2_structures(K: int, M: int):
-    for a in range(M + 1):
-        for A in itertools.combinations(range(M), a):
-            for js in ((1,) if a == 0 else (a, a + 1)):
-                for J in itertools.combinations(range(K), js):
-                    yield list(A), list(J)
-
-
 def solve_states_case2(H: np.ndarray, G: np.ndarray, lam, gamma,
                        want_multipliers: bool = False):
     """Vectorized case-2 solver.
 
     lam broadcasts from (K,) or (n,K); gamma from (M,) or (n,M). One
-    interference cap (M = 1) is solved in closed form, several by KKT
-    active-set enumeration. At most M+1 users are active in any
-    returned allocation. With want_multipliers, also returns the
-    per-state cap multipliers mu (n, M).
+    interference cap (M = 1) is solved in closed form, any other number
+    by the parametric simplex sweep `_case2_simplex`. At most M+1 users
+    are active in any returned allocation. With want_multipliers, also
+    returns the per-state cap multipliers mu (n, M).
     """
-    solve = _case2_single_cap if G.shape[2] == 1 else _case2_enumerate
-    P, MU = solve(H, G, lam, gamma)
+    n, K, M = G.shape
+    LAM = np.broadcast_to(np.asarray(lam, dtype=float), (n, K))
+    GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, M))
+    P, MU = (_case2_single_cap if M == 1 else _case2_simplex)(H, G, LAM, GAM)
     return (P, MU) if want_multipliers else P
 
 
@@ -325,7 +242,7 @@ def _per_user_value(H, P, price):
     return np.where(np.isfinite(val), val, -np.inf)
 
 
-def _case2_single_cap(H, G, lam, gamma):
+def _case2_single_cap(H, G, LAM, GAM):
     """Case 2 with one interference cap, in closed form.
 
     At most two users transmit. The candidates are each user alone at
@@ -338,8 +255,6 @@ def _case2_single_cap(H, G, lam, gamma):
     index order). Memory is O(n K): the pairs are batched per first user.
     """
     n, K = H.shape
-    LAM = np.broadcast_to(np.asarray(lam, dtype=float), (n, K))
-    GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, 1))
     g = G[:, :, 0]
     rows = np.arange(n)
 
@@ -389,96 +304,66 @@ def _case2_single_cap(H, G, lam, gamma):
     return P, MU
 
 
-def _case2_enumerate(H, G, lam, gamma):
-    """Case 2 by KKT active-set enumeration: every support J with
-    binding caps A, |J| in {|A|, |A| + 1}. Returns (P, MU)."""
-    n, K = H.shape
-    M = G.shape[2]
-    # K + sum_{a>=1} C(M,a) (C(K,a) + C(K,a+1)) structures (Vandermonde)
-    if math.comb(K + M + 1, M + 1) - 1 > 300_000:
-        raise UsageError("case-2 active-set enumeration too large for this K, M")
-    LAM = np.broadcast_to(np.asarray(lam, dtype=float), (n, K))
-    GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, M))
+@np.errstate(divide="ignore", invalid="ignore")
+def _case2_simplex(H, G, LAM, GAM):
+    """Case 2 by a parametric sweep on the case-4 simplex pivot.
 
-    # Unbounded exactly when some user sees no price at all: lam_k = 0,
-    # g_k = 0 across primaries, h_k > 0.
-    free = (LAM <= 0.0) & (H > 0.0) & np.all(G <= 0.0, axis=2)
-    if np.any(free):
-        t, k = np.argwhere(free)[0]
-        raise UnboundedSubproblemError(
-            "user has positive gain but zero transmit and interference price",
-            state_index=int(t), user_index=int(k))
-
-    pool = _Pool(n, K, M)
-    zero_MU = np.zeros((n, M))
-    zero_LAM = np.zeros((n, K))
-
-    # p = 0 candidate: needs lam_k >= h_k for every user (delta >= 0).
-    viol0 = np.maximum((H - LAM).max(axis=1), 0.0) / (1.0 + np.max(LAM, axis=1))
-    pool.offer(np.zeros((n, K)), zero_MU, zero_LAM, viol0, np.zeros(n))
-
-    for A, J in _case2_structures(K, M):
-        a, js = len(A), len(J)
-        GJA = G[:, J][:, :, A]                      # (n, js, a)
-        hJ = H[:, J]
-        lamJ = LAM[:, J]
-
-        if js == a + 1:
-            # unknowns (mu_A, t): stationarity rows over J
-            Mat = np.concatenate([GJA, -hJ[:, :, None]], axis=2)
-            x, bad = _screened_solve(Mat, -lamJ)
-            mu_A = x[:, :a]
-            t = x[:, a]
-            ok_t = (t > 1e-14) & (t <= 1.0 + 1e-9)
-            # powers: interference tightness on A plus the sum-rate coupling
-            Mat2 = np.concatenate([np.swapaxes(GJA, 1, 2), hJ[:, None, :]], axis=1)
-            with np.errstate(divide="ignore", over="ignore"):
-                rhs2 = np.concatenate(
-                    [GAM[:, A], (1.0 / np.where(ok_t, t, 1.0) - 1.0)[:, None]], axis=1)
-            pJ, bad2 = _screened_solve(Mat2, rhs2)
-            bad |= bad2 | ~ok_t
-        else:
-            # |J| == |A| >= 1: powers pinned by tightness alone
-            Mat2 = np.swapaxes(GJA, 1, 2)
-            pJ, bad = _screened_solve(Mat2, GAM[:, A])
-            t = 1.0 / (1.0 + np.einsum("nk,nk->n", hJ, pJ))
-            mu_A, bad2 = _screened_solve(GJA, hJ * t[:, None] - lamJ)
-            bad |= bad2
-
-        P = np.zeros((n, K))
-        P[:, J] = pJ
-        MU = np.zeros((n, M))
-        MU[:, A] = mu_A
-
-        # dual feasibility for users off the support
-        slack_need = LAM + np.einsum("nkm,nm->nk", G, MU) - H * t[:, None]
-        slack_need[:, J] = 0.0
-        dual_viol = np.maximum(-slack_need.min(axis=1), 0.0) \
-            / (1.0 + np.max(LAM, axis=1) + np.abs(mu_A).sum(axis=1))
-        # interference feasibility off the active primaries
-        I = np.einsum("nk,nkm->nm", P, G)
-        if M:
-            over = np.maximum((I - GAM) / GAM, 0.0)
-            if a:
-                over[:, A] = 0.0
-            feas_viol = over.max(axis=1)
-        else:
-            feas_viol = np.zeros(n)
-
-        viol = np.max(np.stack([
-            _rel_neg(pJ),
-            _rel_neg(mu_A) if a else np.zeros(n),
-            dual_viol,
-            feas_viol,
-        ]), axis=0)
-        viol = np.where(bad, np.inf, viol)
-
-        obj = np.log1p(np.einsum("nk,nk->n", hJ, np.maximum(pJ, 0.0))) \
-            - np.einsum("nk,nk->n", lamJ, np.maximum(pJ, 0.0))
-        obj = np.where(bad | ~np.isfinite(obj), -np.inf, obj)
-        pool.offer(P, MU, zero_LAM, viol, obj)
-
-    P, MU, _ = pool.resolve("case-2 state solver")
+    At its rate slope t = 1/(1+h.p) a state's optimum solves the LP
+    max (t h - lam).p s.t. G^T p <= gamma, p >= 0, whose optimal S = h.p
+    grows with t (Gass & Saaty's parametric objective). From t = 0, p = 0
+    the sweep keeps the reduced costs d_h, d_lam of h and lam; column k
+    enters at t_k = d_lam / d_h. At the first t_k (lowest k on ties) a
+    state stops at its vertex if 1/(1+S) <= t_k, on the entering edge if
+    h.p reaches 1/t_k - 1 first, else pivots on. A ray at t_k = 0 is a
+    user nothing prices. The cap prices are d_lam - t d_h on the slacks.
+    """
+    n, K, M = G.shape
+    N = K + M
+    T, beta, basis, dh, dl = _slack_tableau(np.swapaxes(G, 1, 2), GAM, H, LAM)
+    tol = _OPT_RTOL * dh.max(axis=0, initial=0.0)
+    x, S, t = np.zeros((N, n)), np.zeros(n), np.zeros(n)
+    done, idx, rows, go, pivots = [], np.arange(n), np.arange(n), np.ones(n, dtype=bool), 0
+    while True:
+        cross = np.where(dh > tol, np.maximum(dl / dh, t), np.inf)
+        j = np.argmin(cross, axis=0)
+        t = cross[j, rows]
+        go &= 1.0 / (1.0 + S) > t
+        if 2 * np.count_nonzero(go) <= go.size:     # drop the finished states
+            idx, basis, beta, dh, dl, x, T, tol, S, j, t, go = _compact(
+                go, done, (idx, basis, beta, dh, dl, x, T, tol, S, j, t, go), 6)
+            if not idx.size:
+                break
+            rows = np.arange(idx.size)
+        if pivots == _MAX_PIVOTS:
+            raise SolverFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
+        pivots += 1
+        col = T[:, j, rows]
+        ratio = np.where(col > _PIV_RTOL * np.abs(col).max(axis=0, initial=0.0),
+                         np.maximum(beta / col, 0.0), np.inf)
+        step = ratio.min(axis=0, initial=np.inf)
+        edge = (1.0 / t - 1.0 - S) / dh[j, rows]       # step to h.p = 1/t - 1
+        stop = go & (edge <= step)
+        if np.isinf(edge[stop]).any():
+            s = rows[stop][np.isinf(edge[stop])][0]
+            raise UnboundedSubproblemError(
+                "user has positive gain but zero transmit and interference price",
+                state_index=int(idx[s]), user_index=int(j[s]))
+        go &= ~stop
+        step = np.where(stop, edge, np.where(go, step, 0.0))
+        x[j[stop], rows[stop]] = edge[stop]
+        beta -= step * col
+        if not go.any():
+            continue                                # always so at M = 0
+        S += step * dh[j, rows]
+        r = np.argmin(np.where(ratio == step, basis, N), axis=0)
+        beta[r[go], rows[go]] = step[go]
+        _pivot(T, (dh, dl), basis, col, rows, r, j, go)
+    basis, beta, dh, dl, x = _finished(done)
+    np.put_along_axis(x, basis, beta, axis=0)
+    P = np.maximum(x[:K].T, 0.0)
+    t = 1.0 / (1.0 + np.einsum("nk,nk->n", H, P))
+    MU = np.maximum(dl[K:] - t * dh[K:], 0.0).T
+    _certify("case-2 state solver", H, G, P, LAM, MU, GAM)
     return P, MU
 
 
@@ -664,85 +549,118 @@ def check_tdma_case3(state: ChannelStateMac, mu, p_st):
 # case 4: rate maximization inside the per-state power polytope
 
 
+def _slack_tableau(A, b, *costs):
+    """The lockstep simplex at x = 0 with the slacks basic, for the rows
+    A x + s = b (A (n, M, K), b (n, M)) and each cost vector (n, K).
+    Returns, states last so that work over the short M and N axes runs
+    along contiguous rows of n states, the tableau [A I] (M, N, n),
+    beta (M, n), the basis (M, n) and a reduced-cost row (N, n) per cost."""
+    n, M, K = A.shape
+    eye = np.broadcast_to(np.eye(M)[:, :, None], (M, M, n))
+    return (np.concatenate([A.transpose(1, 2, 0), eye], axis=1), b.T.copy(),
+            np.repeat(np.arange(K, K + M)[:, None], n, axis=1),
+            *(np.concatenate([c.T, np.zeros((M, n))]) for c in costs))
+
+
+def _pivot(T, ds, basis, col, rows, r, j, piv):
+    """Pivot T (M, N, n) on row r, column j (col = T[:, j, rows]) in the
+    states flagged piv, also eliminating j from each reduced-cost row in
+    ds. The caller sets the basic values."""
+    Tr = T[r, :, rows].T / np.where(piv, col[r, rows], 1.0)
+    T -= np.where(piv, col, 0.0)[:, None, :] * Tr
+    for d in ds:
+        d -= np.where(piv, d[j, rows], 0.0) * Tr
+    T[r[piv], :, rows[piv]] = Tr[:, piv].T
+    basis[r[piv], rows[piv]] = j[piv]
+
+
+def _compact(go, done, live, k):
+    """Keep only the states flagged go in every array of live (states
+    last); the first k arrays of the states dropped, the first being
+    their batch indices, are appended to done (see `_finished`)."""
+    gone, keep = np.flatnonzero(~go), np.flatnonzero(go)
+    done.append([a.take(gone, axis=-1) for a in live[:k]])
+    return [a.take(keep, axis=-1) for a in live]
+
+
+def _finished(done):
+    """The arrays that `_compact` collected, back in batch order."""
+    idx, *arrays = (np.concatenate(a, axis=-1) for a in zip(*done))
+    order = np.empty_like(idx)
+    order[idx] = np.arange(idx.size)
+    return [a.take(order, axis=-1) for a in arrays]
+
+
 def bounded_simplex(c, A, b, u):
     """Batched bounded-variable primal simplex: max c.x s.t. A x <= b,
     0 <= x <= u, state by state, for c, u (n, K), A (n, M, K), b (n, M) > 0.
 
     Each state starts at x = 0 with the slacks basic and the n tableaux
-    (n, M, K+M) pivot in lockstep; optimal states idle and are dropped
-    once they are half the batch. Bland's rule (lowest-index entering
-    and leaving variable) makes ties and identical columns terminate; an
-    entering variable whose own bound comes first flips to it instead.
-    One batched solve with the final bases recomputes the basic values
-    from the data. Returns x (n, K), the row prices y (n, M) >= 0 and
-    the upper-bound prices z (n, K) >= 0: c - A^T y - z <= 0, with
-    equality where 0 < x < u.
+    (`_slack_tableau`) pivot in lockstep; optimal states idle and are
+    dropped once they are half the batch. Bland's rule (lowest-index
+    entering and leaving variable) makes ties and identical columns
+    terminate; an entering variable whose own bound comes first flips
+    to it instead. One batched solve with the final bases recomputes the
+    basic values from the data. Returns x (n, K), the row prices
+    y (n, M) >= 0 and the upper-bound prices z (n, K) >= 0:
+    c - A^T y - z <= 0, with equality where 0 < x < u.
     """
     n, M, K = A.shape
     N = K + M
-    full = np.concatenate([A, np.broadcast_to(np.eye(M), (n, M, M))], axis=2)
     ub = np.concatenate([np.broadcast_to(u, (n, K)), np.full((n, M), np.inf)], axis=1)
     b = np.broadcast_to(np.asarray(b, dtype=float), (n, M))
-    T, beta = full.copy(), b.copy()
-    basis = np.tile(np.arange(K, N), (n, 1))
-    d = np.concatenate([c, np.zeros((n, M))], axis=1)   # reduced costs
-    upper = np.zeros((n, N), dtype=bool)                # nonbasic at its upper bound
+    T, beta, basis, d = _slack_tableau(A, b, c)
+    full = T.transpose(2, 0, 1).copy()                  # [A I] (n, M, N)
+    upper = np.zeros((N, n), dtype=bool)                # nonbasic at its upper bound
     tol = _OPT_RTOL * np.abs(c).max(axis=1, initial=0.0)
-    out = [np.empty_like(basis), np.empty_like(d), np.empty_like(upper)]
-    idx, rows, ub_a, pivots = np.arange(n), np.arange(n), ub, 0
+    done, idx, rows, ub_a, pivots = [], np.arange(n), np.arange(n), ub.T, 0
     while True:
-        enter = np.where(upper, d < -tol[:, None], d > tol[:, None])
-        go = enter.any(axis=1)
+        enter = np.where(upper, d < -tol, d > tol)
+        go = enter.any(axis=0)
         if 2 * np.count_nonzero(go) <= go.size:     # drop the optimal states
-            for o, a in zip(out, (basis, d, upper)):
-                o[idx[~go]] = a[~go]
-            idx, T, beta, basis, d, upper, ub_a, tol, enter, go = (
-                a[go] for a in (idx, T, beta, basis, d, upper, ub_a, tol, enter, go))
+            idx, basis, d, upper, T, beta, ub_a, tol, enter, go = _compact(
+                go, done, (idx, basis, d, upper, T, beta, ub_a, tol, enter, go), 4)
             if not idx.size:
                 break
             rows = np.arange(idx.size)
         if pivots == _MAX_PIVOTS:
             raise SolverFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
         pivots += 1
-        j = np.argmax(enter, axis=1)
-        sign = np.where(upper[rows, j], -1.0, 1.0)     # entering moves down from u
-        col = T[rows, :, j]
-        alpha = col * sign[:, None]                     # rate at which basics fall
+        j = np.argmax(enter, axis=0)
+        sign = np.where(upper[j, rows], -1.0, 1.0)     # entering moves down from u
+        col = T[:, j, rows]
+        alpha = col * sign                              # rate at which basics fall
         mag = np.abs(alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(alpha > 0.0, beta,
-                             np.take_along_axis(ub_a, basis, axis=1) - beta) / mag
-        ratio[mag <= _PIV_RTOL * mag.max(axis=1, keepdims=True, initial=0.0)] = np.inf
+                             np.take_along_axis(ub_a, basis, axis=0) - beta) / mag
+        ratio[mag <= _PIV_RTOL * mag.max(axis=0, initial=0.0)] = np.inf
         np.maximum(ratio, 0.0, out=ratio)
-        step = ratio.min(axis=1, initial=np.inf)
-        uj = ub_a[rows, j]
+        step = ratio.min(axis=0, initial=np.inf)
+        uj = ub_a[j, rows]
         flip = uj <= step
         piv = go & ~flip
         step = np.where(go, np.minimum(step, uj), 0.0)
         if np.isinf(step).any():
             raise SolverFailureError("simplex: the linear program is unbounded")
-        beta -= step[:, None] * alpha
+        beta -= step * alpha
         f = go & flip
-        upper[rows[f], j[f]] ^= True
+        upper[j[f], rows[f]] ^= True
         if not piv.any():
             continue
-        r = np.argmin(np.where(ratio == step[:, None], basis, N), axis=1)
-        Tr = T[rows, r] / np.where(piv, col[rows, r], 1.0)[:, None]
-        T -= np.where(piv[:, None], col, 0.0)[:, :, None] * Tr[:, None, :]
-        d -= np.where(piv, d[rows, j], 0.0)[:, None] * Tr
-        p, rp, jp, sp = rows[piv], r[piv], j[piv], sign[piv]
-        T[p, rp] = Tr[piv]
-        upper[p, basis[p, rp]] = alpha[p, rp] < 0.0   # leaves at its upper bound
-        upper[p, jp] = False
-        beta[p, rp] = np.where(sp > 0.0, 0.0, uj[piv]) + sp * step[piv]
-        basis[p, rp] = jp
-    basis, d, upper = out
-    x = np.where(upper, ub, 0.0)
+        r = np.argmin(np.where(ratio == step, basis, N), axis=0)
+        p, rp, sp = rows[piv], r[piv], sign[piv]
+        upper[basis[rp, p], p] = alpha[rp, p] < 0.0   # leaves at its upper bound
+        upper[j[piv], p] = False
+        beta[rp, p] = np.where(sp > 0.0, 0.0, uj[piv]) + sp * step[piv]
+        _pivot(T, (d,), basis, col, rows, r, j, piv)
+    basis, d, upper = _finished(done)
+    x = np.where(upper.T, ub, 0.0)
     rhs = b - np.einsum("nmk,nk->nm", full, x)
-    B = np.take_along_axis(full, basis[:, None, :], axis=2)
-    np.put_along_axis(x, basis, np.linalg.solve(B, rhs[..., None])[..., 0], axis=1)
-    y = np.maximum(-d[:, K:], 0.0)
-    z = np.where(upper[:, :K], np.maximum(d[:, :K], 0.0), 0.0)
+    B = np.take_along_axis(full, basis.T[:, None, :], axis=2)
+    np.put_along_axis(x, basis.T, np.linalg.solve(B, rhs[..., None])[..., 0], axis=1)
+    y = np.maximum(-d[K:].T, 0.0)
+    z = np.where(upper[:K].T, np.maximum(d[:K].T, 0.0), 0.0)
     return np.clip(x[:, :K], 0.0, ub[:, :K]), y, z
 
 
@@ -756,12 +674,14 @@ def solve_states_case4(H: np.ndarray, G: np.ndarray, p_st, gamma,
     With want_multipliers, also returns the per-state power-cap
     multipliers lambda (n, K) and cap multipliers mu (n, M).
     """
-    solve = _case4_single_cap if G.shape[2] == 1 else _case4_simplex
-    P, LAM, MU = solve(H, G, p_st, gamma)
+    n, K, M = G.shape
+    caps = np.broadcast_to(np.asarray(p_st, dtype=float), (n, K))
+    GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, M))
+    P, LAM, MU = (_case4_single_cap if M == 1 else _case4_simplex)(H, G, caps, GAM)
     return (P, LAM, MU) if want_multipliers else P
 
 
-def _case4_single_cap(H, G, p_st, gamma):
+def _case4_single_cap(H, G, caps, gam):
     """Case 4 with one interference cap: a fractional knapsack.
 
     Users with gain fill their power caps in decreasing h_k / g_k
@@ -771,8 +691,6 @@ def _case4_single_cap(H, G, p_st, gamma):
     mu = t nu and lambda_k = t (h_k - g_k nu) for the users at cap.
     """
     n, K = H.shape
-    gam = np.broadcast_to(np.asarray(gamma, dtype=float), (n, 1))
-    caps = np.broadcast_to(np.asarray(p_st, dtype=float), (n, K))
     g = G[:, :, 0]
     rows = np.arange(n)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -804,13 +722,10 @@ def _case4_single_cap(H, G, p_st, gamma):
     return P, LAM, MU
 
 
-def _case4_simplex(H, G, p_st, gamma):
+def _case4_simplex(H, G, caps, GAM):
     """Case 4 with several interference caps, by `bounded_simplex`. Its
     LP prices are the multipliers over the rate's slope t = 1 / (1 + h.p).
     A user with no gain never has a positive reduced gain: it stays silent."""
-    n, K = H.shape
-    GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, G.shape[2]))
-    caps = np.broadcast_to(np.asarray(p_st, dtype=float), (n, K))
     P, nu, lam = bounded_simplex(H, np.swapaxes(G, 1, 2), GAM, caps)
     t = 1.0 / (1.0 + np.einsum("nk,nk->n", H, P))[:, None]
     MU, LAM = t * nu, t * lam

@@ -5,23 +5,22 @@ With M >= 2 the solver runs the bounded-variable simplex
 max h.p s.t. 0 <= p <= p_st, G^T p <= gamma (M = 1 is a fractional
 knapsack). It is checked against
  1. the dual-vertex enumeration it replaced and the exhaustive KKT
-    active-set enumeration before that (`case4_oracles`; exponential in
+    active-set enumeration before that (`enum_oracles`; exponential in
     K and M, so small instances only),
  2. scipy's linprog on the same linear program (skipped without scipy),
  3. its own KKT report, on random and on degenerate states.
-No K, M is refused for case 4; case 2 still has a size guard.
+No K, M is refused for case 4, nor for case 2, whose sweep pivots the
+same tableau (`test_case2_simplex.py`).
 """
-
-import math
 
 import numpy as np
 import pytest
 
-from case4_oracles import _case4_enumerate, exhaustive_case4
 from crsum import (ConstraintCase, Ensemble, PowerBudget, SolverFailureError,
-                   UsageError, ergodic_capacity_mac)
-from crsum.perstate_mac import (kkt_report_case4, solve_states_case2,
-                                solve_states_case4)
+                   ergodic_capacity_mac)
+from crsum.perstate_mac import (kkt_report_case2, kkt_report_case4,
+                                solve_states_case2, solve_states_case4)
+from enum_oracles import _case4_enumerate, exhaustive_case4
 
 
 def _batch(seed, n, K, M):
@@ -125,17 +124,6 @@ def test_many_users_one_cap():
         assert abs(np.log1p(H[i] @ P[i]) - np.log1p(H[i] @ want)) <= 1e-12
 
 
-@pytest.mark.parametrize("solve", [
-    lambda H, G: solve_states_case2(H, G, np.ones(H.shape[1]),
-                                    np.ones(G.shape[2])),
-], ids=["case2"])
-def test_size_guard_before_any_work(solve):
-    K, M = 60, 12
-    assert math.comb(K + M, M) > 10 ** 12
-    with pytest.raises(UsageError, match="too large"):
-        solve(np.ones((1, K)), np.ones((1, K, M)))
-
-
 def _check_linprog(H, G, p_st, gamma):
     optimize = pytest.importorskip("scipy.optimize")
     P, LAM, MU = solve_states_case4(H, G, p_st, gamma, want_multipliers=True)
@@ -149,20 +137,31 @@ def _check_linprog(H, G, p_st, gamma):
     assert _worst_kkt(H, G, p_st, gamma, P, LAM, MU) <= 1e-8
 
 
+def _case2(H, G, p_st, gamma, **kw):
+    """Case 2 on a `_batch`, with transmit prices 0.1 / p_st."""
+    return solve_states_case2(H, G, 0.1 / p_st, gamma, **kw)
+
+
 def test_no_size_guard():
-    """K=60, M=12 (10^13 dual vertices) and K=20, M=4 (10,625) solve."""
+    """K=60, M=12 (10^13 dual vertices, 10^14 case-2 active sets) and
+    K=20, M=4 (10,625 and 53,129) solve, in cases IV and II."""
     H, G, p_st, gamma = _batch(2004, 2000, 20, 4)
     P, LAM, MU = solve_states_case4(H, G, p_st, gamma, want_multipliers=True)
     assert _worst_kkt(H, G, p_st, gamma, P, LAM, MU) <= 1e-8
     K, M = 60, 12
     _check_linprog(np.ones((1, K)), np.ones((1, K, M)), np.ones(K), np.ones(M))
+    for H, G, p_st, gamma in (_batch(2004, 2000, 20, 4), _batch(6012, 1, K, M)):
+        P, MU = _case2(H, G, p_st, gamma, want_multipliers=True)
+        assert max(kkt_report_case2(H[i], G[i], 0.1 / p_st, gamma, P[i],
+                                    MU[i]).max_residual for i in range(len(H))) <= 1e-8
 
 
-def test_pivot_cap_raises(monkeypatch):
+@pytest.mark.parametrize("solve", [_case2, solve_states_case4], ids=["case2", "case4"])
+def test_pivot_cap_raises(monkeypatch, solve):
     monkeypatch.setattr("crsum.perstate_mac._MAX_PIVOTS", 1)
     H, G, p_st, gamma = _batch(42, 50, 4, 2)
     with pytest.raises(SolverFailureError, match="pivots"):
-        solve_states_case4(H, G, p_st, gamma)
+        solve(H, G, p_st, gamma)
 
 
 def test_silent_user_without_gains():

@@ -2,22 +2,21 @@
 
 With M = 1, `solve_states_case2` takes the best of the single users
 and the pairs that share the cap, and `solve_states_case4` is a
-fractional knapsack. Both are checked against enumerations called
-here at M = 1 (case 2's still serves M >= 2; case 4's is the test
-oracle in `case4_oracles`), against their own KKT reports, and on
-degenerate states.
+fractional knapsack. Both are checked against the enumerations in
+`enum_oracles` called here at M = 1 (the solvers for any other M are
+simplex methods), against their own KKT reports, and on degenerate
+states.
 """
 
 import numpy as np
 import pytest
 
-from case4_oracles import _case4_enumerate
 from crsum import UnboundedSubproblemError
 from crsum.fading import ChannelStateMac
-from crsum.perstate_mac import (ACTIVE_TOL, _case2_enumerate, check_tdma_case2,
-                                kkt_report_case2, kkt_report_case4,
-                                solve_state_case2, solve_states_case2,
-                                solve_states_case4)
+from crsum.perstate_mac import (ACTIVE_TOL, check_tdma_case2, kkt_report_case2,
+                                kkt_report_case4, solve_state_case2,
+                                solve_states_case2, solve_states_case4)
+from enum_oracles import _case2_enumerate, _case4_enumerate
 
 
 def _batch(seed, n, K):
