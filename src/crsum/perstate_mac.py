@@ -212,11 +212,12 @@ def solve_states_case2(H: np.ndarray, G: np.ndarray, lam, gamma,
 
 def _ipc_caps(G, GAM):
     """Per-user tightest interference cap, +inf when unconstrained."""
-    n, K, M = G.shape
-    if M == 0:
-        return np.full((n, K), np.inf)
+    caps = np.full(G.shape[:2], np.inf)
     with np.errstate(divide="ignore"):
-        return np.where(G > 0.0, GAM[:, None, :] / G, np.inf).min(axis=2)
+        for m in range(G.shape[2]):
+            Gm = G[:, :, m]
+            np.minimum(caps, np.where(Gm > 0.0, GAM[:, m, None] / Gm, np.inf), out=caps)
+    return caps
 
 
 def _single_user_case2(H, G, LAM, GAM) -> np.ndarray:

@@ -1,15 +1,18 @@
 """Independent verification machinery: the grid search and the direct
 finite-sample convex solve must stand on their own, so they are tested
-against analytic optima only."""
+against analytic optima, and the grid search also against its earlier
+one-face-at-a-time form (`grid_reference`), value for value."""
 
 import numpy as np
 import pytest
 
 from crsum import (ConstraintCase, FadingModel, PowerBudget, UsageError,
-                   grid_state_oracle, saa_primal_oracle, sample_mac_states)
+                   grid_state_oracle, oracle, saa_primal_oracle, sample_mac_states)
 from crsum.fading import ChannelStateMac
-from crsum.oracle import (case1_problem, case2_problem, case3_problem,
-                          case4_problem)
+from crsum.oracle import (MAX_MESH_POINTS, case1_problem, case2_problem,
+                          case3_problem, case4_problem)
+
+import grid_reference
 
 
 def test_grid_oracle_concave_quadratic():
@@ -47,6 +50,136 @@ def test_grid_oracle_log_water_fill():
     p_star = 1.0 / lam - 1.0 / h
     assert abs(x[0] - p_star) < 1e-6
     assert abs(v - (np.log1p(h * p_star) - lam * p_star)) < 1e-12
+
+
+def _c_contiguous_rows(objective, K):
+    """The objective, asserting the grid oracle's input contract."""
+    def checked(X):
+        assert X.ndim == 2 and X.shape[1] == K and X.flags.c_contiguous
+        return objective(X)
+    return checked
+
+
+def _case_problems(state, rng):
+    K, M = state.g.shape
+    lam, mu = rng.uniform(0.2, 2.0, K), rng.uniform(0.2, 2.0, M)
+    caps, gam = rng.uniform(0.3, 3.0, K), rng.uniform(0.5, 2.0, M)
+    return [case1_problem(state, lam, mu), case2_problem(state, lam, gam),
+            case3_problem(state, mu, caps), case4_problem(state, caps, gam)]
+
+
+def _random_problems(n_states=50):
+    rng = np.random.default_rng(20261018)
+    for _ in range(n_states):
+        K, M = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        state = ChannelStateMac(h=rng.exponential(1.0, K),
+                                g=rng.exponential(1.0, (K, M)))
+        yield from _case_problems(state, rng)
+
+
+def _degenerate_problems():
+    rng = np.random.default_rng(7)
+    h, g = np.array([1.3, 0.0, 2.1]), np.array([[0.9, 0.0], [0.4, 0.0], [1.5, 0.0]])
+    g1 = g[:, :1]
+    yield pytest.param(*case4_problem(ChannelStateMac(h=h, g=g1), [0.0, 1.2, 0.0], [1.0]),
+                       id="upper bounds of 0")
+    yield pytest.param(*_case_problems(ChannelStateMac(h=h, g=g1), rng)[1],
+                       id="user without gain")
+    for case, problem in enumerate(_case_problems(ChannelStateMac(h=h, g=g), rng)):
+        yield pytest.param(*problem, id=f"zero column of g, case {case + 1}")
+    obj, up, _ = case4_problem(ChannelStateMac(h=h, g=g1), [1.0, 1.0, 1.0], [1.0])
+    yield pytest.param(obj, up, [(g1[:, 0], 1.0), (2.0 * g1[:, 0], 2.0)],
+                       id="parallel halfspaces")
+    yield pytest.param(*case4_problem(ChannelStateMac(h=h, g=g1), [1.0, 0.5, 0.8], [1e6]),
+                       id="halfspace that never binds")
+    yield pytest.param(*case4_problem(ChannelStateMac(h=h[:2], g=g[:2]), [0.7, 0.9],
+                                      [0.5, 3.0]), id="K = 2, zero column of g")
+
+
+def _quadratic_problems(n=60):
+    """Concave quadratics whose unconstrained peak lies mostly outside
+    the feasible set, so the optimum sits on some face."""
+    rng = np.random.default_rng(31)
+    for _ in range(n):
+        K, J = int(rng.integers(2, 4)), int(rng.integers(1, 3))
+        target = rng.uniform(-0.5, 2.5, K)
+        hs = [(rng.uniform(0.2, 1.5, K), rng.uniform(0.5, 1.5)) for _ in range(J)]
+        yield (lambda X, t=target: -((X - t) ** 2).sum(axis=1),
+               rng.uniform(0.5, 2.0, K), hs)
+
+
+def _assert_oracle_matches(obj, upper, hs):
+    """The oracle's value and point equal the reference's to the last
+    bit, and the objective only ever sees C-contiguous (N, K) arrays."""
+    p, v = grid_state_oracle(_c_contiguous_rows(obj, len(upper)), upper, hs,
+                             grid_step=1e-3)
+    p_ref, v_ref = grid_reference.grid_state_oracle(obj, upper, hs, grid_step=1e-3)
+    assert v == v_ref
+    np.testing.assert_array_equal(p, p_ref)
+
+
+def _assert_faces_match(obj, upper, hs):
+    """The face search alone: the best face's value and point, to the
+    last bit. The box grid often reaches the same optimum, so the whole
+    oracle's result would hide most faces refined wrongly or skipped."""
+    upper = np.asarray(upper, dtype=float)
+    hs = [(np.asarray(a, dtype=float), float(b)) for a, b in hs]
+    fp, fv = oracle._face_candidates(_c_contiguous_rows(obj, len(upper)), upper,
+                                     hs, 1e-3, 21, 80)
+    fp_ref, fv_ref = grid_reference._face_candidates(obj, upper, hs, 1e-3, 21)
+    assert fv == fv_ref
+    np.testing.assert_array_equal(fp, fp_ref)
+
+
+def test_grid_oracle_matches_reference():
+    """200 random instances: K 1-3, M 0-2, cases I-IV."""
+    for obj, upper, hs in _random_problems():
+        _assert_oracle_matches(obj, upper, hs)
+        if hs:
+            _assert_faces_match(obj, upper, hs)
+
+
+def test_face_search_matches_reference():
+    for obj, upper, hs in _quadratic_problems():
+        _assert_faces_match(obj, upper, hs)
+
+
+@pytest.mark.parametrize("obj, upper, hs", _degenerate_problems())
+def test_grid_oracle_matches_reference_degenerate(obj, upper, hs):
+    _assert_oracle_matches(obj, upper, hs)
+    if hs:
+        _assert_faces_match(obj, upper, hs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"points_per_dim": 1}, {"points_per_dim": 0}, {"grid_step": 0.0},
+    {"grid_step": -1e-3}, {"grid_step": np.nan}, {"grid_step": np.inf},
+    {"max_rounds": 0}, {"points_per_dim": 10**6}, {"points_per_dim": 1e300},
+    {"points_per_dim": np.int64(10**7)}, {"points_per_dim": np.inf},
+    {"points_per_dim": int(round(MAX_MESH_POINTS ** (1 / 3))) + 1}],
+    ids=lambda kw: ", ".join(f"{k}={v}" for k, v in kw.items()))
+def test_grid_oracle_guards(kwargs):
+    """Refused before the objective is called or any grid is built."""
+    def never(X):
+        raise AssertionError("objective called")
+    with pytest.raises(UsageError):
+        grid_state_oracle(never, np.ones(3), [(np.ones(3), 1.0)], **kwargs)
+
+
+@pytest.mark.parametrize("max_rounds", [1, 3])
+def test_grid_oracle_face_refinement_honours_max_rounds(max_rounds):
+    """K = 2, one halfspace, a grid_step never reached: max_rounds
+    batches on the box and as many on the one face with a free
+    coordinate; the vertex faces send their lone points one by one."""
+    batches = []
+
+    def obj(X):
+        batches.append(len(X))
+        return np.log1p(X @ np.array([1.0, 2.0]))
+
+    grid_state_oracle(obj, np.ones(2), [(np.array([1.0, 1.0]), 1.5)],
+                      grid_step=1e-12, max_rounds=max_rounds)
+    assert sum(n > 1 for n in batches) == 2 * max_rounds
 
 
 def test_problem_builders_bound_the_feasible_set():
