@@ -10,8 +10,10 @@ the ellipsoid method (central cuts from subgradients, deep cuts for
 negativity, and affine domain cuts when a subproblem is unbounded).
 Once the multipliers are near-optimal, a feasible primal policy is
 recovered by scaling the per-state allocations onto the long-term
-budget; the measured dual-primal gap certifies the answer. With zero
-dualized constraints (case 4) the "dual loop" is a single exact
+budget; the measured dual-primal gap certifies the answer. Each
+evaluation sums one user or cap column at a time over all states, and
+an allocation that needs no scaling keeps the rates it computed. With
+zero dualized constraints (case 4) the "dual loop" is a single exact
 evaluation. There is one problem adapter, the MAC's: a BC ensemble is
 solved as the one-user TDMA MAC of `perstate_bc.as_one_user_mac`.
 """
@@ -117,24 +119,30 @@ class _MacProblem:
         return 1.0 / self.thresholds
 
     def evaluate(self, x: np.ndarray):
-        """Dual value, subgradient, allocation, and LT usages at x."""
+        """Dual value, subgradient, allocation, LT usages and mean rate at x.
+
+        Every sum runs one user or cap column at a time over all states:
+        the einsums and matmuls over a short last axis run state by state.
+        """
         point = DualPoint.from_vector(x, self.n_lam)
         P = self._solve(self.H, self.G, point)
-        rates = np.log1p(np.einsum("tk,tk->t", self.H, P))
+        K, M = self.G.shape[1:]
+        terms = np.log1p(sum(self.H[:, k] * P[:, k] for k in range(K)))
+        rate = float(terms.mean())
         usage = []
-        terms = rates.copy()
         if self.case.tpc_is_lt:
-            avg_p = P.mean(axis=0)
-            usage.append(avg_p)
-            terms -= P @ point.lam
+            for k in range(K):
+                usage.append(P[:, k].mean())
+                terms -= P[:, k] * point.lam[k]
         if self.case.ipc_is_lt:
-            I = np.einsum("tk,tkm->tm", P, self.G)
-            usage.append(I.mean(axis=0))
-            terms -= I @ point.mu
-        usage = np.concatenate(usage) if usage else np.zeros(0)
+            for m in range(M):
+                I = sum(P[:, k] * self.G[:, k, m] for k in range(K))
+                usage.append(I.mean())
+                terms -= I * point.mu[m]
+        usage = np.array(usage, dtype=float)
         value = float(terms.mean() + x @ self.thresholds)
         subgrad = self.thresholds - usage
-        return value, subgrad, P, usage
+        return value, subgrad, P, usage, rate
 
     def unbounded_cut(self, exc: UnboundedSubproblemError) -> np.ndarray:
         """Coefficients of the affine price w(x) that hit zero."""
@@ -156,7 +164,7 @@ class _MacProblem:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = np.where(usage > 0.0, self.thresholds / usage, np.inf)
         scale = float(min(1.0, np.min(ratios, initial=np.inf)))
-        return alloc * scale, scale
+        return (alloc, scale) if scale == 1.0 else (alloc * scale, scale)
 
 
 def _make_problem(states, case, budget, per_state_solver=None, tdma_mode=False):
@@ -180,7 +188,7 @@ def dual_value_and_subgradient(states, case: ConstraintCase, budget: PowerBudget
         raise UsageError("dual point dimension does not match the case")
     if np.any(point.vector() < 0):
         raise UsageError("dual multipliers must be nonnegative")
-    value, subgrad, _, _ = problem.evaluate(point.vector())
+    value, subgrad, _, _, _ = problem.evaluate(point.vector())
     return value, subgrad
 
 
@@ -215,10 +223,12 @@ class _Tracker:
         self.best_policy = None
         self.best_scale = 1.0
 
-    def visit(self, x, value, alloc, usage):
+    def visit(self, x, value, alloc, usage, rate):
+        """rate is the mean rate of alloc itself, the primal value when
+        the allocation needs no scaling."""
         self.best_dual = min(self.best_dual, value)
         policy, scale = self.problem.rescale(alloc, usage)
-        primal = self.problem.primal_value(policy)
+        primal = rate if scale == 1.0 else self.problem.primal_value(policy)
         if primal > self.best_primal:
             self.best_primal = primal
             self.best_point = x.copy()
@@ -259,8 +269,8 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     tracker = _Tracker(problem)
 
     if d == 0:
-        value, _, alloc, usage = problem.evaluate(np.zeros(0))
-        tracker.visit(np.zeros(0), value, alloc, usage)
+        value, _, alloc, usage, rate = problem.evaluate(np.zeros(0))
+        tracker.visit(np.zeros(0), value, alloc, usage, rate)
         report = ConvergenceReport(
             params={"dimension": 0}, stop_reason="gap",
             best_dual=tracker.best_dual, best_primal=tracker.best_primal)
@@ -287,12 +297,12 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
         x = x0.copy()
         for it in range(max_iter):
             try:
-                value, sg, alloc, usage = problem.evaluate(x)
+                value, sg, alloc, usage, rate = problem.evaluate(x)
             except UnboundedSubproblemError:
                 lo = x[0]
                 x = np.array([0.5 * (lo + hi)])
                 continue
-            tracker.visit(x, value, alloc, usage)
+            tracker.visit(x, value, alloc, usage, rate)
             record(it, value, usage)
             if tracker.gap_ok(gap_tol):
                 stop = "gap"
@@ -319,12 +329,12 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
                 depth_raw = -x[i]
             else:
                 try:
-                    value, sg, alloc, usage = problem.evaluate(x)
+                    value, sg, alloc, usage, rate = problem.evaluate(x)
                 except UnboundedSubproblemError as exc:
                     coef = problem.unbounded_cut(exc)
                     cut = -coef
                 else:
-                    tracker.visit(x, value, alloc, usage)
+                    tracker.visit(x, value, alloc, usage, rate)
                     record(it, value, usage)
                     if tracker.gap_ok(gap_tol):
                         stop = "gap"

@@ -8,14 +8,14 @@ into a small concave program in the per-state power vector p >= 0:
   case 3:  max log(1+h.p) - sum_m mu_m (g_m.p)  s.t. p <= p_st
   case 4:  max log(1+h.p)  s.t. p <= p_st, g_m.p <= gamma_m
 
-Cases 1 and 3 have closed forms (a single best-ratio user; a
-sorted-ratio cap-filling sweep). Case 4 is the linear program max h.p
-over the power polytope: a fractional knapsack in decreasing h_k/g_k
-with one interference cap (M = 1), the lockstep bounded-variable
-simplex `bounded_simplex` with several, at any K. Case 2 takes the
-best single user or cap-sharing pair at M = 1; at any other M it is the
-same simplex swept in the rate's slope t = 1/(1+h.p) (`_case2_simplex`),
-with no limit on K or M.
+Cases 1 and 3 have closed forms (a single best-ratio user, found by a
+running best over the user columns; a sorted-ratio cap-filling sweep).
+Case 4 is the linear program max h.p over the power polytope: a
+fractional knapsack in decreasing h_k/g_k with one interference cap
+(M = 1), the lockstep bounded-variable simplex `bounded_simplex` with
+several, at any K. Case 2 takes the best single user or cap-sharing
+pair at M = 1; at any other M it is the same simplex swept in the
+rate's slope t = 1/(1+h.p) (`_case2_simplex`), with no limit on K or M.
 Every allocation returned is certified against the first-order
 system; the programs are concave with affine constraints, so a
 consistent candidate is the global optimum. All solvers are
@@ -115,27 +115,47 @@ def _vec(x, size, name) -> np.ndarray:
 # case 1: single-user water-filling against fixed prices
 
 
-def solve_states_case1(H: np.ndarray, G: np.ndarray, lam, mu) -> np.ndarray:
-    """Vectorized case-1 solver. lam is (K,) or (n,K); mu is (M,)."""
-    n, K = H.shape
+def _interference_price(G: np.ndarray, mu) -> np.ndarray:
+    """Each user's interference price sum_m mu_m g_km, (n, K), summed
+    one cap column at a time (a matmul over the short M axis runs state
+    by state)."""
     mu = np.asarray(mu, dtype=float)
-    W = np.broadcast_to(np.asarray(lam, dtype=float), H.shape) + G @ mu
+    W = np.zeros(G.shape[:2])
+    for m in range(G.shape[2]):
+        W += G[:, :, m] * mu[m]
+    return W
+
+
+def solve_states_case1(H: np.ndarray, G: np.ndarray, lam, mu) -> np.ndarray:
+    """Vectorized case-1 solver. lam is (K,) or (n,K); mu is (M,).
+
+    A running best over the K user columns picks each state's
+    highest-ratio user; the strict comparison keeps ties at the lowest
+    index.
+    """
+    n, K = H.shape
+    W = np.broadcast_to(np.asarray(lam, dtype=float), H.shape) \
+        + _interference_price(G, mu)
+    sel = np.zeros(n, dtype=np.intp)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(H > 0.0, H / W, 0.0)
-    sel = np.argmax(ratio, axis=1)
-    rows = np.arange(n)
-    rsel = ratio[rows, sel]
+        rsel = np.where(H[:, 0] > 0.0, H[:, 0] / W[:, 0], 0.0)
+        wsel, hsel = W[:, 0].copy(), H[:, 0].copy()
+        for k in range(1, K):
+            h, w = H[:, k], W[:, k]
+            r = np.where(h > 0.0, h / w, 0.0)
+            better = r > rsel
+            for dst, src in ((rsel, r), (sel, k), (wsel, w), (hsel, h)):
+                np.copyto(dst, src, where=better)
     if np.any(np.isinf(rsel)):
         t = int(np.flatnonzero(np.isinf(rsel))[0])
         raise UnboundedSubproblemError(
             "zero effective price for a user with positive gain",
             state_index=t, user_index=int(sel[t]))
-    wsel = W[rows, sel]
-    hsel = H[rows, sel]
     with np.errstate(divide="ignore"):
         psel = np.where(rsel > 1.0, 1.0 / wsel - 1.0 / hsel, 0.0)
-    P = np.zeros_like(H)
-    P[rows, sel] = psel
+    P = np.empty((n, K))
+    for k in range(K):
+        P[:, k] = np.where(sel == k, psel, 0.0)
     return P
 
 
@@ -458,9 +478,8 @@ def check_tdma_case2(state: ChannelStateMac, lam, gamma_st):
 def solve_states_case3(H: np.ndarray, G: np.ndarray, mu, p_st) -> np.ndarray:
     """Vectorized case-3 closed form (sorted-ratio cap sweep)."""
     n, K = H.shape
-    mu = np.asarray(mu, dtype=float)
     p_st = np.asarray(p_st, dtype=float)
-    W = G @ mu
+    W = _interference_price(G, mu)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(H > 0.0, np.where(W > 0.0, H / W, np.inf), 0.0)
     order = np.argsort(-ratio, axis=1, kind="stable")

@@ -16,8 +16,8 @@ import numpy as np
 from .constraints import ConstraintCase
 from .errors import UsageError
 from .fading import ChannelStateMac
-from .perstate_mac import (StateAllocation, _allocation, _ipc_caps,
-                           _per_user_value, _single_user_case2, _vec,
+from .perstate_mac import (StateAllocation, _allocation, _interference_price,
+                           _ipc_caps, _per_user_value, _single_user_case2, _vec,
                            solve_states_case1, solve_states_case2,
                            solve_states_case3, solve_states_case4)
 
@@ -52,7 +52,7 @@ def tdma_state_case2(state: ChannelStateMac, lam, gamma_st) -> StateAllocation:
 def tdma_states_case3(H, G, mu, p_st) -> np.ndarray:
     """Best single user under power caps and interference prices mu."""
     n, K = H.shape
-    W = G @ np.asarray(mu, dtype=float)
+    W = _interference_price(G, mu)
     caps = np.broadcast_to(np.asarray(p_st, dtype=float), (n, K))
     with np.errstate(divide="ignore", invalid="ignore"):
         wf = 1.0 / W - 1.0 / H

@@ -136,6 +136,7 @@ def test_verify_clean(capsys):
     ("case2_power", "perstate"),
     ("case4_power", "perstate"),
     ("bc_power", "bc"),
+    ("case1_power", "dual"),
 ])
 def test_verify_catches_broken_solver(perturb, suite, capsys):
     rc = main(["verify", "--suite", suite, "--checks", "4", "--seed", "3",

@@ -1,0 +1,157 @@
+"""The case-1 solver and the dual evaluation work one user or cap column
+at a time; they are held against their row-wise forms in
+`dual_reference`: bit for bit where the arithmetic is unchanged (one
+cap, one user), within a rounding tolerance where a sum over several
+columns changed its order."""
+
+import numpy as np
+import pytest
+
+import dual_reference
+from crsum import (ConstraintCase, FadingModel, PowerBudget,
+                   UnboundedSubproblemError, ellipsoid_solve, sample_bc_states)
+from crsum.dual import _make_problem
+from crsum.fading import Ensemble
+from crsum.perstate_mac import solve_states_case1
+
+
+def _instance(seed, n, K, M, idle=0.2):
+    """Gains with some zero direct gains, and prices around the level
+    at which a winner turns on."""
+    rng = np.random.default_rng(seed)
+    H = rng.exponential(1.0, (n, K))
+    H[rng.random((n, K)) < idle] = 0.0
+    G = rng.exponential(1.0, (n, K, M))
+    lam = rng.uniform(0.1, 1.5, K)
+    mu = rng.uniform(0.1, 1.5, M)
+    return H, G, lam, mu
+
+
+def _lagrangian(H, G, lam, mu, P):
+    """Per-state case-1 objective, priced the same way for both sides."""
+    W = np.broadcast_to(lam, H.shape) + G @ mu
+    return np.log1p((H * P).sum(axis=1)) - (W * P).sum(axis=1)
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 20])
+@pytest.mark.parametrize("M", [0, 1])
+def test_case1_equals_reference(K, M):
+    for seed in range(5):
+        H, G, lam, mu = _instance(seed, 400, K, M)
+        want = dual_reference.solve_states_case1(H, G, lam, mu)
+        assert np.array_equal(solve_states_case1(H, G, lam, mu), want)
+        # per-state transmit prices (n, K)
+        LAM = lam * np.random.default_rng(seed).uniform(0.5, 2.0, H.shape)
+        want = dual_reference.solve_states_case1(H, G, LAM, mu)
+        assert np.array_equal(solve_states_case1(H, G, LAM, mu), want)
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 20])
+@pytest.mark.parametrize("M", [2, 4])
+def test_case1_lagrangian_matches_reference(K, M):
+    """Several caps sum the interference price in another order, so a
+    near-tie may pick another user; the per-state value must agree."""
+    for seed in range(5):
+        H, G, lam, mu = _instance(seed, 400, K, M)
+        P = solve_states_case1(H, G, lam, mu)
+        want = _lagrangian(H, G, lam, mu,
+                           dual_reference.solve_states_case1(H, G, lam, mu))
+        got = _lagrangian(H, G, lam, mu, P)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+        assert np.all((P > 0.0).sum(axis=1) <= 1)
+
+
+def test_case1_degenerate_batches():
+    n, K, M = 50, 4, 1
+    H, G, lam, mu = _instance(3, n, K, M)
+    cases = {
+        # identical users: the lowest index wins every state
+        "identical": (np.repeat(H[:, :1], K, axis=1), np.repeat(G[:, :1], K, axis=1),
+                      np.full(K, lam[0]), mu),
+        "no gain": (np.zeros((n, K)), G, lam, mu),
+        "one gainless user": (np.where(np.arange(K) == 2, 0.0, H), G, lam, mu),
+        "free gainless user": (np.where(np.arange(K) == 1, 0.0, H), G,
+                               np.where(np.arange(K) == 1, 0.0, lam),
+                               np.zeros(M)),
+    }
+    for name, (h, g, la, m) in cases.items():
+        want = dual_reference.solve_states_case1(h, g, la, m)
+        assert np.array_equal(solve_states_case1(h, g, la, m), want), name
+    P = solve_states_case1(*cases["identical"])
+    assert np.all(P[:, 1:] == 0.0) and np.any(P[:, 0] > 0.0)
+
+
+def test_case1_zero_price_raises_like_reference():
+    """A zero price with positive gain reports the first such state and
+    the user the row-wise argmax picks there."""
+    n, K, M = 30, 3, 1
+    H, G, lam, mu = _instance(4, n, K, M, idle=0.0)
+    LAM = np.broadcast_to(lam, (n, K)).copy()
+    LAM[[7, 12], 2] = 0.0
+    LAM[[7, 20], 1] = 0.0
+    errors = []
+    for solve in (dual_reference.solve_states_case1, solve_states_case1):
+        with pytest.raises(UnboundedSubproblemError) as exc:
+            solve(H, G, LAM, np.zeros(M))
+        errors.append(exc.value)
+    ref, new = errors
+    assert str(new) == str(ref)
+    assert (new.state_index, new.user_index) == (ref.state_index, ref.user_index) == (7, 1)
+
+
+def _problem(case, K, M, n=400, tdma_mode=False, seed=0, solver=None):
+    H, G, _, _ = _instance(seed, n, K, M)
+    budget = PowerBudget.symmetric(K, M, 1.0, 0.8)
+    return _make_problem(Ensemble("mac", H, G), case, budget,
+                         per_state_solver=solver, tdma_mode=tdma_mode)
+
+
+@pytest.mark.parametrize("case", list(ConstraintCase))
+@pytest.mark.parametrize("K,M,tdma_mode", [(1, 1, True), (1, 0, False), (1, 4, True),
+                                            (2, 1, False), (2, 1, True), (4, 2, False),
+                                            (5, 1, True)])
+def test_evaluate_matches_reference(case, K, M, tdma_mode):
+    problem = _problem(case, K, M, tdma_mode=tdma_mode)
+    rng = np.random.default_rng(K * 10 + M)
+    for _ in range(3):
+        x = rng.uniform(0.2, 2.0, problem.n_lam + problem.n_mu)
+        value, sg, P, usage, rate = problem.evaluate(x)
+        r_value, r_sg, r_P, r_usage = dual_reference.evaluate(problem, x)
+        assert np.array_equal(P, r_P)
+        want_rate = problem.primal_value(P)
+        if K == 1 and M <= 1:
+            assert value == r_value and rate == want_rate
+            assert np.array_equal(sg, r_sg) and np.array_equal(usage, r_usage)
+        else:
+            assert abs(value - r_value) <= 1e-13 * abs(r_value)
+            assert abs(rate - want_rate) <= 1e-13 * abs(want_rate)
+            np.testing.assert_allclose(usage, r_usage, rtol=1e-13, atol=0.0)
+            scale = np.maximum(np.abs(problem.thresholds), np.abs(r_usage))
+            assert np.all(np.abs(sg - r_sg) <= 1e-13 * scale)
+
+
+def test_case1_evaluation_matches_reference_end_to_end():
+    """Row-wise solver plus row-wise evaluation against the column-wise pair."""
+    for K, M in ((1, 1), (2, 1), (4, 2)):
+        problem = _problem(ConstraintCase.I, K, M, seed=K)
+        reference = _problem(
+            ConstraintCase.I, K, M, seed=K,
+            solver=lambda H, G, pt: dual_reference.solve_states_case1(H, G, pt.lam, pt.mu))
+        x = np.random.default_rng(K).uniform(0.2, 2.0, K + M)
+        value, sg, P, usage, _ = problem.evaluate(x)
+        r_value, r_sg, r_P, r_usage = dual_reference.evaluate(reference, x)
+        if M <= 1:
+            assert np.array_equal(P, r_P)
+        assert abs(value - r_value) <= 1e-13 * abs(r_value)
+        np.testing.assert_allclose(usage, r_usage, rtol=1e-13, atol=0.0)
+
+
+def test_unscaled_policy_reports_its_own_rate():
+    """The dual loop reuses the evaluation's mean rate for a policy that
+    needs no scaling; it must be the policy's rate, bit for bit at K = 1."""
+    states = sample_bc_states(FadingModel(K=3, M=1, n_states=300, seed=8))
+    budget = PowerBudget(tpc=np.zeros(0), ipc=np.array([0.8]), bs_tpc=1.5)
+    for case in ConstraintCase:
+        _, report, policy, scale = ellipsoid_solve(states, case, budget)
+        problem = _make_problem(states, case, budget)
+        assert report.best_primal == problem.primal_value(policy)
