@@ -16,12 +16,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constraints import (ConstraintCase, ConstraintReport, PowerBudget,
-                          feasibility_check)
+                          _check_dims, feasibility_check)
 from .dual import ConvergenceReport, DualPoint, ellipsoid_solve
 from .errors import SolverFailureError, UsageError
 from .fading import Ensemble, as_ensemble
 from .perstate_bc import as_one_user_mac, solve_states_bc, solve_states_bc_via_mac
-from .perstate_mac import ACTIVE_TOL
+from .perstate_mac import ACTIVE_TOL, _ipc_caps
 
 BC_STATE_AGREE_TOL = 1e-8
 BC_RATE_AGREE_TOL = 1e-6
@@ -171,16 +171,11 @@ def ergodic_capacity_bc(states, case: ConstraintCase, budget: PowerBudget,
 def _fra(ensemble, budget: PowerBudget) -> PolicyResult:
     H, G = ensemble.H, ensemble.G
     n, K = H.shape
-    M = G.shape[2]
+    _check_dims(budget, K, G.shape[2])
     users = np.arange(n) % K
     rows = np.arange(n)
-    g_user = G[rows, users]                      # (n, M)
-    with np.errstate(divide="ignore"):
-        cap = np.where(g_user > 0.0, budget.ipc[None, :] / g_user, np.inf).min(axis=1) \
-            if M else np.full(n, np.inf)
-    p = np.minimum(budget.tpc[users], cap)
     P = np.zeros((n, K))
-    P[rows, users] = p
+    P[rows, users] = np.minimum(budget.tpc, _ipc_caps(G, budget.ipc))[rows, users]
     return _assemble_mac(ensemble, ConstraintCase.IV, budget, P, mode="fra",
                          gap=None, dual_value=None, dual_point=None,
                          scale=1.0, report=None)

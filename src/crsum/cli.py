@@ -50,16 +50,21 @@ class CurveSpec:
 
 
 def _grid(expr: str) -> list[float]:
-    """Parse 'start:stop:step' (inclusive) or a comma list."""
+    """Parse 'start:stop:step' (inclusive, stop >= start) or a nonempty
+    comma list."""
     expr = expr.strip()
     if ":" in expr:
         parts = [float(x) for x in expr.split(":")]
-        if len(parts) != 3 or parts[2] <= 0:
-            raise UsageError(f"bad grid {expr!r}, want start:stop:step")
+        if len(parts) != 3 or parts[2] <= 0 or parts[1] < parts[0]:
+            raise UsageError(f"bad grid {expr!r}, want start:stop:step "
+                             "with stop >= start and step > 0")
         start, stop, step = parts
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(max(n, 1))]
-    return [float(x) for x in expr.split(",") if x.strip()]
+        return [start + i * step for i in range(n)]
+    values = [float(x) for x in expr.split(",") if x.strip()]
+    if not values:
+        raise UsageError(f"empty grid {expr!r}")
+    return values
 
 
 def _mac_curve(stem, case, mode, K, M, gamma, p_dbs, tpc_scale=1.0):
@@ -97,28 +102,16 @@ def _preset_fig4(cfg):
             for case in ConstraintCase]
 
 
-def _preset_fig5(cfg):
-    """MAC, K=2, M=1: TDMA restriction vs full transmission."""
-    p_dbs = _grid(cfg.get("p_db", "-5:25:5"))
-    gamma = float(cfg.get("gamma", 1.0))
-    out = []
-    for case in (ConstraintCase.II, ConstraintCase.III, ConstraintCase.IV):
-        for mode in ("full", "tdma"):
-            out.append(_mac_curve(f"fig5_{case.value}_{mode}", case, mode,
-                                  2, 1, gamma, p_dbs))
-    return out
-
-
-def _preset_fig6(cfg):
-    """MAC, K=4, M=2: TDMA restriction vs full transmission."""
-    p_dbs = _grid(cfg.get("p_db", "-5:25:5"))
-    gamma = float(cfg.get("gamma", 1.0))
-    out = []
-    for case in (ConstraintCase.II, ConstraintCase.III, ConstraintCase.IV):
-        for mode in ("full", "tdma"):
-            out.append(_mac_curve(f"fig6_{case.value}_{mode}", case, mode,
-                                  4, 2, gamma, p_dbs))
-    return out
+def _preset_tdma(fig, K, M):
+    """The preset of `fig`: MAC with K users and M primary receivers,
+    TDMA restriction vs full transmission in cases II-IV."""
+    def preset(cfg):
+        p_dbs = _grid(cfg.get("p_db", "-5:25:5"))
+        gamma = float(cfg.get("gamma", 1.0))
+        return [_mac_curve(f"{fig}_{case.value}_{mode}", case, mode, K, M, gamma, p_dbs)
+                for case in (ConstraintCase.II, ConstraintCase.III, ConstraintCase.IV)
+                for mode in ("full", "tdma")]
+    return preset
 
 
 def _preset_fig7(cfg):
@@ -157,8 +150,8 @@ def _preset_fig8(cfg):
 PRESETS = {
     "fig3": _preset_fig3,
     "fig4": _preset_fig4,
-    "fig5": _preset_fig5,
-    "fig6": _preset_fig6,
+    "fig5": _preset_tdma("fig5", 2, 1),
+    "fig6": _preset_tdma("fig6", 4, 2),
     "fig7": _preset_fig7,
     "fig8": _preset_fig8,
 }
@@ -330,62 +323,51 @@ def _perturbed_solvers(name):
     return solvers
 
 
-def _random_mac_state(rng, K, M):
+def _random_cases(rng, k_min):
+    """A random MAC state with K in [k_min, 3], M in [1, 2], and per case
+    its (solver key, solver arguments, oracle problem, single-user check,
+    KKT report, multipliers the report takes from the solver's)."""
     from .fading import ChannelStateMac
-    return ChannelStateMac(h=rng.exponential(1.0, K),
-                           g=rng.exponential(1.0, (K, M)))
+    K = int(rng.integers(k_min, 4))
+    M = int(rng.integers(1, 3))
+    state = ChannelStateMac(h=rng.exponential(1.0, K),
+                            g=rng.exponential(1.0, (K, M)))
+    lam = rng.uniform(0.2, 2.0, K)
+    mu = rng.uniform(0.2, 2.0, M)
+    caps = rng.uniform(0.3, 3.0, K)
+    gam = rng.uniform(0.5, 2.0, M)
+    pm = perstate_mac
+    return state, [
+        ("case1", (lam, mu), case1_problem, None, pm.kkt_report_case1, ()),
+        ("case2", (lam, gam), case2_problem, pm.check_tdma_case2,
+         pm.kkt_report_case2, ("mu",)),
+        ("case3", (mu, caps), case3_problem, pm.check_tdma_case3,
+         pm.kkt_report_case3, ()),
+        ("case4", (caps, gam), case4_problem, pm.check_tdma_case4,
+         pm.kkt_report_case4, ("lambda", "mu")),
+    ]
 
 
 def _suite_perstate(solvers, rng, n_checks):
-    """Closed forms and simplex solvers vs the grid oracle, with KKT audits."""
-    results = []
+    """Closed forms and simplex solvers vs the grid oracle, with KKT audits
+    recomputed from the returned powers."""
     worst_obj = 0.0
     worst_kkt = 0.0
     for _ in range(n_checks):
-        K = int(rng.integers(1, 4))
-        M = int(rng.integers(1, 3))
-        state = _random_mac_state(rng, K, M)
-        lam = rng.uniform(0.2, 2.0, K)
-        mu = rng.uniform(0.2, 2.0, M)
-        caps = rng.uniform(0.3, 3.0, K)
-        gam = rng.uniform(0.5, 2.0, M)
-
-        alloc, rep = solvers["case1"](state, lam, mu)
-        obj, upper, hs = case1_problem(state, lam, mu)
-        _, ov = grid_state_oracle(obj, upper, hs, grid_step=1e-4)
-        worst_obj = max(worst_obj, abs(float(obj(alloc.p[None])[0]) - ov))
-        worst_kkt = max(worst_kkt, perstate_mac.kkt_report_case1(
-            state.h, state.g, lam, mu, alloc.p).max_residual)
-
-        alloc, rep = solvers["case2"](state, lam, gam)
-        obj, upper, hs = case2_problem(state, lam, gam)
-        _, ov = grid_state_oracle(obj, upper, hs, grid_step=1e-4)
-        worst_obj = max(worst_obj, abs(float(obj(alloc.p[None])[0]) - ov))
-        worst_kkt = max(worst_kkt, perstate_mac.kkt_report_case2(
-            state.h, state.g, lam, gam, alloc.p,
-            rep.multipliers["mu"]).max_residual)
-
-        out = solvers["case3"](state, mu, caps)
-        alloc = out[0]
-        obj, upper, hs = case3_problem(state, mu, caps)
-        _, ov = grid_state_oracle(obj, upper, hs, grid_step=1e-4)
-        worst_obj = max(worst_obj, abs(float(obj(alloc.p[None])[0]) - ov))
-        worst_kkt = max(worst_kkt, perstate_mac.kkt_report_case3(
-            state.h, state.g, mu, caps, alloc.p).max_residual)
-
-        alloc, rep = solvers["case4"](state, caps, gam)
-        obj, upper, hs = case4_problem(state, caps, gam)
-        _, ov = grid_state_oracle(obj, upper, hs, grid_step=1e-4)
-        worst_obj = max(worst_obj, abs(float(obj(alloc.p[None])[0]) - ov))
-        worst_kkt = max(worst_kkt, perstate_mac.kkt_report_case4(
-            state.h, state.g, caps, gam, alloc.p, rep.multipliers["lambda"],
-            rep.multipliers["mu"]).max_residual)
-
-    results.append(("perstate objective vs grid oracle", worst_obj <= 2e-4,
-                    f"worst |diff| = {worst_obj:.2e}"))
-    results.append(("perstate KKT residuals", worst_kkt <= 1e-8,
-                    f"worst residual = {worst_kkt:.2e}"))
-    return results
+        state, cases = _random_cases(rng, 1)
+        for key, args, problem, _, report, names in cases:
+            out = solvers[key](state, *args)
+            p = out[0].p
+            obj, upper, hs = problem(state, *args)
+            _, ov = grid_state_oracle(obj, upper, hs, grid_step=1e-4)
+            worst_obj = max(worst_obj, abs(float(obj(p[None])[0]) - ov))
+            worst_kkt = max(worst_kkt, report(
+                state.h, state.g, *args, p,
+                *(out[1].multipliers[m] for m in names)).max_residual)
+    return [("perstate objective vs grid oracle", worst_obj <= 2e-4,
+             f"worst |diff| = {worst_obj:.2e}"),
+            ("perstate KKT residuals", worst_kkt <= 1e-8,
+             f"worst residual = {worst_kkt:.2e}")]
 
 
 def _suite_sparsity(solvers, rng, n_checks):
@@ -420,38 +402,15 @@ def _suite_tdma(solvers, rng, n_checks):
     bad = 0
     checked = 0
     for _ in range(n_checks):
-        K = int(rng.integers(2, 4))
-        M = int(rng.integers(1, 3))
-        state = _random_mac_state(rng, K, M)
-        lam = rng.uniform(0.2, 2.0, K)
-        mu = rng.uniform(0.2, 2.0, M)
-        caps = rng.uniform(0.3, 3.0, K)
-        gam = rng.uniform(0.5, 2.0, M)
-
-        hit = perstate_mac.check_tdma_case2(state, lam, gam)
-        if hit is not None:
-            alloc, _ = solvers["case2"](state, lam, gam)
-            want = np.zeros(K)
+        state, cases = _random_cases(rng, 2)
+        for key, args, _, check, _, _ in cases[1:]:
+            hit = check(state, *args)
+            if hit is None:
+                continue
+            want = np.zeros(state.K)
             want[hit[0]] = hit[1]
             checked += 1
-            if not np.allclose(alloc.p, want, atol=1e-8):
-                bad += 1
-        hit = perstate_mac.check_tdma_case3(state, mu, caps)
-        if hit is not None:
-            out = solvers["case3"](state, mu, caps)
-            want = np.zeros(K)
-            want[hit[0]] = hit[1]
-            checked += 1
-            if not np.allclose(out[0].p, want, atol=1e-8):
-                bad += 1
-        hit = perstate_mac.check_tdma_case4(state, caps, gam)
-        if hit is not None:
-            alloc, _ = solvers["case4"](state, caps, gam)
-            want = np.zeros(K)
-            want[hit[0]] = hit[1]
-            checked += 1
-            if not np.allclose(alloc.p, want, atol=1e-8):
-                bad += 1
+            bad += not np.allclose(solvers[key](state, *args)[0].p, want, atol=1e-8)
     return [("tdma checks consistent with solvers", bad == 0,
              f"{checked} positives checked, {bad} mismatches")]
 

@@ -100,6 +100,11 @@ class PowerBudget:
                    bs_tpc=q)
 
 
+def _check_dims(budget: PowerBudget, K: int, M: int) -> None:
+    if budget.K != K or budget.M != M:
+        raise UsageError("budget dimensions do not match the ensemble")
+
+
 @dataclass(frozen=True)
 class ConstraintRow:
     constraint_id: str
@@ -152,8 +157,7 @@ def feasibility_check(alloc_ensemble, states,
     n, K, M = G.shape
     if P.shape != (n, K):
         raise UsageError(f"alloc_ensemble has shape {P.shape}, expected {(n, K)}")
-    if budget.K != K or budget.M != M:
-        raise UsageError("budget dimensions do not match the ensemble")
+    _check_dims(budget, K, M)
     if np.any(P < -1e-12):
         raise UsageError("negative transmit powers in the policy")
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ConstraintCase, PowerBudget
+from .constraints import ConstraintCase, PowerBudget, _check_dims
 from .errors import ConvergenceFailureError, UnboundedSubproblemError, UsageError
 from .fading import Ensemble, as_ensemble
 from . import perstate_bc, tdma
@@ -103,8 +103,7 @@ class _MacProblem:
     def __init__(self, ensemble, case, budget, solver=None, tdma_mode=False):
         self.H, self.G = ensemble.H, ensemble.G
         n, K, M = self.G.shape
-        if budget.K != K or budget.M != M:
-            raise UsageError("budget dimensions do not match the ensemble")
+        _check_dims(budget, K, M)
         self.case = case
         self.budget = budget
         self.n_lam = K if case.tpc_is_lt else 0

@@ -136,6 +136,8 @@ class Ensemble:
         lead = 2 if self.channel == "mac" else 1
         if H.ndim != 2 or X.ndim != lead + 1 or X.shape[:lead] != H.shape[:lead]:
             raise ConfigurationError("H must be (n, K), G (n, K, M), F (n, M)")
+        if H.shape[1] == 0:
+            raise ConfigurationError("need at least one secondary user")
         if H.shape[0] == 0:
             raise UsageError("empty ensemble")
         object.__setattr__(self, "H", H)

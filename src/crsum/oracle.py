@@ -31,7 +31,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .constraints import ConstraintCase, PowerBudget
+from .constraints import ConstraintCase, PowerBudget, _check_dims
 from .errors import UnboundedSubproblemError, UsageError
 from .fading import ChannelStateMac, mac_arrays
 
@@ -386,8 +386,7 @@ def saa_primal_oracle(states, case: ConstraintCase, budget: PowerBudget,
     n, K = H.shape
     if n * K > 256:
         raise UsageError("saa_primal_oracle is for small instances (n*K <= 256)")
-    if budget.K != K or budget.M != G.shape[2]:
-        raise UsageError("budget dimensions do not match the ensemble")
+    _check_dims(budget, K, G.shape[2])
 
     box_hi, halfspaces = _saa_constraints(H, G, case, budget)
     if halfspaces:

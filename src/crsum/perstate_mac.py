@@ -16,11 +16,18 @@ fractional knapsack in decreasing h_k/g_k with one interference cap
 several, at any K. Case 2 takes the best single user or cap-sharing
 pair at M = 1; at any other M it is the same simplex swept in the
 rate's slope t = 1/(1+h.p) (`_case2_simplex`), with no limit on K or M.
-Every allocation returned is certified against the first-order
-system; the programs are concave with affine constraints, so a
-consistent candidate is the global optimum. All solvers are
-vectorized across fading states; the scalar operations wrap the batch
-with n = 1 and attach a KKT certificate from the returned multipliers.
+
+The four cases are one first-order system (`_kkt`): the prices lam
+and mu enter stationarity, and a per-state cap adds its rows with the
+same symbol as its multiplier (mu for the interference caps, lam for
+the power caps). Every case-2 and case-4 allocation returned is
+certified against it (`_certify`); the programs are concave with
+affine constraints, so a consistent candidate is the global optimum.
+A user alone at price w and cap c sends min((1/w - 1/h)^+, c)
+(`_single_user`): case 2's single-user candidates and every TDMA
+solver. All solvers are vectorized across fading states; the scalar
+operations wrap the batch with n = 1 and attach a KKT report, the same
+system at n = 1, from the returned multipliers.
 """
 from __future__ import annotations
 
@@ -112,6 +119,63 @@ def _vec(x, size, name) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the per-state KKT system of every case
+
+
+def _kkt(H, G, P, LAM, MU, GAM=None, caps=None):
+    """The per-state KKT system of max log(1+h.p) - LAM.p - MU.(G^T p)
+    over p >= 0, batched over states (MU is (n, M)).
+
+    GAM adds the interference caps G^T p <= GAM, with MU their
+    multipliers; caps adds the power caps p <= caps, with LAM theirs.
+    Returns need = LAM + G MU - h / (1+h.p), whose positive part is the
+    inactivity multiplier delta, the |multiplier * slack| arrays and the
+    constraint violation arrays.
+    """
+    need = LAM + np.einsum("nkm,nm->nk", G, MU) \
+        - H / (1.0 + np.einsum("nk,nk->n", H, P))[:, None]
+    cs, primal = [np.abs(np.maximum(need, 0.0) * P)], [-P]
+    if GAM is not None:
+        slack = np.einsum("nk,nkm->nm", P, G) - GAM
+        cs.append(np.abs(MU * slack))
+        primal.append(slack)
+    if caps is not None:
+        cs.append(np.abs(LAM * (P - caps)))
+        primal.append(P - caps)
+    return need, cs, primal
+
+
+def _worst(parts) -> float:
+    """The largest entry of the arrays `parts`, at least 0; NaN propagates."""
+    return float(np.concatenate([x.ravel() for x in parts]).max(initial=0.0))
+
+
+def _kkt_report(named, h, g, p, lam, mu, gamma=None, p_st=None) -> KktReport:
+    """The KktReport of one state, `_kkt` at n = 1; `named` holds the
+    multipliers it reports besides delta."""
+    one = [None if x is None else np.asarray(x, dtype=float)[None]
+           for x in (h, g, p, lam, mu, gamma, p_st)]
+    need, cs, primal = _kkt(*one)
+    return KktReport(stationarity_residual=_worst([-need]),
+                     complementary_slackness_residual=_worst(cs),
+                     primal_infeasibility=_worst(primal),
+                     multipliers={"delta": np.maximum(need[0], 0.0), **named})
+
+
+def _certify(what, H, G, P, LAM, MU, GAM, caps=None) -> None:
+    """Batched KKT audit of a closed-form or simplex allocation: the
+    largest residual of `_kkt` (caps None for case 2, LAM the transmit
+    prices; else case 4, LAM the power-cap multipliers) must not exceed
+    _LOOSE. A plain whole-array max: a reduction over the short K axis
+    runs state by state."""
+    need, cs, primal = _kkt(H, G, P, LAM, MU, GAM, caps)
+    worst = _worst([-need, *cs, *primal])
+    if not worst <= _LOOSE:
+        raise SolverFailureError(f"{what}: KKT residual {worst:.3e} exceeds "
+                                 "the acceptance tolerance", residual=worst)
+
+
+# ---------------------------------------------------------------------------
 # case 1: single-user water-filling against fixed prices
 
 
@@ -160,16 +224,7 @@ def solve_states_case1(H: np.ndarray, G: np.ndarray, lam, mu) -> np.ndarray:
 
 
 def kkt_report_case1(h, g, lam, mu, p) -> KktReport:
-    c = 1.0 + h @ p
-    need = lam + g @ mu - h / c
-    delta = np.maximum(need, 0.0)
-    stat = float(np.max(np.maximum(-need, 0.0), initial=0.0))
-    cs = float(np.max(np.abs(delta * p), initial=0.0))
-    primal = float(np.max(-p, initial=0.0))
-    return KktReport(stationarity_residual=stat,
-                     complementary_slackness_residual=cs,
-                     primal_infeasibility=max(primal, 0.0),
-                     multipliers={"delta": delta})
+    return _kkt_report({}, h, g, p, lam, mu)
 
 
 def solve_state_case1(state: ChannelStateMac, lam, mu):
@@ -184,29 +239,6 @@ def solve_state_case1(state: ChannelStateMac, lam, mu):
     H, G = _as_state_arrays(state)
     p = solve_states_case1(H, G, lam, mu)[0]
     return _allocation(state.h, p), kkt_report_case1(state.h, state.g, lam, mu, p)
-
-
-# ---------------------------------------------------------------------------
-# KKT audit of the case-2 and case-4 solvers
-
-
-def _certify(what, H, G, P, LAM, MU, GAM, caps=None) -> None:
-    """Batched KKT audit of a closed-form or simplex allocation.
-
-    The per-state residual is the max_residual of kkt_report_case2
-    (caps None, LAM the transmit prices) or kkt_report_case4 (LAM the
-    power-cap multipliers); any state above _LOOSE raises.
-    """
-    t = 1.0 / (1.0 + np.einsum("nk,nk->n", H, P))
-    need = LAM + np.einsum("nkm,nm->nk", G, MU) - H * t[:, None]
-    slack = np.einsum("nk,nkm->nm", P, G) - GAM
-    parts = [-need, np.abs(np.maximum(need, 0.0) * P), -P, np.abs(MU * slack), slack]
-    if caps is not None:
-        parts += [np.abs(LAM * (P - caps)), P - caps]
-    worst = float(np.max([np.max(x, initial=0.0) for x in parts]))  # NaN fails
-    if not worst <= _LOOSE:
-        raise SolverFailureError(f"{what}: KKT residual {worst:.3e} exceeds "
-                                 "the acceptance tolerance", residual=worst)
 
 
 # ---------------------------------------------------------------------------
@@ -231,23 +263,24 @@ def solve_states_case2(H: np.ndarray, G: np.ndarray, lam, gamma,
 
 
 def _ipc_caps(G, GAM):
-    """Per-user tightest interference cap, +inf when unconstrained."""
+    """Per-user tightest interference cap, +inf when unconstrained; GAM
+    is (M,) or (n, M)."""
+    GAM = np.asarray(GAM, dtype=float)
     caps = np.full(G.shape[:2], np.inf)
     with np.errstate(divide="ignore"):
         for m in range(G.shape[2]):
             Gm = G[:, :, m]
-            np.minimum(caps, np.where(Gm > 0.0, GAM[:, m, None] / Gm, np.inf), out=caps)
+            np.minimum(caps, np.where(Gm > 0.0, GAM[..., m, None] / Gm, np.inf), out=caps)
     return caps
 
 
-def _single_user_case2(H, G, LAM, GAM) -> np.ndarray:
-    """Each user's best case-2 power when it transmits alone:
-    min(1/lam_k - 1/h_k, its tightest cap)^+, zero without gain."""
-    caps = _ipc_caps(G, GAM)
+def _single_user(H, price, cap) -> np.ndarray:
+    """Each user's best power when it transmits alone against `price`:
+    min((1/price - 1/h)^+, cap), zero without gain. The TDMA solvers of
+    every case and case 2's single-user candidates are this rule."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        wf = 1.0 / LAM - 1.0 / H
-    wf = np.where(H > 0.0, np.where(LAM > 0.0, np.maximum(wf, 0.0), np.inf), 0.0)
-    P = np.minimum(caps, wf)
+        wf = 1.0 / price - 1.0 / H
+    P = np.minimum(cap, np.where(price > 0.0, np.maximum(wf, 0.0), np.inf))
     unbounded = np.isinf(P) & (H > 0.0)
     if np.any(unbounded):
         t, k = np.argwhere(unbounded)[0]
@@ -267,7 +300,7 @@ def _case2_single_cap(H, G, LAM, GAM):
     """Case 2 with one interference cap, in closed form.
 
     At most two users transmit. The candidates are each user alone at
-    its best power (`_single_user_case2`) and each pair (i, j) sharing
+    its best power (`_single_user`) and each pair (i, j) sharing
     the cap: (mu, t) solve the pair's stationarity rows
     h_k t = lam_k + mu g_k, and the powers solve g.p = gamma,
     h.p = 1/t - 1 (Cramer's rule). A candidate with p >= 0 is a
@@ -279,7 +312,7 @@ def _case2_single_cap(H, G, LAM, GAM):
     g = G[:, :, 0]
     rows = np.arange(n)
 
-    alone = _single_user_case2(H, G, LAM, GAM)
+    alone = _single_user(H, LAM, _ipc_caps(G, GAM))
     val = _per_user_value(H, alone, LAM)
     first = np.argmax(val, axis=1)
     best = val[rows, first]
@@ -389,19 +422,7 @@ def _case2_simplex(H, G, LAM, GAM):
 
 
 def kkt_report_case2(h, g, lam, gamma, p, mu_state) -> KktReport:
-    c = 1.0 + h @ p
-    need = lam + g @ mu_state - h / c
-    delta = np.maximum(need, 0.0)
-    stat = float(np.max(np.maximum(-need, 0.0), initial=0.0))
-    slack = g.T @ p - gamma
-    cs = max(float(np.max(np.abs(delta * p), initial=0.0)),
-             float(np.max(np.abs(mu_state * slack), initial=0.0)))
-    primal = max(float(np.max(-p, initial=0.0)),
-                 float(np.max(slack, initial=0.0)))
-    return KktReport(stationarity_residual=stat,
-                     complementary_slackness_residual=cs,
-                     primal_infeasibility=max(primal, 0.0),
-                     multipliers={"delta": delta, "mu": mu_state})
+    return _kkt_report({"mu": mu_state}, h, g, p, lam, mu_state, gamma)
 
 
 def solve_state_case2(state: ChannelStateMac, lam, gamma_st):
@@ -505,21 +526,12 @@ def solve_states_case3(H: np.ndarray, G: np.ndarray, mu, p_st) -> np.ndarray:
 
 
 def kkt_report_case3(h, g, mu, p_st, p) -> KktReport:
-    c = 1.0 + h @ p
+    """The power-cap multipliers are derived: a capped user's rate slope
+    above its interference price, zero for the others."""
     w = g @ mu
     capped = p >= p_st - 1e-12 * (1.0 + p_st)
-    lam_state = np.where(capped, np.maximum(h / c - w, 0.0), 0.0)
-    need = w + lam_state - h / c
-    delta = np.maximum(need, 0.0)
-    stat = float(np.max(np.maximum(-need, 0.0), initial=0.0))
-    cs = max(float(np.max(np.abs(delta * p), initial=0.0)),
-             float(np.max(np.abs(lam_state * (p - p_st)), initial=0.0)))
-    primal = max(float(np.max(-p, initial=0.0)),
-                 float(np.max(p - p_st, initial=0.0)))
-    return KktReport(stationarity_residual=stat,
-                     complementary_slackness_residual=cs,
-                     primal_infeasibility=max(primal, 0.0),
-                     multipliers={"delta": delta, "lambda": lam_state})
+    lam_state = np.where(capped, np.maximum(h / (1.0 + h @ p) - w, 0.0), 0.0)
+    return _kkt_report({"lambda": lam_state}, h, g, p, lam_state, mu, p_st=p_st)
 
 
 def solve_state_case3(state: ChannelStateMac, mu, p_st):
@@ -754,22 +766,8 @@ def _case4_simplex(H, G, caps, GAM):
 
 
 def kkt_report_case4(h, g, p_st, gamma, p, lam_state, mu_state) -> KktReport:
-    c = 1.0 + h @ p
-    need = lam_state + g @ mu_state - h / c
-    delta = np.maximum(need, 0.0)
-    stat = float(np.max(np.maximum(-need, 0.0), initial=0.0))
-    slack = g.T @ p - gamma
-    cs = max(float(np.max(np.abs(delta * p), initial=0.0)),
-             float(np.max(np.abs(lam_state * (p - p_st)), initial=0.0)),
-             float(np.max(np.abs(mu_state * slack), initial=0.0)) if gamma.size else 0.0)
-    primal = max(float(np.max(-p, initial=0.0)),
-                 float(np.max(p - p_st, initial=0.0)),
-                 float(np.max(slack, initial=0.0)) if gamma.size else 0.0)
-    return KktReport(stationarity_residual=stat,
-                     complementary_slackness_residual=cs,
-                     primal_infeasibility=max(primal, 0.0),
-                     multipliers={"delta": delta, "lambda": lam_state,
-                                  "mu": mu_state})
+    return _kkt_report({"lambda": lam_state, "mu": mu_state},
+                       h, g, p, lam_state, mu_state, gamma, p_st)
 
 
 def solve_state_case4(state: ChannelStateMac, p_st, gamma_st):

@@ -2,7 +2,10 @@ r"""Per-state solvers under the single-transmitter (TDMA) restriction.
 
 Restricting every fading state to at most one transmitting user makes
 each per-state subproblem a one-dimensional maximization per candidate
-user, solved in closed form; the best candidate wins. Case 1 needs no
+user, solved in closed form by `perstate_mac._single_user`; the best
+candidate wins (`_lone_user`). The cases differ only in price and cap:
+lam and the interference caps in case 2, mu.g and p_st in case 3, no
+price and the tighter of both caps in case 4. Case 1 needs no
 restriction at all: its unrestricted optimum is already single-user,
 so the restricted and unrestricted ergodic problems coincide exactly.
 `solve_states` picks a case's solver, restricted or not (case 1 is the
@@ -17,16 +20,20 @@ from .constraints import ConstraintCase
 from .errors import UsageError
 from .fading import ChannelStateMac
 from .perstate_mac import (StateAllocation, _allocation, _interference_price,
-                           _ipc_caps, _per_user_value, _single_user_case2, _vec,
+                           _ipc_caps, _per_user_value, _single_user, _vec,
                            solve_states_case1, solve_states_case2,
                            solve_states_case3, solve_states_case4)
 
 
-def _pick(H, P, val):
-    n, K = H.shape
-    user = np.argmax(val, axis=1)
-    rows = np.arange(n)
-    out = np.zeros((n, K))
+def _lone_user(H, price, cap) -> np.ndarray:
+    """Each state's best single user: every user at its `_single_user`
+    power, the largest log(1+h p) - price p wins (ties to the lowest
+    index) and transmits alone."""
+    price = np.asarray(price, dtype=float)
+    P = _single_user(H, price, cap)
+    user = np.argmax(_per_user_value(H, P, price), axis=1)
+    rows = np.arange(H.shape[0])
+    out = np.zeros(H.shape)
     out[rows, user] = P[rows, user]
     return out
 
@@ -34,12 +41,7 @@ def _pick(H, P, val):
 def tdma_states_case2(H, G, lam, gamma) -> np.ndarray:
     """Best single user under per-state interference caps and transmit
     prices lam; lam broadcasts from (K,), gamma from (M,)."""
-    n, K = H.shape
-    M = G.shape[2]
-    LAM = np.broadcast_to(np.asarray(lam, dtype=float), (n, K))
-    GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, M))
-    P = _single_user_case2(H, G, LAM, GAM)
-    return _pick(H, P, _per_user_value(H, P, LAM))
+    return _lone_user(H, lam, _ipc_caps(G, gamma))
 
 
 def tdma_state_case2(state: ChannelStateMac, lam, gamma_st) -> StateAllocation:
@@ -51,14 +53,7 @@ def tdma_state_case2(state: ChannelStateMac, lam, gamma_st) -> StateAllocation:
 
 def tdma_states_case3(H, G, mu, p_st) -> np.ndarray:
     """Best single user under power caps and interference prices mu."""
-    n, K = H.shape
-    W = _interference_price(G, mu)
-    caps = np.broadcast_to(np.asarray(p_st, dtype=float), (n, K))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wf = 1.0 / W - 1.0 / H
-    wf = np.where(H > 0.0, np.where(W > 0.0, np.maximum(wf, 0.0), np.inf), 0.0)
-    P = np.minimum(caps, wf)
-    return _pick(H, P, _per_user_value(H, P, W))
+    return _lone_user(H, _interference_price(G, mu), p_st)
 
 
 def tdma_state_case3(state: ChannelStateMac, mu, p_st) -> StateAllocation:
@@ -71,12 +66,7 @@ def tdma_state_case3(state: ChannelStateMac, mu, p_st) -> StateAllocation:
 def tdma_states_case4(H, G, p_st, gamma) -> np.ndarray:
     """Best single user inside the per-state power polytope: each
     candidate transmits at its tightest cap, the largest h*p wins."""
-    n, K = H.shape
-    M = G.shape[2]
-    GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, M))
-    caps = np.broadcast_to(np.asarray(p_st, dtype=float), (n, K))
-    P = np.where(H > 0.0, np.minimum(caps, _ipc_caps(G, GAM)), 0.0)
-    return _pick(H, P, H * P)
+    return _lone_user(H, 0.0, np.minimum(p_st, _ipc_caps(G, gamma)))
 
 
 def tdma_state_case4(state: ChannelStateMac, p_st, gamma_st) -> StateAllocation:

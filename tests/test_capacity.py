@@ -125,6 +125,19 @@ def test_modes_validated(small_mac_ensemble):
                              mode="round-robin")
 
 
+@pytest.mark.parametrize("tpc,ipc", [([1.0], [0.8]), ([1.0] * 3, [0.8]), ([], [0.8]),
+                                     ([1.0, 1.0], [0.8, 0.8])])
+def test_budget_shape_checked_before_solving(small_mac_ensemble, tpc, ipc):
+    """A budget for another K or M is a UsageError on every MAC entry
+    point, the FRA baseline included (not a numpy indexing error)."""
+    from crsum import UsageError
+    budget = PowerBudget(tpc=tpc, ipc=ipc)
+    for solve in (fra_baseline_mac,
+                  lambda s, b: ergodic_capacity_mac(s, ConstraintCase.I, b)):
+        with pytest.raises(UsageError, match="budget dimensions"):
+            solve(small_mac_ensemble, budget)
+
+
 def test_bc_zero_gain_state_stays_silent():
     """A state with every h_k = 0 gets no power in any case."""
     states = Ensemble("bc", [[1.0, 2.0], [0.0, 0.0], [0.5, 0.3]],

@@ -102,6 +102,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     assert main(["run", "--out", str(tmp_path)]) == 2
     assert main(["verify", "--suite", "bogus"]) == 2
+    # a reversed range or an empty list is no grid, not a shorter curve
+    for grid in ("--P-dB=25:-5:5", "--P-dB=,"):
+        assert main(["run", "--channel", "mac", "--case", "I", "--K", "2",
+                     grid, "--samples", "10", "--out", str(tmp_path)]) == 2
+        assert "grid" in capsys.readouterr().err
+    assert main(["run", "--channel", "bc", "--case", "I", "--K", "2",
+                 "--Q-dB=5:0:1", "--samples", "10", "--out", str(tmp_path)]) == 2
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[fig3]\np_db = 25:-5:5\n")
+    assert main(["run", "--preset", "fig3", "--config", str(cfgfile),
+                 "--samples", "10", "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_configuration_error_exits_2(tmp_path, capsys):

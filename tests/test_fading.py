@@ -191,6 +191,15 @@ def test_as_ensemble_rejects_bad_inputs():
         Ensemble("bc", np.ones((3, 2)), np.full((3, 1), np.nan))
 
 
+@pytest.mark.parametrize("channel,X", [("mac", np.zeros((3, 0, 1))),
+                                       ("bc", np.zeros((3, 1)))])
+def test_ensemble_rejects_zero_users(channel, X):
+    """K = 0 fails at construction, as FadingModel does, not later inside
+    a solver with an IndexError or an argmax of an empty row."""
+    with pytest.raises(ConfigurationError, match="at least one secondary user"):
+        Ensemble(channel, np.zeros((3, 0)), X)
+
+
 def test_export_text_is_repr_per_state(tmp_path):
     """The CSV holds repr() of every gain, state by state, h before g."""
     ens = sample_mac_states(FadingModel(K=2, M=2, n_states=4, seed=29))

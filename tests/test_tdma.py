@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from crsum import (ConstraintCase, FadingModel, PowerBudget,
                    sample_mac_states, mac_arrays)
-from crsum.fading import ChannelStateMac
+from crsum.fading import ChannelStateBc, ChannelStateMac
+from crsum.perstate_bc import solve_state_bc, solve_states_bc
 from crsum.perstate_mac import (solve_states_case1, solve_states_case2,
                                 solve_states_case3, solve_states_case4)
 from crsum.tdma import (solve_states, tdma_state_case2, tdma_state_case3,
@@ -151,3 +152,23 @@ def test_tdma_dominated_by_full_solver(data):
     r4f = np.log1p((H * solve_states_case4(H, G, caps, gam)).sum())
     r4t = np.log1p((H * tdma_states_case4(H, G, caps, gam)).sum())
     assert r4t <= r4f + 1e-9
+
+
+@pytest.mark.parametrize("case", list(ConstraintCase))
+def test_ties_go_to_user_zero(case):
+    """Users with identical gains, prices and caps tie in every case; the
+    lone-user pick, and the BC's served user, is then user 0."""
+    n, K, M = 5, 3, 2
+    h = np.linspace(0.5, 4.0, n)
+    H = np.repeat(h[:, None], K, axis=1)
+    G = np.repeat(np.linspace(0.2, 1.5, n * M).reshape(n, 1, M), K, axis=1)
+    budget = PowerBudget.symmetric(K, M, p=1.0, gamma=0.8, q=1.0)
+    lam, mu = np.full(K, 0.3), np.array([0.2, 0.1])
+    P = solve_states(case, H, G, lam, mu, budget, tdma_mode=True)
+    assert (P[:, 0] > 0).all()
+    assert not P[:, 1:].any()
+    q, user = solve_states_bc(H, G[:, 0, :], case, 0.3, mu, budget)
+    assert (q > 0).all()
+    assert not user.any()
+    assert solve_state_bc(ChannelStateBc(h=H[0], f=G[0, 0]), case, 0.3, mu,
+                          budget).user == 0
