@@ -1,13 +1,15 @@
 r"""Ergodic sum-rate pipelines: DRA solvers and FRA baselines.
 
-Each pipeline draws together a per-state solver family and the dual
-loop, then audits the recovered policy against every constraint before
-reporting. Rates are sample averages in nats. There is one pipeline:
-the BC is solved, audited and assembled as the one-user MAC of
-`perstate_bc.as_one_user_mac` and its result relabelled as the BC's.
-At the final multipliers every BC state is solved once more through
-the K-user auxiliary MAC, and the BC pipeline refuses to return if the
-two paths disagree.
+Each pipeline draws together a per-state solver family and the
+cutting-plane dual loop, then audits the policy the loop's master mixed
+against every constraint before reporting. A result is certified when
+its dual-primal gap is within `dual.GAP_TOL` of the dual value; points
+without a dual loop are exact. Rates are sample averages in nats.
+There is one pipeline: the BC is solved, audited and assembled as the
+one-user MAC of `perstate_bc.as_one_user_mac` and its result
+relabelled as the BC's. At the final multipliers every BC state is
+solved once more through the K-user auxiliary MAC, and the BC pipeline
+refuses to return if the two paths disagree.
 """
 from __future__ import annotations
 
@@ -39,7 +41,8 @@ class PolicyResult:
     gap: float | None            # dual minus primal, None without a dual
     dual_value: float | None
     dual_point: DualPoint | None
-    rescale_gamma: float
+    certified: bool              # gap <= GAP_TOL * dual (always for exact points)
+    n_evals: int                 # dual-function evaluations (0 for FRA)
     achieved_avg_tx_power: np.ndarray
     achieved_worst_tx_power: np.ndarray
     achieved_avg_interference: np.ndarray
@@ -58,8 +61,8 @@ def _rate_stats(rates: np.ndarray) -> tuple[float, float]:
     return mean, stderr
 
 
-def _assemble_mac(ensemble, case, budget, P, *, mode, gap, dual_value,
-                  dual_point, scale, report) -> PolicyResult:
+def _assemble_mac(ensemble, case, budget, P, *, mode, dual_point,
+                  report) -> PolicyResult:
     H, G = ensemble.H, ensemble.G
     n, K = H.shape
     rates = np.log1p(np.einsum("tk,tk->t", H, P))
@@ -73,8 +76,11 @@ def _assemble_mac(ensemble, case, budget, P, *, mode, gap, dual_value,
     return PolicyResult(
         channel="mac", case=case, mode=mode,
         ergodic_sum_rate=rate, rate_stderr=stderr,
-        gap=gap, dual_value=dual_value, dual_point=dual_point,
-        rescale_gamma=scale,
+        gap=report.gap if report else None,
+        dual_value=report.best_dual if report else None,
+        dual_point=dual_point,
+        certified=report.certified if report else True,
+        n_evals=report.n_evals if report else 0,
         achieved_avg_tx_power=P.mean(axis=0),
         achieved_worst_tx_power=P.max(axis=0),
         achieved_avg_interference=I.mean(axis=0) if G.shape[2] else np.zeros(0),
@@ -93,12 +99,10 @@ def _as_bc(res: PolicyResult, K: int, mode: str) -> PolicyResult:
 
 
 def _capacity(ensemble, case, budget, mode, **dual_opts) -> PolicyResult:
-    point, report, policy, scale = ellipsoid_solve(
+    point, report, policy, _ = ellipsoid_solve(
         ensemble, case, budget, tdma_mode=(mode == "tdma"), **dual_opts)
     return _assemble_mac(ensemble, case, budget, policy, mode=mode,
-                         gap=report.best_dual - report.best_primal,
-                         dual_value=report.best_dual, dual_point=point,
-                         scale=scale, report=report)
+                         dual_point=point, report=report)
 
 
 def ergodic_capacity_mac(states, case: ConstraintCase, budget: PowerBudget,
@@ -106,7 +110,7 @@ def ergodic_capacity_mac(states, case: ConstraintCase, budget: PowerBudget,
     """Ergodic sum capacity of the secondary MAC under `case`.
 
     mode "full" allows simultaneous transmission, "tdma" restricts each
-    state to a single user. Long-term cases run the ellipsoid dual
+    state to a single user. Long-term cases run the cutting-plane dual
     loop; case 4 is a single exact per-state pass.
     """
     if mode not in ("full", "tdma"):
@@ -177,8 +181,7 @@ def _fra(ensemble, budget: PowerBudget) -> PolicyResult:
     P = np.zeros((n, K))
     P[rows, users] = np.minimum(budget.tpc, _ipc_caps(G, budget.ipc))[rows, users]
     return _assemble_mac(ensemble, ConstraintCase.IV, budget, P, mode="fra",
-                         gap=None, dual_value=None, dual_point=None,
-                         scale=1.0, report=None)
+                         dual_point=None, report=None)
 
 
 def fra_baseline_mac(states, budget: PowerBudget) -> PolicyResult:

@@ -212,13 +212,15 @@ def _run_curves(curves, samples, seed, out_dir, dump_convergence=False):
             rows.append([curve.case.value, _fmt(pt["P_dB"]), _fmt(pt["Q_dB"]),
                          repr(float(curve.gamma)), repr(res.ergodic_sum_rate),
                          repr(res.rate_stderr), _fmt(res.gap),
-                         repr(res.max_lt_violation)] + hist)
+                         repr(res.max_lt_violation)] + hist
+                        + [str(res.certified).lower(), str(res.n_evals)])
         path = out_dir / f"{curve.stem}.csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["case", "P_dB", "Q_dB", "Gamma", "rate_nats",
                         "rate_stderr", "gap", "max_lt_viol"]
-                       + [f"hist_{i}" for i in range(curve.K + 1)])
+                       + [f"hist_{i}" for i in range(curve.K + 1)]
+                       + ["certified", "n_evals"])
             w.writerows(rows)
         written.append(path)
         if dump_convergence and last_result is not None \
@@ -239,11 +241,18 @@ def _cmd_run(args) -> int:
             cfg.update({k: v for k, v in parser.items(args.preset)})
         if parser.has_section("run"):
             base = dict(parser.items("run"))
-            args.samples = args.samples or int(base.get("samples", 0)) or None
+            if args.samples is None and "samples" in base:
+                try:
+                    args.samples = int(base["samples"])
+                except ValueError:
+                    raise UsageError(f"[run] samples = {base['samples']!r} "
+                                     "is not an integer") from None
             args.seed = args.seed if args.seed is not None else (
                 int(base["seed"]) if "seed" in base else None)
             args.out = args.out or base.get("out")
-    samples = args.samples or DEFAULT_SAMPLES
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
+    if samples < 1:
+        raise UsageError(f"samples must be at least 1, got {samples}")
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     out = args.out or "results"
     if args.p_db:
@@ -438,7 +447,9 @@ def _suite_bc(solvers, rng, n_checks):
 
 def _suite_dual(solvers, rng, n_checks):
     """Small-instance duality sandwich: weak duality (the dual is no
-    lower than the SAA primal optimum) and a gap of at most 2e-3."""
+    lower than the SAA primal optimum) and a gap of at most 2e-3. The
+    loop runs to a 1e-6 gap, so a dual value that a broken solver
+    biases low falls below the optimum instead of stopping above it."""
     model = FadingModel(K=2, M=1, n_states=8, seed=int(rng.integers(1 << 31)))
     states = sample_mac_states(model)
     budget = PowerBudget.symmetric(2, 1, 1.0, 0.8)
@@ -449,7 +460,8 @@ def _suite_dual(solvers, rng, n_checks):
             lambda H, G, pt, case=case, factor=factor: factor * tdma.solve_states(
                 case, H, G, pt.lam, pt.mu, budget))
         point, report, policy, _ = ellipsoid_solve(states, case, budget,
-                                                   per_state_solver=solver)
+                                                   per_state_solver=solver,
+                                                   gap_tol=1e-6)
         _, lower = saa_primal_oracle(states, case, budget)
         gap = report.best_dual - lower
         rel = gap / max(report.best_dual, 1e-9)
@@ -471,6 +483,8 @@ UNPERTURBED = ("sparsity",)
 
 
 def _cmd_verify(args) -> int:
+    if args.checks < 1:
+        raise UsageError(f"--checks must be at least 1, got {args.checks}")
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     solvers = _perturbed_solvers(args.perturb) if args.perturb \
         else _identity_solvers()

@@ -5,17 +5,24 @@ across fading states. The dual function
 
     g(x) = (1/n) sum_t  max_p L_t(p; x)  +  x . thresholds
 
-is convex in the multipliers x = (lam, mu) and is minimized here with
-the ellipsoid method (central cuts from subgradients, deep cuts for
-negativity, and affine domain cuts when a subproblem is unbounded).
-Once the multipliers are near-optimal, a feasible primal policy is
-recovered by scaling the per-state allocations onto the long-term
-budget; the measured dual-primal gap certifies the answer. Each
-evaluation sums one user or cap column at a time over all states, and
-an allocation that needs no scaling keeps the rates it computed. With
-zero dualized constraints (case 4) the "dual loop" is a single exact
-evaluation. There is one problem adapter, the MAC's: a BC ensemble is
-solved as the one-user TDMA MAC of `perstate_bc.as_one_user_mac`.
+is convex in the multipliers x = (lam, mu) and is minimized here by
+Kelley's cutting planes. Every evaluation at x_j yields one column: the
+per-state maximizer P_j, its mean rate R_j and its long-term usage u_j.
+The LP dual of the cutting-plane model is a Dantzig-Wolfe master over
+those columns,
+
+    max sum_j w_j R_j   s.t.  sum_j w_j u_j <= thresholds,
+                              sum_j w_j <= 1,  w >= 0,
+
+whose row prices are the next multipliers and whose weights mix the
+columns into a feasible policy sum_j w_j P_j state by state. By
+concavity that policy's rate is at least the master value, so the loop
+stops once the best dual value is within `GAP_TOL` of the master; the
+measured dual-primal gap certifies the answer. Each evaluation sums one
+user or cap column at a time over all states. With zero dualized
+constraints (case 4) the loop is a single exact evaluation. There is
+one problem adapter, the MAC's: a BC ensemble is solved as the one-user
+TDMA MAC of `perstate_bc.as_one_user_mac`.
 """
 from __future__ import annotations
 
@@ -25,13 +32,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import ConstraintCase, PowerBudget, _check_dims
-from .errors import ConvergenceFailureError, UnboundedSubproblemError, UsageError
+from .errors import (ConvergenceFailureError, SolverFailureError,
+                     UnboundedSubproblemError, UsageError)
 from .fading import Ensemble, as_ensemble
 from . import perstate_bc, tdma
 
 GAP_TOL = 1e-3
 FEAS_TOL = 1e-3
-VOL_TOL = 1e-12
+# An unbounded evaluation adds the floor a.x >= PRICE_FLOOR * a.x0 on
+# the zero price a.x, where x0 is the starting point 1/thresholds.
+PRICE_FLOOR = 1e-6
+# Lowest master tolerance, relative to gap_tol, that a one-user policy
+# may ask for before its rounding gap is reported uncertified.
+TIGHTEN_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -68,9 +81,11 @@ class DualPoint:
 class ConvergenceReport:
     """Per-iteration trace of the dual loop.
 
-    rows hold (iteration, dual_value, max_lt_violation, gap): the LT
-    violation is that of the unscaled per-state allocation at the
-    iterate, the gap is best-dual minus best-recovered-primal so far.
+    rows hold (iteration, dual_value, max_lt_violation, gap), one per
+    bounded evaluation: the LT violation is that of the per-state
+    allocation at the iterate, the gap is best-dual minus master value
+    so far. best_primal is the rate of the returned policy; n_evals
+    counts every evaluation, unbounded ones included.
     """
 
     params: dict
@@ -78,6 +93,7 @@ class ConvergenceReport:
     stop_reason: str = ""
     best_dual: float = np.inf
     best_primal: float = -np.inf
+    n_evals: int = 0
 
     @property
     def n_iterations(self) -> int:
@@ -86,6 +102,14 @@ class ConvergenceReport:
     @property
     def gap(self) -> float:
         return self.best_dual - self.best_primal
+
+    def certified_at(self, gap_tol) -> bool:
+        return bool(self.gap <= gap_tol * max(self.best_dual, 1e-9))
+
+    @property
+    def certified(self) -> bool:
+        """Whether the returned policy is within GAP_TOL of the dual."""
+        return self.certified_at(GAP_TOL)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -106,6 +130,7 @@ class _MacProblem:
         _check_dims(budget, K, M)
         self.case = case
         self.budget = budget
+        self.tdma_mode = tdma_mode
         self.n_lam = K if case.tpc_is_lt else 0
         self.n_mu = M if case.ipc_is_lt else 0
         self.thresholds = np.concatenate([
@@ -117,6 +142,13 @@ class _MacProblem:
     def initial_center(self) -> np.ndarray:
         return 1.0 / self.thresholds
 
+    def allocation(self, x: np.ndarray) -> np.ndarray:
+        """The per-state maximizer of the Lagrangian at x."""
+        return self._solve(self.H, self.G, DualPoint.from_vector(x, self.n_lam))
+
+    def _rates(self, P: np.ndarray) -> np.ndarray:
+        return np.log1p(sum(self.H[:, k] * P[:, k] for k in range(P.shape[1])))
+
     def evaluate(self, x: np.ndarray):
         """Dual value, subgradient, allocation, LT usages and mean rate at x.
 
@@ -124,9 +156,9 @@ class _MacProblem:
         the einsums and matmuls over a short last axis run state by state.
         """
         point = DualPoint.from_vector(x, self.n_lam)
-        P = self._solve(self.H, self.G, point)
+        P = self.allocation(x)
         K, M = self.G.shape[1:]
-        terms = np.log1p(sum(self.H[:, k] * P[:, k] for k in range(K)))
+        terms = self._rates(P)
         rate = float(terms.mean())
         usage = []
         if self.case.tpc_is_lt:
@@ -155,15 +187,7 @@ class _MacProblem:
         return coef
 
     def primal_value(self, alloc: np.ndarray) -> float:
-        return float(np.mean(np.log1p(np.einsum("tk,tk->t", self.H, alloc))))
-
-    def rescale(self, alloc: np.ndarray, usage: np.ndarray):
-        """Scale the allocation onto the LT budget; ST caps survive a
-        shrink automatically. Returns (policy, scale)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(usage > 0.0, self.thresholds / usage, np.inf)
-        scale = float(min(1.0, np.min(ratios, initial=np.inf)))
-        return (alloc, scale) if scale == 1.0 else (alloc * scale, scale)
+        return float(self._rates(alloc).mean())
 
 
 def _make_problem(states, case, budget, per_state_solver=None, tdma_mode=False):
@@ -192,55 +216,99 @@ def dual_value_and_subgradient(states, case: ConstraintCase, budget: PowerBudget
 
 
 # ---------------------------------------------------------------------------
-# ellipsoid minimization of the dual
+# cutting-plane minimization of the dual
+
+_RC_TOL = 1e-12         # a column prices in above this reduced cost (relative)
+_PIV_TOL = 1e-12        # smallest pivot element the ratio test accepts
 
 
-def _deep_cut_update(x, A, a, alpha, d):
-    """One deep-cut ellipsoid step; alpha in [0, 1) is the cut depth."""
-    Aa = A @ a
-    denom = float(np.sqrt(max(a @ Aa, 0.0)))
-    if denom <= 0.0 or not np.isfinite(denom):
-        return None
-    b = Aa / denom
-    x_new = x - (1.0 + d * alpha) / (d + 1.0) * b
-    factor = d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
-    A_new = factor * (A - 2.0 * (1.0 + d * alpha)
-                      / ((d + 1.0) * (1.0 + alpha)) * np.outer(b, b))
-    A_new = 0.5 * (A_new + A_new.T)
-    vol_factor = (d * (1.0 - alpha) / (d + 1.0)) * factor ** ((d - 1) / 2.0)
-    return x_new, A_new, vol_factor
+class _Master:
+    """The Dantzig-Wolfe master over the visited columns, warm-started.
 
+    Rows are the LT budgets scaled to 1 and the convexity row, so the
+    right-hand side is all ones and the basic weights are the row sums
+    of the basis inverse. The slack of the last row is the zero
+    policy's weight, and the slack basis starts the simplex. The basis
+    and its inverse carry over from one solve to the next, and a solve
+    pivots only while some column prices in (Dantzig's rule, Bland's
+    after a run of degenerate pivots). The row prices y scale back to
+    the multipliers x = y / thresholds: the minimizer over x >= 0 of
+    the cutting-plane model b.x + max(0, max_j R_j - u_j.x) of the dual.
+    """
 
-class _Tracker:
-    """Keeps the best dual value and best recovered-feasible primal."""
+    def __init__(self, thresholds):
+        m = thresholds.size + 1
+        self.b = thresholds
+        self.A = np.eye(m)                  # m slacks, then one column per add
+        self.c = np.zeros(m)
+        self.real = np.zeros(m, dtype=bool)  # a visited policy, not a slack or floor
+        self.basis = np.arange(m)
+        self.Binv = np.eye(m)
 
-    def __init__(self, problem):
-        self.problem = problem
-        self.best_dual = np.inf
-        self.best_primal = -np.inf
-        self.best_point = None
-        self.best_policy = None
-        self.best_scale = 1.0
+    def _add(self, cost, col, real) -> int:
+        self.A = np.column_stack([self.A, col])
+        self.c = np.append(self.c, cost)
+        self.real = np.append(self.real, real)
+        return self.c.size - 1
 
-    def visit(self, x, value, alloc, usage, rate):
-        """rate is the mean rate of alloc itself, the primal value when
-        the allocation needs no scaling."""
-        self.best_dual = min(self.best_dual, value)
-        policy, scale = self.problem.rescale(alloc, usage)
-        primal = rate if scale == 1.0 else self.problem.primal_value(policy)
-        if primal > self.best_primal:
-            self.best_primal = primal
-            self.best_point = x.copy()
-            self.best_policy = policy
-            self.best_scale = scale
+    def add_column(self, rate, usage) -> int:
+        """A visited policy: mean rate, LT usage. Returns its index."""
+        return self._add(rate, np.append(usage / self.b, 1.0), True)
+
+    def add_floor(self, a) -> None:
+        """The cut a.x >= PRICE_FLOOR * a.x0 on a zero price a.x."""
+        col = np.append(a / self.b, 0.0)
+        self._add(PRICE_FLOOR * col.sum(), col, False)
+
+    def prices(self) -> np.ndarray:
+        return self.c[self.basis] @ self.Binv
 
     @property
-    def gap(self) -> float:
-        return self.best_dual - self.best_primal
+    def weights(self) -> np.ndarray:
+        return np.maximum(self.Binv.sum(axis=1), 0.0)
 
-    def gap_ok(self, gap_tol) -> bool:
-        return np.isfinite(self.gap) and \
-            self.gap <= gap_tol * max(self.best_dual, 1e-9)
+    def solve(self) -> None:
+        """Pivot until no column prices in."""
+        m = self.basis.size
+        degenerate = 0
+        for _ in range(1000 * m):
+            rc = self.c - self.prices() @ self.A
+            rc[self.basis] = 0.0
+            enter = rc > _RC_TOL * (1.0 + np.abs(self.c))
+            if not enter.any():
+                return
+            q = int(np.argmax(enter) if degenerate > m else np.argmax(rc))
+            d = self.Binv @ self.A[:, q]
+            ok = d > _PIV_TOL
+            ratio = np.where(ok, self.weights / np.where(ok, d, 1.0), np.inf)
+            ties = np.flatnonzero(ratio == ratio.min())
+            r = int(ties[np.argmin(self.basis[ties])])
+            degenerate = degenerate + 1 if ratio[r] <= 0.0 else 0
+            row = self.Binv[r] / d[r]
+            self.Binv -= np.outer(d, row)
+            self.Binv[r] = row
+            self.basis[r] = q
+        raise SolverFailureError("master LP did not reach an optimal basis")
+
+    def mixture(self):
+        """(column index, weight) of every visited policy in the basis."""
+        return [(int(j), float(w)) for j, w in zip(self.basis, self.weights)
+                if self.real[j] and w > 0.0]
+
+    @property
+    def value(self) -> float:
+        """The mixture's guaranteed rate, sum_j w_j R_j over real columns."""
+        return float(sum(w * self.c[j] for j, w in self.mixture()))
+
+
+def _one_user(H, Q):
+    """Each state's user with the largest h_k q_k keeps its power; the
+    others fall silent (ties to the lowest index)."""
+    user = np.argmax(H * Q, axis=1)
+    rows = np.arange(H.shape[0])
+    out = np.zeros_like(Q)
+    out[rows, user] = Q[rows, user]
+    return out
 
 
 def _lt_violation(problem, usage) -> float:
@@ -251,129 +319,96 @@ def _lt_violation(problem, usage) -> float:
 
 def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
                     per_state_solver=None, tdma_mode=False,
-                    gap_tol=GAP_TOL, feas_tol=FEAS_TOL, vol_tol=VOL_TOL,
-                    max_iter=None, radius_scale=10.0):
-    """Minimize the SAA dual and recover a feasible near-optimal policy.
+                    gap_tol=GAP_TOL, feas_tol=FEAS_TOL, max_iter=None):
+    """Minimize the SAA dual by cutting planes and mix a feasible policy.
 
-    Returns (point, report, policy, scale): the dual point whose
-    recovered policy achieved the best certified primal value, the
-    iteration trace, the feasible per-state policy itself, and the
-    scale factor that made it feasible. Raises ConvergenceFailureError
-    if neither the gap criterion nor a clean volume exit is reached.
+    Returns (point, report, policy, weight): the evaluated dual point
+    with the best dual value, the iteration trace, the feasible
+    per-state policy mixed by the master, and the master's total weight
+    on visited columns (the rest is the zero policy). The loop stops
+    once the best dual value is within gap_tol of the master value and
+    raises ConvergenceFailureError if max_iter evaluations pass first
+    (or the master stops moving first, which no instance has shown).
+
+    A policy whose per-state optimum is single-user (TDMA mode, and case
+    I in either mode) keeps only each mixed state's strongest user. That
+    lowers every usage, so the policy stays feasible, but it can open
+    the gap again: the master tolerance then tightens tenfold at a time
+    down to gap_tol * TIGHTEN_FLOOR, or until the master stops moving.
+    If the gap is still open then, TDMA mode reports the one-user policy
+    with stop reason "rounding" (`report.certified` is false), and case
+    I in full mode returns the mixture, which is within the gap.
     """
     problem = _make_problem(states, case, budget,
                             per_state_solver=per_state_solver,
                             tdma_mode=tdma_mode)
     d = problem.n_lam + problem.n_mu
-    tracker = _Tracker(problem)
-
-    if d == 0:
-        value, _, alloc, usage, rate = problem.evaluate(np.zeros(0))
-        tracker.visit(np.zeros(0), value, alloc, usage, rate)
-        report = ConvergenceReport(
-            params={"dimension": 0}, stop_reason="gap",
-            best_dual=tracker.best_dual, best_primal=tracker.best_primal)
-        report.rows.append((0, value, _lt_violation(problem, usage), tracker.gap))
-        return (DualPoint(lam=np.zeros(0), mu=np.zeros(0)), report,
-                tracker.best_policy, tracker.best_scale)
-
-    x0 = problem.initial_center()
-    radius = radius_scale * float(np.max(x0))
+    n, K = problem.H.shape
+    one_user = K > 1 and (problem.tdma_mode or case is ConstraintCase.I)
     if max_iter is None:
-        max_iter = 500 * d * d
-    params = {"dimension": d, "center": x0.tolist(), "radius": radius,
-              "gap_tol": gap_tol, "feas_tol": feas_tol, "vol_tol": vol_tol,
-              "max_iter": max_iter}
-    report = ConvergenceReport(params=params)
+        max_iter = 100 * (d + 1)
+    report = ConvergenceReport(params={
+        "dimension": d, "start": problem.initial_center().tolist(),
+        "gap_tol": gap_tol, "feas_tol": feas_tol, "max_iter": max_iter})
+    master = _Master(problem.thresholds)
+    x = problem.initial_center()
+    best_x, points, last, tol, policy = None, {}, -1, gap_tol, None
 
-    def record(it, value, usage):
-        report.rows.append((it, value, _lt_violation(problem, usage), tracker.gap))
+    def mix():
+        """The master's mixture, state by state, and whether it is the
+        last allocation alone (then already one-user where it must be)."""
+        mixture = master.mixture()
+        if mixture == [(last, 1.0)]:
+            return last_P, True
+        out = np.zeros((n, K))
+        for j, w in mixture:
+            out = out + w * (last_P if j == last else problem.allocation(points[j]))
+        return out, False
 
-    stop = None
-    if d == 1:
-        lo, hi = 0.0, x0[0] + radius
-        width0 = hi - lo
-        x = x0.copy()
-        for it in range(max_iter):
-            try:
-                value, sg, alloc, usage, rate = problem.evaluate(x)
-            except UnboundedSubproblemError:
-                lo = x[0]
-                x = np.array([0.5 * (lo + hi)])
-                continue
-            tracker.visit(x, value, alloc, usage, rate)
-            record(it, value, usage)
-            if tracker.gap_ok(gap_tol):
-                stop = "gap"
-                break
-            if sg[0] > 0.0:
-                hi = x[0]
-            else:
-                lo = x[0]
-            x = np.array([0.5 * (lo + hi)])
-            if (hi - lo) / width0 < vol_tol:
-                stop = "volume"
-                break
-    else:
-        x = x0.copy()
-        A = radius * radius * np.eye(d)
-        vol_ratio = 1.0
-        for it in range(max_iter):
-            cut = None
-            depth_raw = 0.0
-            if np.min(x) < 0.0:
-                i = int(np.argmin(x))
-                cut = np.zeros(d)
-                cut[i] = -1.0
-                depth_raw = -x[i]
-            else:
-                try:
-                    value, sg, alloc, usage, rate = problem.evaluate(x)
-                except UnboundedSubproblemError as exc:
-                    coef = problem.unbounded_cut(exc)
-                    cut = -coef
-                else:
-                    tracker.visit(x, value, alloc, usage, rate)
-                    record(it, value, usage)
-                    if tracker.gap_ok(gap_tol):
-                        stop = "gap"
-                        break
-                    cut = sg
-            norm = float(np.linalg.norm(cut))
-            if norm <= 0.0 or not np.isfinite(norm):
-                stop = "degenerate"
-                break
-            Aa = A @ cut
-            width = float(np.sqrt(max(cut @ Aa, 0.0)))
-            if width <= 0.0:
-                stop = "degenerate"
-                break
-            alpha = min(max(depth_raw / width, 0.0), 1.0 - 1e-12)
-            step = _deep_cut_update(x, A, cut, alpha, d)
-            if step is None:
-                stop = "degenerate"
-                break
-            x, A, vol_factor = step
-            vol_ratio *= vol_factor
-            if vol_ratio < vol_tol:
-                stop = "volume"
-                break
+    def keep(alloc):
+        report.best_primal = problem.primal_value(alloc)
+        return alloc
+
+    for it in range(max_iter):
+        report.n_evals += 1
+        try:
+            value, _, P, usage, rate = problem.evaluate(x)
+        except UnboundedSubproblemError as exc:
+            master.add_floor(problem.unbounded_cut(exc))
+            usage = None
         else:
-            stop = "max_iter"
-
-    report.stop_reason = stop or "max_iter"
-    report.best_dual = tracker.best_dual
-    report.best_primal = tracker.best_primal
-    if tracker.best_point is None:
+            if value < report.best_dual:
+                report.best_dual, best_x = value, x
+            last = master.add_column(rate, usage)
+            points[last], last_P = x, P
+        master.solve()
+        gap = report.best_dual - master.value
+        if usage is not None:
+            report.rows.append((it, value, _lt_violation(problem, usage), gap))
+        if gap <= tol * max(report.best_dual, 1e-9):
+            mixed, alone = mix()
+            policy = keep(_one_user(problem.H, mixed) if one_user and not alone
+                          else mixed)
+            if report.certified_at(gap_tol):
+                report.stop_reason = "gap"
+                break
+            report.stop_reason = "rounding"
+            if tol <= gap_tol * TIGHTEN_FLOOR:
+                break
+            tol /= 10.0
+        x_next = master.prices()[:d] / problem.thresholds
+        if np.array_equal(x_next, x):
+            break                   # the master did not move: x would repeat
+        x = x_next
+    if policy is None:
+        report.stop_reason = "max_iter" if report.n_evals == max_iter else "stall"
         raise ConvergenceFailureError(
-            "dual loop never produced a feasible policy", report=report)
-    # A collapsed search region is a legitimate exit: the dual value is
-    # then as sharp as the geometry allows. Only running out of
-    # iterations with the gap still open counts as failure.
-    if report.stop_reason == "max_iter" and not tracker.gap_ok(gap_tol):
-        raise ConvergenceFailureError(
-            f"iteration cap hit with relative gap "
-            f"{tracker.gap / max(tracker.best_dual, 1e-9):.3e} above {gap_tol:.1e}",
+            f"dual loop stopped ({report.stop_reason}) with relative gap "
+            f"{gap / max(report.best_dual, 1e-9):.3e} above {gap_tol:.1e}",
             report=report)
-    point = DualPoint.from_vector(tracker.best_point, problem.n_lam)
-    return point, report, tracker.best_policy, tracker.best_scale
+    if report.stop_reason == "rounding" and not problem.tdma_mode:
+        policy = keep(mixed)        # case I in full mode needs no rounding
+        if report.certified_at(gap_tol):
+            report.stop_reason = "gap"
+    point = DualPoint.from_vector(best_x, problem.n_lam)
+    return point, report, policy, sum(w for _, w in master.mixture())

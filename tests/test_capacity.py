@@ -41,7 +41,6 @@ def test_result_fields_audited(mac_results, small_mac_ensemble):
         assert res.active_count_histogram.sum() == n
         assert res.active_count_histogram.shape == (3,)
         assert res.feasibility.all_satisfied
-        assert res.rescale_gamma <= 1.0 + 1e-12
         assert res.rate_stderr >= 0.0
         if case is ConstraintCase.IV:
             assert res.gap is not None and res.gap <= 1e-12

@@ -28,11 +28,15 @@ def test_custom_run_schema(tmp_path):
     assert rc == 0
     out = tmp_path / "custom_II_full.csv"
     rows = _read(out)
-    assert rows[0] == HEADER_PREFIX + ["hist_0", "hist_1", "hist_2"]
+    assert rows[0] == HEADER_PREFIX + ["hist_0", "hist_1", "hist_2",
+                                       "certified", "n_evals"]
     assert len(rows) == 3
     assert rows[1][0] == "II"
     assert float(rows[2][4]) > float(rows[1][4])  # more power, more rate
-    assert sum(int(x) for x in rows[1][8:]) == 80
+    assert sum(int(x) for x in rows[1][8:11]) == 80
+    for row in rows[1:]:
+        assert row[11] == "true"
+        assert int(row[12]) >= 1
 
 
 def test_rerun_byte_identical(tmp_path):
@@ -83,6 +87,31 @@ def test_config_sets_run_defaults(tmp_path):
                "--P-dB", "0", "--config", str(cfgfile)])
     assert rc == 0
     assert (tmp_path / "cfg" / "custom_I_full.csv").exists()
+
+
+def test_zero_samples_rejected(tmp_path, capsys):
+    """0 states is a usage error, not a silent fall-back to the default."""
+    argv = ["run", "--channel", "mac", "--case", "IV", "--K", "2",
+            "--P-dB", "0", "--out", str(tmp_path)]
+    assert main(argv + ["--samples", "0"]) == 2
+    assert "samples" in capsys.readouterr().err
+    assert main(argv + ["--samples", "-3"]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_zero_samples_in_config_rejected(tmp_path, capsys):
+    cfgfile = tmp_path / "run.ini"
+    cfgfile.write_text("[run]\nsamples = 0\n")
+    argv = ["run", "--channel", "mac", "--case", "IV", "--K", "2",
+            "--P-dB", "0", "--config", str(cfgfile), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert "samples" in capsys.readouterr().err
+    cfgfile.write_text("[run]\nsamples = many\n")
+    assert main(argv) == 2
+    assert not list(tmp_path.glob("*.csv"))
+    # the command line still wins over the config file
+    cfgfile.write_text("[run]\nsamples = 0\n")
+    assert main(argv + ["--samples", "20"]) == 0
 
 
 def test_convergence_dump(tmp_path):
@@ -156,6 +185,16 @@ def test_verify_catches_broken_solver(perturb, suite, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_verify_rejects_zero_checks(capsys):
+    """No checks would pass vacuously, even with a corrupted solver."""
+    rc = main(["verify", "--suite", "perstate", "--checks", "0",
+               "--perturb", "case2_power"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "checks" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_verify_marks_suites_the_perturbation_misses(capsys):

@@ -147,11 +147,11 @@ def test_case1_evaluation_matches_reference_end_to_end():
 
 
 def test_unscaled_policy_reports_its_own_rate():
-    """The dual loop reuses the evaluation's mean rate for a policy that
-    needs no scaling; it must be the policy's rate, bit for bit at K = 1."""
+    """The dual loop reports the returned policy's own rate, bit for bit
+    at K = 1."""
     states = sample_bc_states(FadingModel(K=3, M=1, n_states=300, seed=8))
     budget = PowerBudget(tpc=np.zeros(0), ipc=np.array([0.8]), bs_tpc=1.5)
     for case in ConstraintCase:
-        _, report, policy, scale = ellipsoid_solve(states, case, budget)
+        _, report, policy, _ = ellipsoid_solve(states, case, budget)
         problem = _make_problem(states, case, budget)
         assert report.best_primal == problem.primal_value(policy)
