@@ -21,8 +21,9 @@ import numpy as np
 from .capacity import (ergodic_capacity_bc, ergodic_capacity_mac,
                        fra_baseline_bc, fra_baseline_mac)
 from .constraints import ConstraintCase, PowerBudget, db_to_linear
-from .dual import DualPoint, dual_value_and_subgradient, ellipsoid_solve
-from .errors import ConfigurationError, CrsumError, UsageError
+from .dual import ColumnPool, DualPoint, dual_value_and_subgradient, ellipsoid_solve
+from .errors import (ConfigurationError, ConvergenceFailureError, CrsumError,
+                     UsageError)
 from .fading import FadingModel, sample_bc_states, sample_mac_states
 from .oracle import (case1_problem, case2_problem, case3_problem,
                      case4_problem, grid_state_oracle, saa_primal_oracle)
@@ -180,7 +181,8 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _run_curves(curves, samples, seed, out_dir, dump_convergence=False):
+def _run_curves(curves, samples, seed, out_dir, dump_convergence=False,
+                strict=False):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ensembles = {}
@@ -194,6 +196,7 @@ def _run_curves(curves, samples, seed, out_dir, dump_convergence=False):
         states = ensembles[key]
         rows = []
         last_result = None
+        pool = ColumnPool()     # one per curve: each point starts from the last's
         for pt in curve.points:
             budget = pt["budget"]
             if curve.channel == "mac":
@@ -201,26 +204,30 @@ def _run_curves(curves, samples, seed, out_dir, dump_convergence=False):
                     res = fra_baseline_mac(states, budget)
                 else:
                     res = ergodic_capacity_mac(states, curve.case, budget,
-                                               mode=curve.mode)
+                                               mode=curve.mode, pool=pool)
             else:
                 if curve.mode == "fra":
                     res = fra_baseline_bc(states, budget)
                 else:
-                    res = ergodic_capacity_bc(states, curve.case, budget)
+                    res = ergodic_capacity_bc(states, curve.case, budget, pool=pool)
+            if strict and not res.certified:
+                raise ConvergenceFailureError(f"{curve.stem} point {len(rows) + 1} is not "
+                                              f"certified (gap {res.gap!r})", report=res.convergence)
             last_result = res
             hist = [str(int(v)) for v in res.active_count_histogram]
             rows.append([curve.case.value, _fmt(pt["P_dB"]), _fmt(pt["Q_dB"]),
                          repr(float(curve.gamma)), repr(res.ergodic_sum_rate),
                          repr(res.rate_stderr), _fmt(res.gap),
                          repr(res.max_lt_violation)] + hist
-                        + [str(res.certified).lower(), str(res.n_evals)])
+                        + [str(res.certified).lower(), str(res.n_evals),
+                           res.convergence.stop_reason if res.convergence else ""])
         path = out_dir / f"{curve.stem}.csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["case", "P_dB", "Q_dB", "Gamma", "rate_nats",
                         "rate_stderr", "gap", "max_lt_viol"]
                        + [f"hist_{i}" for i in range(curve.K + 1)]
-                       + ["certified", "n_evals"])
+                       + ["certified", "n_evals", "stop_reason"])
             w.writerows(rows)
         written.append(path)
         if dump_convergence and last_result is not None \
@@ -276,7 +283,8 @@ def _cmd_run(args) -> int:
             raise UsageError("preset has no curves matching the filters")
     else:
         curves = _custom_curves(args)
-    _run_curves(curves, samples, seed, out, dump_convergence=args.convergence)
+    _run_curves(curves, samples, seed, out, dump_convergence=args.convergence,
+                strict=args.strict)
     return 0
 
 
@@ -533,6 +541,8 @@ def main(argv=None) -> int:
     run.add_argument("--out", help="output directory (default results/)")
     run.add_argument("--convergence", action="store_true",
                      help="also dump the dual-loop trace per curve")
+    run.add_argument("--strict", action="store_true",
+                     help="fail (exit 1) on any point that is not certified")
     run.set_defaults(func=_cmd_run)
 
     ver = sub.add_parser("verify", help="run self-check suites")

@@ -136,11 +136,21 @@ class _MacProblem:
         self.thresholds = np.concatenate([
             budget.tpc if case.tpc_is_lt else np.zeros(0),
             budget.ipc if case.ipc_is_lt else np.zeros(0)])
+        self.st_caps = np.concatenate([     # the caps that shape each ST set
+            np.zeros(0) if case.tpc_is_lt else budget.tpc,
+            np.zeros(0) if case.ipc_is_lt else budget.ipc])
         self._solve = solver or (lambda H, G, pt: tdma.solve_states(
             case, H, G, pt.lam, pt.mu, budget, tdma_mode=tdma_mode))
 
     def initial_center(self) -> np.ndarray:
         return 1.0 / self.thresholds
+
+    def extends(self, old) -> bool:
+        """Whether every per-state ST set here contains `old`'s, so old's
+        columns are valid cuts and feasible columns of this problem."""
+        return (old is not None and old.case is self.case
+                and old.tdma_mode == self.tdma_mode and old.H.shape == self.H.shape
+                and self.thresholds.size > 0 and bool(np.all(self.st_caps >= old.st_caps)))
 
     def allocation(self, x: np.ndarray) -> np.ndarray:
         """The per-state maximizer of the Lagrangian at x."""
@@ -236,12 +246,17 @@ class _Master:
     the cutting-plane model b.x + max(0, max_j R_j - u_j.x) of the dual.
     """
 
-    def __init__(self, thresholds):
+    def __init__(self, thresholds, rates=(), usages=(), floors=()):
+        """m slacks, then pooled columns and floors in one block."""
         m = thresholds.size + 1
         self.b = thresholds
-        self.A = np.eye(m)                  # m slacks, then one column per add
-        self.c = np.zeros(m)
-        self.real = np.zeros(m, dtype=bool)  # a visited policy, not a slack or floor
+        U = np.reshape(usages, (len(rates), m - 1)) / thresholds
+        F = np.reshape(floors, (len(floors), m - 1)) / thresholds
+        self.A = np.hstack([np.eye(m), np.vstack([U.T, np.ones(len(U))]),
+                            np.vstack([F.T, np.zeros(len(F))])])
+        self.c = np.concatenate([np.zeros(m), rates, PRICE_FLOOR * F.sum(axis=1)])
+        # a visited policy, not a slack or floor
+        self.real = np.repeat([False, True, False], [m, len(U), len(F)])
         self.basis = np.arange(m)
         self.Binv = np.eye(m)
 
@@ -317,9 +332,26 @@ def _lt_violation(problem, usage) -> float:
     return float(np.max((usage - problem.thresholds) / problem.thresholds, initial=0.0))
 
 
+@dataclass
+class ColumnPool:
+    """The columns of the earlier points of one curve, for the next.
+
+    columns holds (x_j, R_j, u_j, problem) per bounded evaluation: its
+    multipliers, mean rate, LT usage and the problem it was solved
+    under, which re-solves it under its own ST caps when it is mixed.
+    floors holds the a of each price floor, x the last point's best
+    multipliers and problem the last point's problem.
+    """
+
+    columns: list = field(default_factory=list)
+    floors: list = field(default_factory=list)
+    x: np.ndarray | None = None
+    problem: _MacProblem | None = None
+
+
 def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
                     per_state_solver=None, tdma_mode=False,
-                    gap_tol=GAP_TOL, feas_tol=FEAS_TOL, max_iter=None):
+                    gap_tol=GAP_TOL, feas_tol=FEAS_TOL, max_iter=None, pool=None):
     """Minimize the SAA dual by cutting planes and mix a feasible policy.
 
     Returns (point, report, policy, weight): the evaluated dual point
@@ -338,6 +370,13 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     If the gap is still open then, TDMA mode reports the one-user policy
     with stop reason "rounding" (`report.certified` is false), and case
     I in full mode returns the mixture, which is within the gap.
+
+    A `ColumnPool` carries one curve's columns from point to point. The
+    first evaluation is at the last point's best multipliers, and when
+    every per-state ST set contains the last point's (`extends`) the
+    master starts from all pooled columns and floors. Either way this
+    point's columns join the pool; the dual value, and n_evals, come
+    from this point's own evaluations only.
     """
     problem = _make_problem(states, case, budget,
                             per_state_solver=per_state_solver,
@@ -347,12 +386,19 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     one_user = K > 1 and (problem.tdma_mode or case is ConstraintCase.I)
     if max_iter is None:
         max_iter = 100 * (d + 1)
+    pool = ColumnPool() if pool is None else pool
+    if not problem.extends(pool.problem):
+        pool.columns, pool.floors = [], []
+    x = pool.x if pool.x is not None and pool.x.size == d else problem.initial_center()
+    pool.problem = problem
     report = ConvergenceReport(params={
-        "dimension": d, "start": problem.initial_center().tolist(),
+        "dimension": d, "start": x.tolist(),
         "gap_tol": gap_tol, "feas_tol": feas_tol, "max_iter": max_iter})
-    master = _Master(problem.thresholds)
-    x = problem.initial_center()
-    best_x, points, last, tol, policy = None, {}, -1, gap_tol, None
+    cols = pool.columns
+    master = _Master(problem.thresholds, [c[1] for c in cols], [c[2] for c in cols],
+                     pool.floors)
+    best_x, last, tol, policy = None, -1, gap_tol, None
+    points = {d + 1 + i: c for i, c in enumerate(cols)}    # master index -> column
 
     def mix():
         """The master's mixture, state by state, and whether it is the
@@ -362,7 +408,8 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
             return last_P, True
         out = np.zeros((n, K))
         for j, w in mixture:
-            out = out + w * (last_P if j == last else problem.allocation(points[j]))
+            xj, _, _, owner = points[j]
+            out = out + w * (last_P if j == last else owner.allocation(xj))
         return out, False
 
     def keep(alloc):
@@ -374,13 +421,15 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
         try:
             value, _, P, usage, rate = problem.evaluate(x)
         except UnboundedSubproblemError as exc:
-            master.add_floor(problem.unbounded_cut(exc))
+            pool.floors.append(problem.unbounded_cut(exc))
+            master.add_floor(pool.floors[-1])
             usage = None
         else:
             if value < report.best_dual:
                 report.best_dual, best_x = value, x
             last = master.add_column(rate, usage)
-            points[last], last_P = x, P
+            cols.append((x, rate, usage, problem))
+            points[last], last_P = cols[-1], P
         master.solve()
         gap = report.best_dual - master.value
         if usage is not None:
@@ -410,5 +459,6 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
         policy = keep(mixed)        # case I in full mode needs no rounding
         if report.certified_at(gap_tol):
             report.stop_reason = "gap"
+    pool.x = best_x
     point = DualPoint.from_vector(best_x, problem.n_lam)
     return point, report, policy, sum(w for _, w in master.mixture())

@@ -29,7 +29,7 @@ def test_custom_run_schema(tmp_path):
     out = tmp_path / "custom_II_full.csv"
     rows = _read(out)
     assert rows[0] == HEADER_PREFIX + ["hist_0", "hist_1", "hist_2",
-                                       "certified", "n_evals"]
+                                       "certified", "n_evals", "stop_reason"]
     assert len(rows) == 3
     assert rows[1][0] == "II"
     assert float(rows[2][4]) > float(rows[1][4])  # more power, more rate
@@ -37,6 +37,30 @@ def test_custom_run_schema(tmp_path):
     for row in rows[1:]:
         assert row[11] == "true"
         assert int(row[12]) >= 1
+        assert row[13] == "gap"
+
+
+def test_descending_case3_sweep_exits_0(tmp_path):
+    """Case III at a falling P: each point's ST caps shrink, so the
+    curve's column pool restarts instead of mixing columns above them."""
+    assert main(["run", "--channel", "mac", "--case", "III", "--K", "2",
+                 "--P-dB=25,0,-5", "--samples", "300",
+                 "--out", str(tmp_path)]) == 0
+    rows = _read(tmp_path / "custom_III_full.csv")
+    assert [r[11] for r in rows[1:]] == ["true"] * 3
+
+
+def test_strict_fails_on_an_uncertified_point(tmp_path, capsys):
+    """Three states leave the TDMA rounding gap open: the CSV flags the
+    point, and --strict turns it into an error."""
+    argv = ["run", "--channel", "mac", "--case", "II", "--mode", "tdma",
+            "--K", "3", "--P-dB", "0", "--samples", "3", "--seed", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    row = _read(tmp_path / "custom_II_tdma.csv")[1]
+    assert row[-3] == "false" and row[-1] == "rounding"
+    assert main(argv + ["--strict"]) == 1
+    assert "is not certified" in capsys.readouterr().err
 
 
 def test_rerun_byte_identical(tmp_path):

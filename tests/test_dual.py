@@ -6,9 +6,10 @@ import pytest
 
 from crsum import (ConstraintCase, ConvergenceFailureError, FadingModel,
                    PowerBudget, UsageError, db_to_linear, ellipsoid_solve,
-                   ergodic_capacity_mac, ergodic_capacity_mac_tdma,
+                   ergodic_capacity_bc, ergodic_capacity_mac,
+                   ergodic_capacity_mac_tdma, sample_bc_states,
                    sample_mac_states)
-from crsum.dual import (GAP_TOL, DualPoint, _Master, _make_problem,
+from crsum.dual import (GAP_TOL, ColumnPool, DualPoint, _Master, _make_problem,
                         dual_value_and_subgradient)
 from crsum.oracle import saa_primal_oracle
 
@@ -197,3 +198,61 @@ def test_formerly_uncertified_points_close_the_gap(name):
     assert res.convergence.stop_reason == "gap"
     if (K, M) == (20, 4):
         assert res.n_evals <= 10 * (K + M)
+
+
+# ---------------------------------------------------------------------------
+# one column pool per curve
+
+
+def _sweep(states, case, dbs, pool, mode="full"):
+    """One curve over `dbs`: P per user for the MAC (K = 2, M = 1), Q for
+    the BC (M = 2), sharing `pool` (None solves each point afresh)."""
+    out = []
+    for db in dbs:
+        if states.channel == "bc":
+            budget = PowerBudget(tpc=np.zeros(0), ipc=np.ones(2),
+                                 bs_tpc=db_to_linear(db))
+            out.append(ergodic_capacity_bc(states, case, budget, pool=pool))
+        else:
+            budget = PowerBudget.symmetric(2, 1, db_to_linear(db), 1.0)
+            out.append(ergodic_capacity_mac(states, case, budget, mode=mode,
+                                            pool=pool))
+    return out
+
+
+POOL_SWEEPS = [(case, channel, mode)
+               for case in (ConstraintCase.I, ConstraintCase.II, ConstraintCase.III)
+               for channel, mode in (("mac", "full"), ("mac", "tdma"), ("bc", "full"))]
+
+
+@pytest.mark.parametrize("case,channel,mode", POOL_SWEEPS)
+def test_pooled_sweep_matches_fresh_with_fewer_evaluations(case, channel, mode):
+    """A pooled curve is certified point by point, agrees with fresh
+    solves within the larger of the two gaps, and costs fewer evaluations."""
+    if channel == "bc":
+        states = sample_bc_states(FadingModel(K=3, M=2, n_states=200, seed=3))
+    else:
+        states = sample_mac_states(FadingModel(K=2, M=1, n_states=200, seed=3))
+    dbs = [-5.0, 5.0, 15.0, 25.0]
+    fresh = _sweep(states, case, dbs, None, mode)
+    pooled = _sweep(states, case, dbs, ColumnPool(), mode)
+    for a, b in zip(fresh, pooled):
+        assert a.certified and b.certified
+        assert abs(a.ergodic_sum_rate - b.ergodic_sum_rate) <= max(a.gap, b.gap) + 1e-12
+    assert sum(r.n_evals for r in pooled) < sum(r.n_evals for r in fresh)
+
+
+@pytest.mark.parametrize("channel", ["mac", "bc"])
+def test_descending_case3_sweep_resets_the_pool(channel):
+    """A smaller ST cap shrinks each per-state set: the columns of the
+    25 dB point would break the 0 dB caps, so the pool must not carry
+    them (the audit inside each call raises otherwise)."""
+    if channel == "bc":
+        states = sample_bc_states(FadingModel(K=3, M=2, n_states=300, seed=4))
+    else:
+        states = sample_mac_states(FadingModel(K=2, M=1, n_states=300, seed=4))
+    pool = ColumnPool()
+    results = _sweep(states, ConstraintCase.III, [25.0, 0.0, -5.0], pool)
+    for r in results:
+        assert r.feasibility.all_satisfied and r.certified
+    assert all(owner is pool.problem for _, _, _, owner in pool.columns)
