@@ -13,9 +13,9 @@ running best over the user columns; a sorted-ratio cap-filling sweep).
 Case 4 is the linear program max h.p over the power polytope: a
 fractional knapsack in decreasing h_k/g_k with one interference cap
 (M = 1), the lockstep bounded-variable simplex `bounded_simplex` with
-several, at any K. Case 2 takes the best single user or cap-sharing
-pair at M = 1; at any other M it is the same simplex swept in the
-rate's slope t = 1/(1+h.p) (`_case2_simplex`), with no limit on K or M.
+several, at any K. Case 2 is the same simplex swept in the rate's
+slope t = 1/(1+h.p) (`_case2_simplex`), at every M and with no limit
+on K.
 
 The four cases are one first-order system (`_kkt`): the prices lam
 and mu enter stationarity, and a per-state cap adds its rows with the
@@ -23,9 +23,7 @@ same symbol as its multiplier (mu for the interference caps, lam for
 the power caps). Every case-2 and case-4 allocation returned is
 certified against it (`_certify`); the programs are concave with
 affine constraints, so a consistent candidate is the global optimum.
-A user alone at price w and cap c sends min((1/w - 1/h)^+, c)
-(`_single_user`): case 2's single-user candidates and every TDMA
-solver. All solvers are vectorized across fading states; the scalar
+All solvers are vectorized across fading states; the scalar
 operations wrap the batch with n = 1 and attach a KKT report, the same
 system at n = 1, from the returned multipliers.
 """
@@ -43,7 +41,6 @@ logger = logging.getLogger(__name__)
 
 ACTIVE_TOL = 1e-9     # powers above this count as "user transmits"
 _LOOSE = 1e-7         # KKT acceptance tolerance of `_certify`
-_DET_RTOL = 1e-12     # singularity screen for the one-cap pair systems
 _OPT_RTOL = 1e-12     # simplex: reduced costs below this times max |c| are zero
 _PIV_RTOL = 1e-11     # simplex: pivots below this times their column's max are zero
 _MAX_PIVOTS = 10_000  # simplex: a batch needing more pivots raises SolverFailureError
@@ -147,7 +144,7 @@ def _kkt(H, G, P, LAM, MU, GAM=None, caps=None):
 
 def _worst(parts) -> float:
     """The largest entry of the arrays `parts`, at least 0; NaN propagates."""
-    return float(np.concatenate([x.ravel() for x in parts]).max(initial=0.0))
+    return float(np.max([x.max(initial=0.0) for x in parts]))
 
 
 def _kkt_report(named, h, g, p, lam, mu, gamma=None, p_st=None) -> KktReport:
@@ -249,16 +246,15 @@ def solve_states_case2(H: np.ndarray, G: np.ndarray, lam, gamma,
                        want_multipliers: bool = False):
     """Vectorized case-2 solver.
 
-    lam broadcasts from (K,) or (n,K); gamma from (M,) or (n,M). One
-    interference cap (M = 1) is solved in closed form, any other number
-    by the parametric simplex sweep `_case2_simplex`. At most M+1 users
-    are active in any returned allocation. With want_multipliers, also
-    returns the per-state cap multipliers mu (n, M).
+    lam broadcasts from (K,) or (n,K); gamma from (M,) or (n,M). At
+    every M, M = 0 included, this is the parametric simplex sweep
+    `_case2_simplex`; at most M+1 users are active. With
+    want_multipliers, also returns the cap multipliers mu (n, M).
     """
     n, K, M = G.shape
     LAM = np.broadcast_to(np.asarray(lam, dtype=float), (n, K))
     GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, M))
-    P, MU = (_case2_single_cap if M == 1 else _case2_simplex)(H, G, LAM, GAM)
+    P, MU = _case2_simplex(H, G, LAM, GAM)
     return (P, MU) if want_multipliers else P
 
 
@@ -274,90 +270,6 @@ def _ipc_caps(G, GAM):
     return caps
 
 
-def _single_user(H, price, cap) -> np.ndarray:
-    """Each user's best power when it transmits alone against `price`:
-    min((1/price - 1/h)^+, cap), zero without gain. The TDMA solvers of
-    every case and case 2's single-user candidates are this rule."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wf = 1.0 / price - 1.0 / H
-    P = np.minimum(cap, np.where(price > 0.0, np.maximum(wf, 0.0), np.inf))
-    unbounded = np.isinf(P) & (H > 0.0)
-    if np.any(unbounded):
-        t, k = np.argwhere(unbounded)[0]
-        raise UnboundedSubproblemError(
-            "user has positive gain but zero transmit and interference price",
-            state_index=int(t), user_index=int(k))
-    return np.where(H > 0.0, P, 0.0)
-
-
-def _per_user_value(H, P, price):
-    with np.errstate(invalid="ignore"):
-        val = np.log1p(H * P) - price * P
-    return np.where(np.isfinite(val), val, -np.inf)
-
-
-def _case2_single_cap(H, G, LAM, GAM):
-    """Case 2 with one interference cap, in closed form.
-
-    At most two users transmit. The candidates are each user alone at
-    its best power (`_single_user`) and each pair (i, j) sharing
-    the cap: (mu, t) solve the pair's stationarity rows
-    h_k t = lam_k + mu g_k, and the powers solve g.p = gamma,
-    h.p = 1/t - 1 (Cramer's rule). A candidate with p >= 0 is a
-    feasible point and the optimal support is among them, so the best
-    objective wins (ties to the earliest: single users, then pairs, in
-    index order). Memory is O(n K): the pairs are batched per first user.
-    """
-    n, K = H.shape
-    g = G[:, :, 0]
-    rows = np.arange(n)
-
-    alone = _single_user(H, LAM, _ipc_caps(G, GAM))
-    val = _per_user_value(H, alone, LAM)
-    first = np.argmax(val, axis=1)
-    best = val[rows, first]
-    p1 = alone[rows, first]
-    h1, g1 = H[rows, first], g[rows, first]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        capped = p1 == GAM[:, 0] / g1       # the cap, not the water level, binds
-        mu = np.where(capped, (h1 / (1.0 + h1 * p1) - LAM[rows, first]) / g1, 0.0)
-    second = np.full(n, -1)
-    p2 = np.zeros(n)
-
-    for i in range(K - 1):
-        hi, gi, li = H[:, i, None], g[:, i, None], LAM[:, i, None]
-        hj, gj, lj = H[:, i + 1:], g[:, i + 1:], LAM[:, i + 1:]
-        D = hi * gj - hj * gi
-        ok = np.abs(D) > _DET_RTOL * np.hypot(hi, gi) * np.hypot(hj, gj)
-        D = np.where(ok, D, 1.0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            mu_ij = (li * hj - hi * lj) / D
-            S = D / (li * gj - lj * gi) - 1.0        # h.p = 1/t - 1
-            pi = (gj * S - GAM * hj) / D
-            pj = (GAM * hi - gi * S) / D
-            obj = np.log1p(hi * pi + hj * pj) - li * pi - lj * pj
-        ok &= (pi >= 0.0) & (pj >= 0.0) & np.isfinite(obj)
-        obj = np.where(ok, obj, -np.inf)
-        j = np.argmax(obj, axis=1)
-        take = obj[rows, j] > best
-        if not np.any(take):
-            continue
-        best = np.where(take, obj[rows, j], best)
-        first = np.where(take, i, first)
-        second = np.where(take, i + 1 + j, second)
-        p1 = np.where(take, pi[rows, j], p1)
-        p2 = np.where(take, pj[rows, j], p2)
-        mu = np.where(take, mu_ij[rows, j], mu)
-
-    P = np.zeros((n, K))
-    P[rows, first] = p1
-    pair = second >= 0
-    P[rows[pair], second[pair]] = p2[pair]
-    MU = np.maximum(mu, 0.0)[:, None]
-    _certify("case-2 state solver", H, G, P, LAM, MU, GAM)
-    return P, MU
-
-
 @np.errstate(divide="ignore", invalid="ignore")
 def _case2_simplex(H, G, LAM, GAM):
     """Case 2 by a parametric sweep on the case-4 simplex pivot.
@@ -370,53 +282,62 @@ def _case2_simplex(H, G, LAM, GAM):
     state stops at its vertex if 1/(1+S) <= t_k, on the entering edge if
     h.p reaches 1/t_k - 1 first, else pivots on. A ray at t_k = 0 is a
     user nothing prices. The cap prices are d_lam - t d_h on the slacks.
+    A state leaves the batch as it stops, before the next pivot.
     """
     n, K, M = G.shape
     N = K + M
-    T, beta, basis, dh, dl = _slack_tableau(np.swapaxes(G, 1, 2), GAM, H, LAM)
-    tol = _OPT_RTOL * dh.max(axis=0, initial=0.0)
-    x, S, t = np.zeros((N, n)), np.zeros(n), np.zeros(n)
-    done, idx, rows, go, pivots = [], np.arange(n), np.arange(n), np.ones(n, dtype=bool), 0
+    T, beta, basis, D = _slack_tableau(np.swapaxes(G, 1, 2), GAM, H, LAM)
+    tol = _OPT_RTOL * D[0].max(axis=0, initial=0.0)
+    x, y = np.zeros(N * n), np.zeros((2 * M + 1) * n)   # x; d_h, d_lam of the slacks, S
+    idx, S, t, pivots = np.arange(n), np.zeros(n), np.zeros(n), 0
+    grid, rows_y = _grid(N, n), np.arange(0, 2 * M * n, n)[:, None]
     while True:
+        m = idx.size
+        dh, dl = D[0], D[1]
         cross = np.where(dh > tol, np.maximum(dl / dh, t), np.inf)
-        j = np.argmin(cross, axis=0)
-        t = cross[j, rows]
-        go &= 1.0 / (1.0 + S) > t
-        if 2 * np.count_nonzero(go) <= go.size:     # drop the finished states
-            idx, basis, beta, dh, dl, x, T, tol, S, j, t, go = _compact(
-                go, done, (idx, basis, beta, dh, dl, x, T, tol, S, j, t, go), 6)
-            if not idx.size:
-                break
-            rows = np.arange(idx.size)
-        if pivots == _MAX_PIVOTS:
-            raise SolverFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
-        pivots += 1
-        col = T[:, j, rows]
+        t = cross.min(axis=0)
+        j = _first(cross, t)
+        jm = j * m + grid[0]                        # flat index of (j, state)
+        col = T.reshape(M, N * m).take(jm, axis=1)
         ratio = np.where(col > _PIV_RTOL * np.abs(col).max(axis=0, initial=0.0),
                          np.maximum(beta / col, 0.0), np.inf)
         step = ratio.min(axis=0, initial=np.inf)
-        edge = (1.0 / t - 1.0 - S) / dh[j, rows]       # step to h.p = 1/t - 1
-        stop = go & (edge <= step)
-        if np.isinf(edge[stop]).any():
-            s = rows[stop][np.isinf(edge[stop])][0]
-            raise UnboundedSubproblemError(
-                "user has positive gain but zero transmit and interference price",
-                state_index=int(idx[s]), user_index=int(j[s]))
-        go &= ~stop
-        step = np.where(stop, edge, np.where(go, step, 0.0))
-        x[j[stop], rows[stop]] = edge[stop]
+        dhj = dh.reshape(-1).take(jm)
+        # x_j where the state stops: on the edge, where h.p reaches
+        # 1/t - 1, or 0 at its vertex once 1/(1+S) <= t
+        edge = np.where(1.0 / (1.0 + S) > t, (1.0 / t - 1.0 - S) / dhj, 0.0)
+        piv = edge > step
+        step = np.where(piv, step, edge)
         beta -= step * col
-        if not go.any():
-            continue                                # always so at M = 0
-        S += step * dh[j, rows]
-        r = np.argmin(np.where(ratio == step, basis, N), axis=0)
-        beta[r[go], rows[go]] = step[go]
-        _pivot(T, (dh, dl), basis, col, rows, r, j, go)
-    basis, beta, dh, dl, x = _finished(done)
-    np.put_along_axis(x, basis, beta, axis=0)
-    P = np.maximum(x[:K].T, 0.0)
-    t = 1.0 / (1.0 + np.einsum("nk,nk->n", H, P))
-    MU = np.maximum(dl[K:] - t * dh[K:], 0.0).T
+        S += step * dhj
+        if not piv.all():                           # the stopped states leave
+            out = np.flatnonzero(~piv)
+            at, e = idx.take(out), step.take(out)
+            if e.max() == np.inf:
+                s = out[np.isinf(e)][0]
+                raise UnboundedSubproblemError(
+                    "user has positive gain but zero transmit and interference price",
+                    state_index=int(idx[s]), user_index=int(j[s]))
+            x[j.take(out) * n + at] = e
+            x[basis.take(out, axis=1) * n + at] = beta.take(out, axis=1)
+            y[rows_y + at] = D[:, K:].take(out, axis=-1).reshape(2 * M, out.size)
+            y[2 * M * n + at] = S.take(out)
+            keep = np.flatnonzero(piv)
+            if not keep.size:
+                break
+            idx, T, beta, basis, D, S, t, tol, j, col, ratio, step = (
+                a.take(keep, axis=-1) for a in
+                (idx, T, beta, basis, D, S, t, tol, j, col, ratio, step))
+            m, grid = keep.size, _grid(N, keep.size)
+        if pivots == _MAX_PIVOTS:
+            raise SolverFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
+        pivots += 1
+        leave = np.where(ratio == step, basis, N)
+        r = _first(leave, leave.min(axis=0))
+        beta.reshape(-1)[r * m + grid[0]] = step
+        _pivot(T, D, basis, col, r, j, grid)
+    P, Y = np.maximum(x[:K * n].reshape(K, n).T, 0.0), y.reshape(2 * M + 1, n)
+    MU = np.maximum(Y[M:2 * M] - Y[:M] / (1.0 + Y[2 * M]), 0.0).T
     _certify("case-2 state solver", H, G, P, LAM, MU, GAM)
     return P, MU
 
@@ -586,113 +507,126 @@ def _slack_tableau(A, b, *costs):
     A x + s = b (A (n, M, K), b (n, M)) and each cost vector (n, K).
     Returns, states last so that work over the short M and N axes runs
     along contiguous rows of n states, the tableau [A I] (M, N, n),
-    beta (M, n), the basis (M, n) and a reduced-cost row (N, n) per cost."""
+    beta (M, n), the basis (M, n) and the reduced-cost rows (C, N, n),
+    one per cost."""
     n, M, K = A.shape
-    eye = np.broadcast_to(np.eye(M)[:, :, None], (M, M, n))
-    return (np.concatenate([A.transpose(1, 2, 0), eye], axis=1), b.T.copy(),
-            np.repeat(np.arange(K, K + M)[:, None], n, axis=1),
-            *(np.concatenate([c.T, np.zeros((M, n))]) for c in costs))
+    T, D = np.zeros((M, K + M, n)), np.zeros((len(costs), K + M, n))
+    T[:, :K], D[:, :K] = A.transpose(1, 2, 0), [c.T for c in costs]
+    T[np.arange(M), np.arange(K, K + M)] = 1.0
+    return T, b.T.copy(), np.repeat(np.arange(K, K + M)[:, None], n, axis=1), D
 
 
-def _pivot(T, ds, basis, col, rows, r, j, piv):
-    """Pivot T (M, N, n) on row r, column j (col = T[:, j, rows]) in the
-    states flagged piv, also eliminating j from each reduced-cost row in
-    ds. The caller sets the basic values."""
-    Tr = T[r, :, rows].T / np.where(piv, col[r, rows], 1.0)
-    T -= np.where(piv, col, 0.0)[:, None, :] * Tr
-    for d in ds:
-        d -= np.where(piv, d[j, rows], 0.0) * Tr
-    T[r[piv], :, rows[piv]] = Tr[:, piv].T
-    basis[r[piv], rows[piv]] = j[piv]
+def _first(a, low):
+    """Each column's first row of a (R, m) equal to low, else the last
+    row: argmin along the short axis 0 without np.argmin's transposed copy."""
+    j, past = np.zeros(low.shape, dtype=np.intp), np.ones(low.shape, dtype=bool)
+    for k in range(len(a) - 1):
+        past &= a[k] != low
+        j += past
+    return j
 
 
-def _compact(go, done, live, k):
-    """Keep only the states flagged go in every array of live (states
-    last); the first k arrays of the states dropped, the first being
-    their batch indices, are appended to done (see `_finished`)."""
-    gone, keep = np.flatnonzero(~go), np.flatnonzero(go)
-    done.append([a.take(gone, axis=-1) for a in live[:k]])
-    return [a.take(keep, axis=-1) for a in live]
+def _grid(N, m):
+    """k m + s, (N, m): the flat index of row k, state s of an (N, m) array."""
+    return np.arange(m) + np.arange(0, N * m, m)[:, None]
 
 
-def _finished(done):
-    """The arrays that `_compact` collected, back in batch order."""
-    idx, *arrays = (np.concatenate(a, axis=-1) for a in zip(*done))
-    order = np.empty_like(idx)
-    order[idx] = np.arange(idx.size)
-    return [a.take(order, axis=-1) for a in arrays]
+def _pivot(T, D, basis, col, r, j, grid, piv=None):
+    """Pivot each state's tableau T (M, N, m) on row r, column j (col =
+    T[:, j]), eliminating j from the reduced-cost rows D (C, N, m) too,
+    by flat index (grid = `_grid(N, m)`): a fancy index over the short
+    M and N axes costs more than the arithmetic. With piv, only the
+    flagged states pivot. The caller sets the basic values."""
+    M, N, m = T.shape
+    rs, at = r * m + grid[0], r * (N * m) + grid      # (r, s) in (M, m); T[r, :, s]
+    pr, dj = col.reshape(-1).take(rs), D.reshape(len(D), -1).take(j * m + grid[0], axis=1)
+    if piv is not None:                     # the others: a zero column, a unit pivot
+        col, pr, dj = np.where(piv, col, 0.0), np.where(piv, pr, 1.0), np.where(piv, dj, 0.0)
+        j = np.where(piv, j, basis.reshape(-1).take(rs))
+    Tr = T.reshape(-1).take(at) / pr
+    T -= col[:, None, :] * Tr
+    D -= dj[:, None, :] * Tr
+    T.reshape(-1)[at], basis.reshape(-1)[rs] = Tr, j
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def bounded_simplex(c, A, b, u):
     """Batched bounded-variable primal simplex: max c.x s.t. A x <= b,
     0 <= x <= u, state by state, for c, u (n, K), A (n, M, K), b (n, M) > 0.
 
     Each state starts at x = 0 with the slacks basic and the n tableaux
     (`_slack_tableau`) pivot in lockstep; optimal states idle and are
-    dropped once they are half the batch. Bland's rule (lowest-index
-    entering and leaving variable) makes ties and identical columns
-    terminate; an entering variable whose own bound comes first flips
-    to it instead. One batched solve with the final bases recomputes the
-    basic values from the data. Returns x (n, K), the row prices
-    y (n, M) >= 0 and the upper-bound prices z (n, K) >= 0:
-    c - A^T y - z <= 0, with equality where 0 < x < u.
+    dropped once they are half the batch, their basis, reduced costs
+    and bounds written out at their batch index. Bland's rule
+    (lowest-index entering and leaving variable) makes ties and
+    identical columns terminate; an entering variable whose own bound
+    comes first flips to it instead. One batched solve with the final
+    bases recomputes the basic values from the data. Returns x (n, K),
+    the row prices y (n, M) >= 0 and the upper-bound prices
+    z (n, K) >= 0: c - A^T y - z <= 0, with equality where 0 < x < u.
     """
     n, M, K = A.shape
     N = K + M
     ub = np.concatenate([np.broadcast_to(u, (n, K)), np.full((n, M), np.inf)], axis=1)
     b = np.broadcast_to(np.asarray(b, dtype=float), (n, M))
-    T, beta, basis, d = _slack_tableau(A, b, c)
+    T, beta, basis, (d,) = _slack_tableau(A, b, c)
     full = T.transpose(2, 0, 1).copy()                  # [A I] (n, M, N)
     upper = np.zeros((N, n), dtype=bool)                # nonbasic at its upper bound
     tol = _OPT_RTOL * np.abs(c).max(axis=1, initial=0.0)
-    done, idx, rows, ub_a, pivots = [], np.arange(n), np.arange(n), ub.T, 0
+    basis_out, d_out, upper_out = np.empty((M, n), np.intp), np.empty((N, n)), upper.copy()
+    idx, ub_a, grid, pivots = np.arange(n), ub.T.copy(), _grid(N, n), 0
     while True:
         enter = np.where(upper, d < -tol, d > tol)
         go = enter.any(axis=0)
         if 2 * np.count_nonzero(go) <= go.size:     # drop the optimal states
-            idx, basis, d, upper, T, beta, ub_a, tol, enter, go = _compact(
-                go, done, (idx, basis, d, upper, T, beta, ub_a, tol, enter, go), 4)
+            gone, keep = np.flatnonzero(~go), np.flatnonzero(go)
+            at = idx.take(gone)
+            basis_out[:, at], d_out[:, at], upper_out[:, at] = (
+                a.take(gone, axis=-1) for a in (basis, d, upper))
+            idx, basis, d, upper, T, beta, ub_a, tol, enter, go = (
+                a.take(keep, axis=-1) for a in
+                (idx, basis, d, upper, T, beta, ub_a, tol, enter, go))
             if not idx.size:
                 break
-            rows = np.arange(idx.size)
+            grid = _grid(N, idx.size)
         if pivots == _MAX_PIVOTS:
             raise SolverFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
         pivots += 1
-        j = np.argmax(enter, axis=0)
-        sign = np.where(upper[j, rows], -1.0, 1.0)     # entering moves down from u
-        col = T[:, j, rows]
+        m, s = idx.size, grid[0]
+        j = _first(enter, go)                           # lowest entering index
+        jm = j * m + s
+        sign = np.where(upper.reshape(-1).take(jm), -1.0, 1.0)  # moves down from u
+        col = T.reshape(M, N * m).take(jm, axis=1)
         alpha = col * sign                              # rate at which basics fall
         mag = np.abs(alpha)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(alpha > 0.0, beta,
-                             np.take_along_axis(ub_a, basis, axis=0) - beta) / mag
+        ratio = np.where(alpha > 0.0, beta, ub_a.reshape(-1).take(basis * m + s) - beta) / mag
         ratio[mag <= _PIV_RTOL * mag.max(axis=0, initial=0.0)] = np.inf
         np.maximum(ratio, 0.0, out=ratio)
         step = ratio.min(axis=0, initial=np.inf)
-        uj = ub_a[j, rows]
+        uj = ub_a.reshape(-1).take(jm)
         flip = uj <= step
         piv = go & ~flip
         step = np.where(go, np.minimum(step, uj), 0.0)
         if np.isinf(step).any():
             raise SolverFailureError("simplex: the linear program is unbounded")
         beta -= step * alpha
-        f = go & flip
-        upper[j[f], rows[f]] ^= True
+        upper.reshape(-1)[jm] ^= go & flip
         if not piv.any():
             continue
-        r = np.argmin(np.where(ratio == step, basis, N), axis=0)
-        p, rp, sp = rows[piv], r[piv], sign[piv]
-        upper[basis[rp, p], p] = alpha[rp, p] < 0.0   # leaves at its upper bound
-        upper[j[piv], p] = False
-        beta[rp, p] = np.where(sp > 0.0, 0.0, uj[piv]) + sp * step[piv]
-        _pivot(T, (d,), basis, col, rows, r, j, piv)
-    basis, d, upper = _finished(done)
-    x = np.where(upper.T, ub, 0.0)
+        leave = np.where(ratio == step, basis, N)
+        r = _first(leave, leave.min(axis=0))
+        rs, up, bf = r * m + s, upper.reshape(-1), beta.reshape(-1)
+        out = basis.reshape(-1).take(rs) * m + s        # the leaving variable
+        up[out] = np.where(piv, alpha.reshape(-1).take(rs) < 0.0, up.take(out))
+        up[jm] &= ~piv
+        bf[rs] = np.where(piv, np.where(sign > 0.0, 0.0, uj) + sign * step, bf.take(rs))
+        _pivot(T, d[None], basis, col, r, j, grid, piv)
+    x = np.where(upper_out.T, ub, 0.0)
     rhs = b - np.einsum("nmk,nk->nm", full, x)
-    B = np.take_along_axis(full, basis.T[:, None, :], axis=2)
-    np.put_along_axis(x, basis.T, np.linalg.solve(B, rhs[..., None])[..., 0], axis=1)
-    y = np.maximum(-d[K:].T, 0.0)
-    z = np.where(upper[:K].T, np.maximum(d[:K].T, 0.0), 0.0)
+    B = np.take_along_axis(full, basis_out.T[:, None, :], axis=2)
+    np.put_along_axis(x, basis_out.T, np.linalg.solve(B, rhs[..., None])[..., 0], axis=1)
+    y = np.maximum(-d_out[K:].T, 0.0)
+    z = np.where(upper_out[:K].T, np.maximum(d_out[:K].T, 0.0), 0.0)
     return np.clip(x[:, :K], 0.0, ub[:, :K]), y, z
 
 

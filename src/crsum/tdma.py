@@ -2,8 +2,8 @@ r"""Per-state solvers under the single-transmitter (TDMA) restriction.
 
 Restricting every fading state to at most one transmitting user makes
 each per-state subproblem a one-dimensional maximization per candidate
-user, solved in closed form by `perstate_mac._single_user`; the best
-candidate wins (`_lone_user`). The cases differ only in price and cap:
+user, solved in closed form by `_single_user`; the best candidate wins
+(`_lone_user`). The cases differ only in price and cap:
 lam and the interference caps in case 2, mu.g and p_st in case 3, no
 price and the tighter of both caps in case 4. Case 1 needs no
 restriction at all: its unrestricted optimum is already single-user,
@@ -17,12 +17,33 @@ from __future__ import annotations
 import numpy as np
 
 from .constraints import ConstraintCase
-from .errors import UsageError
+from .errors import UnboundedSubproblemError, UsageError
 from .fading import ChannelStateMac
 from .perstate_mac import (StateAllocation, _allocation, _interference_price,
-                           _ipc_caps, _per_user_value, _single_user, _vec,
-                           solve_states_case1, solve_states_case2,
-                           solve_states_case3, solve_states_case4)
+                           _ipc_caps, _vec, solve_states_case1,
+                           solve_states_case2, solve_states_case3,
+                           solve_states_case4)
+
+
+def _single_user(H, price, cap) -> np.ndarray:
+    """Each user's best power when it transmits alone against `price`:
+    min((1/price - 1/h)^+, cap), zero without gain."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wf = 1.0 / price - 1.0 / H
+    P = np.minimum(cap, np.where(price > 0.0, np.maximum(wf, 0.0), np.inf))
+    unbounded = np.isinf(P) & (H > 0.0)
+    if np.any(unbounded):
+        t, k = np.argwhere(unbounded)[0]
+        raise UnboundedSubproblemError(
+            "user has positive gain but zero transmit and interference price",
+            state_index=int(t), user_index=int(k))
+    return np.where(H > 0.0, P, 0.0)
+
+
+def _per_user_value(H, P, price):
+    with np.errstate(invalid="ignore"):
+        val = np.log1p(H * P) - price * P
+    return np.where(np.isfinite(val), val, -np.inf)
 
 
 def _lone_user(H, price, cap) -> np.ndarray:

@@ -16,8 +16,9 @@ import math
 import numpy as np
 
 from crsum import SolverFailureError, UnboundedSubproblemError, UsageError
-from crsum.perstate_mac import _DET_RTOL, _LOOSE
+from crsum.perstate_mac import _LOOSE
 
+_DET_RTOL = 1e-12     # singularity screen for the active-set systems
 _STRICT = 1e-9        # candidate accepted as an exact KKT point
 _TIE_RTOL = 1e-12     # case-4 reduced gains this small count as ties
 

@@ -1,9 +1,9 @@
 """Case-2 parametric simplex sweep against the KKT active-set enumeration.
 
-With M != 1 interference caps, `solve_states_case2` sweeps the rate
-slope t = 1/(1+h.p) on the case-4 simplex pivot. It is checked against
-`_case2_enumerate` (`enum_oracles`; exponential in K and M, so small
-instances only), against the M = 1 closed form on caps duplicated into
+At every M, `solve_states_case2` sweeps the rate slope t = 1/(1+h.p)
+on the case-4 simplex pivot. It is checked against `_case2_enumerate`
+(`enum_oracles`; exponential in K and M, so small instances only),
+including the enumeration's M = 1 optimum on caps duplicated into
 M = 2, against case 1 at M = 0, and against its own KKT report.
 """
 
@@ -55,11 +55,11 @@ def test_matches_enumeration(K, M):
 def test_degenerate_states_with_duplicated_cap(H, G, lam, p_st, gamma):
     """Each cap twice (M = 2): every pivot meets a ratio tie. The optimum
     may not be unique, so only the objective is compared, with the
-    enumeration and with the one-cap closed form on the original cap."""
+    enumeration on the duplicated caps and on the original cap."""
     G2, gamma2 = np.concatenate([G, G], axis=2), np.concatenate([gamma, gamma])
     P = _solve_and_audit(H, G2, lam, gamma2)
     for P_ref in (_case2_enumerate(H, G2, lam, gamma2)[0],
-                  solve_states_case2(H, G, lam, gamma)):
+                  _case2_enumerate(H, G, lam, gamma)[0]):
         np.testing.assert_allclose(_objective(H, P, lam), _objective(H, P_ref, lam),
                                    rtol=0, atol=1e-12)
 

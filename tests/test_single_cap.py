@@ -1,10 +1,9 @@
-"""Closed-form case-2 and case-4 solvers with one interference cap.
+"""Case-2 and case-4 solvers with one interference cap.
 
-With M = 1, `solve_states_case2` takes the best of the single users
-and the pairs that share the cap, and `solve_states_case4` is a
-fractional knapsack. Both are checked against the enumerations in
-`enum_oracles` called here at M = 1 (the solvers for any other M are
-simplex methods), against their own KKT reports, and on degenerate
+With M = 1, `solve_states_case2` is the parametric simplex sweep it
+runs at every M, and `solve_states_case4` is a fractional knapsack.
+Both are checked against the enumerations in `enum_oracles` called
+here at M = 1, against their own KKT reports, and on degenerate
 states.
 """
 
@@ -166,7 +165,8 @@ def test_tdma_check_hits_exactly_single_user_optima():
 
 
 def test_thousand_users_one_cap():
-    """M = 1 needs no size guard: K = 1000 costs O(K^2) for case 2."""
+    """M = 1 needs no size guard: case 2 at K = 1000 is one sweep of
+    at most a few pivots over an (M, K + M) tableau."""
     H, G, lam, p_st, gamma = _batch(1000, 1, 1000)
     P, MU = solve_states_case2(H, G, lam, gamma, want_multipliers=True)
     assert (P > ACTIVE_TOL).sum() <= 2
