@@ -288,9 +288,9 @@ def _case2_simplex(H, G, LAM, GAM):
     N = K + M
     T, beta, basis, D = _slack_tableau(np.swapaxes(G, 1, 2), GAM, H, LAM)
     tol = _OPT_RTOL * D[0].max(axis=0, initial=0.0)
-    x, y = np.zeros(N * n), np.zeros((2 * M + 1) * n)   # x; d_h, d_lam of the slacks, S
+    x, y = np.zeros(N * n), np.zeros((2 * M + 1) * n)   # x; the slacks' d_h, d_lam; S
     idx, S, t, pivots = np.arange(n), np.zeros(n), np.zeros(n), 0
-    grid, rows_y = _grid(N, n), np.arange(0, 2 * M * n, n)[:, None]
+    grid, rows_y = np.arange(N * n).reshape(N, n), np.arange(0, 2 * M * n, n)[:, None]
     while True:
         m = idx.size
         dh, dl = D[0], D[1]
@@ -328,7 +328,8 @@ def _case2_simplex(H, G, LAM, GAM):
             idx, T, beta, basis, D, S, t, tol, j, col, ratio, step = (
                 a.take(keep, axis=-1) for a in
                 (idx, T, beta, basis, D, S, t, tol, j, col, ratio, step))
-            m, grid = keep.size, _grid(N, keep.size)
+            m = keep.size
+            grid = np.arange(N * m).reshape(N, m)
         if pivots == _MAX_PIVOTS:
             raise SolverFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
         pivots += 1
@@ -519,22 +520,20 @@ def _slack_tableau(A, b, *costs):
 def _first(a, low):
     """Each column's first row of a (R, m) equal to low, else the last
     row: argmin along the short axis 0 without np.argmin's transposed copy."""
-    j, past = np.zeros(low.shape, dtype=np.intp), np.ones(low.shape, dtype=bool)
-    for k in range(len(a) - 1):
+    if len(a) == 1:
+        return np.zeros(low.shape, dtype=np.intp)
+    past = a[0] != low
+    j = past.astype(np.intp)
+    for k in range(1, len(a) - 1):
         past &= a[k] != low
         j += past
     return j
 
 
-def _grid(N, m):
-    """k m + s, (N, m): the flat index of row k, state s of an (N, m) array."""
-    return np.arange(m) + np.arange(0, N * m, m)[:, None]
-
-
 def _pivot(T, D, basis, col, r, j, grid, piv=None):
     """Pivot each state's tableau T (M, N, m) on row r, column j (col =
     T[:, j]), eliminating j from the reduced-cost rows D (C, N, m) too,
-    by flat index (grid = `_grid(N, m)`): a fancy index over the short
+    by flat index (grid[k, s] = k m + s): a fancy index over the short
     M and N axes costs more than the arithmetic. With piv, only the
     flagged states pivot. The caller sets the basic values."""
     M, N, m = T.shape
@@ -574,7 +573,7 @@ def bounded_simplex(c, A, b, u):
     upper = np.zeros((N, n), dtype=bool)                # nonbasic at its upper bound
     tol = _OPT_RTOL * np.abs(c).max(axis=1, initial=0.0)
     basis_out, d_out, upper_out = np.empty((M, n), np.intp), np.empty((N, n)), upper.copy()
-    idx, ub_a, grid, pivots = np.arange(n), ub.T.copy(), _grid(N, n), 0
+    idx, ub_a, grid, pivots = np.arange(n), ub.T.copy(), np.arange(N * n).reshape(N, n), 0
     while True:
         enter = np.where(upper, d < -tol, d > tol)
         go = enter.any(axis=0)
@@ -588,7 +587,7 @@ def bounded_simplex(c, A, b, u):
                 (idx, basis, d, upper, T, beta, ub_a, tol, enter, go))
             if not idx.size:
                 break
-            grid = _grid(N, idx.size)
+            grid = np.arange(N * idx.size).reshape(N, idx.size)
         if pivots == _MAX_PIVOTS:
             raise SolverFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
         pivots += 1
