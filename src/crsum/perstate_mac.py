@@ -290,14 +290,14 @@ def _case2_simplex(H, G, LAM, GAM):
     tol = _OPT_RTOL * D[0].max(axis=0, initial=0.0)
     x, y = np.zeros(N * n), np.zeros((2 * M + 1) * n)   # x; the slacks' d_h, d_lam; S
     idx, S, t, pivots = np.arange(n), np.zeros(n), np.zeros(n), 0
-    grid, rows_y = np.arange(N * n).reshape(N, n), np.arange(0, 2 * M * n, n)[:, None]
+    rows_y = np.arange(0, 2 * M * n, n)[:, None]
     while True:
-        m = idx.size
+        m, s = idx.size, np.arange(idx.size)
         dh, dl = D[0], D[1]
         cross = np.where(dh > tol, np.maximum(dl / dh, t), np.inf)
         t = cross.min(axis=0)
         j = _first(cross, t)
-        jm = j * m + grid[0]                        # flat index of (j, state)
+        jm = j * m + s                              # flat index of (j, state)
         col = T.reshape(M, N * m).take(jm, axis=1)
         ratio = np.where(col > _PIV_RTOL * np.abs(col).max(axis=0, initial=0.0),
                          np.maximum(beta / col, 0.0), np.inf)
@@ -314,10 +314,10 @@ def _case2_simplex(H, G, LAM, GAM):
             out = np.flatnonzero(~piv)
             at, e = idx.take(out), step.take(out)
             if e.max() == np.inf:
-                s = out[np.isinf(e)][0]
+                u = out[np.isinf(e)][0]
                 raise UnboundedSubproblemError(
                     "user has positive gain but zero transmit and interference price",
-                    state_index=int(idx[s]), user_index=int(j[s]))
+                    state_index=int(idx[u]), user_index=int(j[u]))
             x[j.take(out) * n + at] = e
             x[basis.take(out, axis=1) * n + at] = beta.take(out, axis=1)
             y[rows_y + at] = D[:, K:].take(out, axis=-1).reshape(2 * M, out.size)
@@ -328,15 +328,14 @@ def _case2_simplex(H, G, LAM, GAM):
             idx, T, beta, basis, D, S, t, tol, j, col, ratio, step = (
                 a.take(keep, axis=-1) for a in
                 (idx, T, beta, basis, D, S, t, tol, j, col, ratio, step))
-            m = keep.size
-            grid = np.arange(N * m).reshape(N, m)
+            m, s = keep.size, np.arange(keep.size)
         if pivots == _MAX_PIVOTS:
             raise SolverFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
         pivots += 1
         leave = np.where(ratio == step, basis, N)
         r = _first(leave, leave.min(axis=0))
-        beta.reshape(-1)[r * m + grid[0]] = step
-        _pivot(T, D, basis, col, r, j, grid)
+        beta.reshape(-1)[r * m + s] = step
+        _pivot(T, D, basis, col, r, j, s)
     P, Y = np.maximum(x[:K * n].reshape(K, n).T, 0.0), y.reshape(2 * M + 1, n)
     MU = np.maximum(Y[M:2 * M] - Y[:M] / (1.0 + Y[2 * M]), 0.0).T
     _certify("case-2 state solver", H, G, P, LAM, MU, GAM)
@@ -530,15 +529,16 @@ def _first(a, low):
     return j
 
 
-def _pivot(T, D, basis, col, r, j, grid, piv=None):
-    """Pivot each state's tableau T (M, N, m) on row r, column j (col =
-    T[:, j]), eliminating j from the reduced-cost rows D (C, N, m) too,
-    by flat index (grid[k, s] = k m + s): a fancy index over the short
-    M and N axes costs more than the arithmetic. With piv, only the
-    flagged states pivot. The caller sets the basic values."""
+def _pivot(T, D, basis, col, r, j, s, piv=None):
+    """Pivot each state s = 0..m-1's tableau T (M, N, m) on row r, column
+    j (col = T[:, j]), eliminating j from the reduced-cost rows
+    D (C, N, m) too, by flat index: a fancy index over the short M and N
+    axes costs more than the arithmetic. With piv, only the flagged
+    states pivot. The caller sets the basic values."""
     M, N, m = T.shape
-    rs, at = r * m + grid[0], r * (N * m) + grid      # (r, s) in (M, m); T[r, :, s]
-    pr, dj = col.reshape(-1).take(rs), D.reshape(len(D), -1).take(j * m + grid[0], axis=1)
+    rs, at = r * m + s, np.arange(N * m).reshape(N, m)
+    at += r * (N * m)                                   # T[r, :, s]
+    pr, dj = col.reshape(-1).take(rs), D.reshape(len(D), -1).take(j * m + s, axis=1)
     if piv is not None:                     # the others: a zero column, a unit pivot
         col, pr, dj = np.where(piv, col, 0.0), np.where(piv, pr, 1.0), np.where(piv, dj, 0.0)
         j = np.where(piv, j, basis.reshape(-1).take(rs))
@@ -569,11 +569,12 @@ def bounded_simplex(c, A, b, u):
     ub = np.concatenate([np.broadcast_to(u, (n, K)), np.full((n, M), np.inf)], axis=1)
     b = np.broadcast_to(np.asarray(b, dtype=float), (n, M))
     T, beta, basis, (d,) = _slack_tableau(A, b, c)
-    full = T.transpose(2, 0, 1).copy()                  # [A I] (n, M, N)
     upper = np.zeros((N, n), dtype=bool)                # nonbasic at its upper bound
     tol = _OPT_RTOL * np.abs(c).max(axis=1, initial=0.0)
-    basis_out, d_out, upper_out = np.empty((M, n), np.intp), np.empty((N, n)), upper.copy()
-    idx, ub_a, grid, pivots = np.arange(n), ub.T.copy(), np.arange(N * n).reshape(N, n), 0
+    # a dropped state's basis, d and bounds go back to the full-size
+    # starting arrays at its batch index (in place at the first drop)
+    basis_out, d_out, upper_out = basis, d, upper
+    idx, ubf, pivots = np.arange(n), ub.reshape(-1), 0
     while True:
         enter = np.where(upper, d < -tol, d > tol)
         go = enter.any(axis=0)
@@ -582,27 +583,26 @@ def bounded_simplex(c, A, b, u):
             at = idx.take(gone)
             basis_out[:, at], d_out[:, at], upper_out[:, at] = (
                 a.take(gone, axis=-1) for a in (basis, d, upper))
-            idx, basis, d, upper, T, beta, ub_a, tol, enter, go = (
+            idx, basis, d, upper, T, beta, tol, enter, go = (
                 a.take(keep, axis=-1) for a in
-                (idx, basis, d, upper, T, beta, ub_a, tol, enter, go))
+                (idx, basis, d, upper, T, beta, tol, enter, go))
             if not idx.size:
                 break
-            grid = np.arange(N * idx.size).reshape(N, idx.size)
         if pivots == _MAX_PIVOTS:
             raise SolverFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
         pivots += 1
-        m, s = idx.size, grid[0]
+        m, s = idx.size, np.arange(idx.size)
         j = _first(enter, go)                           # lowest entering index
         jm = j * m + s
         sign = np.where(upper.reshape(-1).take(jm), -1.0, 1.0)  # moves down from u
         col = T.reshape(M, N * m).take(jm, axis=1)
         alpha = col * sign                              # rate at which basics fall
         mag = np.abs(alpha)
-        ratio = np.where(alpha > 0.0, beta, ub_a.reshape(-1).take(basis * m + s) - beta) / mag
+        ratio = np.where(alpha > 0.0, beta, ubf.take(idx * N + basis) - beta) / mag
         ratio[mag <= _PIV_RTOL * mag.max(axis=0, initial=0.0)] = np.inf
         np.maximum(ratio, 0.0, out=ratio)
         step = ratio.min(axis=0, initial=np.inf)
-        uj = ub_a.reshape(-1).take(jm)
+        uj = ubf.take(idx * N + j)
         flip = uj <= step
         piv = go & ~flip
         step = np.where(go, np.minimum(step, uj), 0.0)
@@ -619,8 +619,9 @@ def bounded_simplex(c, A, b, u):
         up[out] = np.where(piv, alpha.reshape(-1).take(rs) < 0.0, up.take(out))
         up[jm] &= ~piv
         bf[rs] = np.where(piv, np.where(sign > 0.0, 0.0, uj) + sign * step, bf.take(rs))
-        _pivot(T, d[None], basis, col, r, j, grid, piv)
+        _pivot(T, d[None], basis, col, r, j, s, piv)
     x = np.where(upper_out.T, ub, 0.0)
+    full = np.concatenate([A, np.broadcast_to(np.eye(M), (n, M, M))], axis=2)  # [A I]
     rhs = b - np.einsum("nmk,nk->nm", full, x)
     B = np.take_along_axis(full, basis_out.T[:, None, :], axis=2)
     np.put_along_axis(x, basis_out.T, np.linalg.solve(B, rhs[..., None])[..., 0], axis=1)

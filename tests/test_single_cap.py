@@ -165,8 +165,8 @@ def test_tdma_check_hits_exactly_single_user_optima():
 
 
 def test_thousand_users_one_cap():
-    """M = 1 needs no size guard: case 2 at K = 1000 is one sweep of
-    at most a few pivots over an (M, K + M) tableau."""
+    """M = 1 needs no size guard: case 2 at K = 1000 is one sweep over
+    a 1 x 1001 tableau per state."""
     H, G, lam, p_st, gamma = _batch(1000, 1, 1000)
     P, MU = solve_states_case2(H, G, lam, gamma, want_multipliers=True)
     assert (P > ACTIVE_TOL).sum() <= 2
