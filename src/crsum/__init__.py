@@ -13,7 +13,7 @@ from .fading import (ChannelStateBc, ChannelStateMac, Ensemble, FadingModel,
                      as_ensemble, bc_arrays, export_bc_csv, export_mac_csv,
                      import_bc_csv, import_mac_csv, mac_arrays,
                      sample_bc_states, sample_mac_states)
-from .oracle import grid_state_oracle, saa_primal_oracle
+from .oracle import grid_state_oracle, grid_state_oracles, saa_primal_oracle
 from .perstate_bc import BcStateAllocation, bc_via_dual_mac, solve_state_bc
 from .perstate_mac import (KktReport, StateAllocation, UserOrdering,
                            check_tdma_case2, check_tdma_case3,
@@ -35,7 +35,7 @@ __all__ = [
     "dual_value_and_subgradient", "ellipsoid_solve", "ergodic_capacity_bc",
     "ergodic_capacity_mac", "ergodic_capacity_mac_tdma", "export_bc_csv",
     "export_mac_csv", "feasibility_check",
-    "fra_baseline_bc", "fra_baseline_mac", "grid_state_oracle",
+    "fra_baseline_bc", "fra_baseline_mac", "grid_state_oracle", "grid_state_oracles",
     "import_bc_csv", "import_mac_csv", "mac_arrays", "sample_bc_states",
     "sample_mac_states", "saa_primal_oracle", "solve_state_bc",
     "solve_state_case1", "solve_state_case2", "solve_state_case3",

@@ -10,11 +10,11 @@ unreachable by axis-aligned grids, so every combination of active
 halfspaces and box faces is also enumerated explicitly: each such face
 is parameterized as a graph over its free coordinates and grid-searched
 in those coordinates, where the constrained optimum is interior again.
-Faces with as many free coordinates refine in lockstep, one objective
-call per round; each keeps its own grid, center, span and stop test,
-and leaves the batch when it stops. Points are C-contiguous (N, K)
-arrays worked on column by column (numpy reduces and gathers along a
-short last axis row by row).
+`grid_state_oracles` refines many problems in lockstep: boxes, and faces,
+of equal shape share each round's mesh; each problem keeps its own
+objective calls and products. Points are C-contiguous (N, K) arrays
+worked on column by column (numpy reduces and gathers along a short last
+axis row by row).
 
 `saa_primal_oracle` maximizes the sample-average sum rate directly over
 the stacked per-state powers with an augmented-Lagrangian scheme: the
@@ -26,8 +26,8 @@ lower-bounds the true SAA optimum.
 """
 from __future__ import annotations
 
-from functools import reduce
-from itertools import combinations, product
+from functools import cache, reduce
+from itertools import combinations, groupby, islice, product
 
 import numpy as np
 
@@ -41,23 +41,7 @@ from .fading import ChannelStateMac, mac_arrays
 MAX_MESH_POINTS = 10**6   # largest points_per_dim ** K the grid oracle builds
 
 
-def _ray_extend(pts, axes, upper, halfspaces, dots):
-    """Scale each point of the grid `pts` over `axes` along its ray to the
-    first binding constraint; dots[j] = pts @ a_j."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        box = np.where(axes > 0.0, upper / axes, np.inf)   # per grid line
-        sigma = reduce(np.minimum.outer, box.T).ravel()
-        for dot, (_, b) in zip(dots, halfspaces):
-            sigma = np.minimum(sigma, np.where(dot > 0.0, b / dot, np.inf))
-    ok = np.flatnonzero(np.isfinite(sigma) & (sigma > 0.0))
-    out, s = pts.take(ok, axis=0), sigma.take(ok)
-    for col in out.T:
-        col *= s
-    out *= 1.0 - 1e-13
-    return out
-
-
-def _clip_toward(pts, anchor, halfspaces):
+def _clip_toward(pts, anchor, A, b):
     """Pull infeasible points back to the boundary along the segment to
     a feasible anchor.
 
@@ -66,78 +50,131 @@ def _clip_toward(pts, anchor, halfspaces):
     point toward the incumbent populates exactly those faces, so the
     refinement keeps making progress when the optimum is cornered.
     """
-    if not (halfspaces and len(pts)):
+    if not (len(b) and len(pts)):
         return pts[:0]
-    A = np.stack([a for a, _ in halfspaces])
-    b = np.array([bb for _, bb in halfspaces])
-    viol = [dots > bj for dots, bj in zip((pts @ A.T).T, b)]
+    XA = pts @ A.T
+    viol = [dots > bj for dots, bj in zip(XA.T, b)]
     rows = np.flatnonzero(np.logical_or.reduce(viol))
-    X = pts.take(rows, axis=0)
-    da = A @ anchor
-    t = np.full(len(rows), np.inf)
+    if len(rows) < len(pts):   # else the same product of the same rows
+        pts, viol = pts.take(rows, axis=0), [v.take(rows) for v in viol]
+        XA = pts @ A.T
+    da, t = A @ anchor, np.full(len(rows), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j, xa in enumerate((X @ A.T).T):
-            ratio = (b[j] - da[j]) / (xa - da[j])
-            t = np.minimum(t, np.where(viol[j].take(rows), ratio, np.inf))
-    t = np.clip(t, 0.0, 1.0) * (1.0 - 1e-12)
-    return anchor[None, :] + t[:, None] * (X - anchor[None, :])
+        for j, xa in enumerate(XA.T):
+            t = np.minimum(t, np.where(viol[j], (b[j] - da[j]) / (xa - da[j]), np.inf))
+    t, out = np.clip(t, 0.0, 1.0) * (1.0 - 1e-12), np.empty_like(pts)
+    for col, x, a in zip(out.T, pts.T, anchor):   # anchor + t * (x - anchor)
+        np.multiply(x - a, t, out=col)
+        col += a
+    return out
 
 
 def _mesh(lo, hi, n):
-    """The ([F,] n**d, d) grid of the box [lo, hi] of ([F,] d) corners
-    in meshgrid "ij" order, and its (n, [F,] d) axes."""
-    *F, d = lo.shape
-    axes = np.linspace(lo, hi, n)
-    if not ((hi - lo) / (n - 1)).all():  # linspace's zero-step path rounds all columns
-        axes = np.stack([np.linspace(a, b, n) for a, b in zip(lo.ravel(), hi.ravel())],
-                        axis=1).reshape(axes.shape)
-    mesh = np.empty((*F, *(n,) * d, d))
+    """The (F, n**d, d) grids of the boxes [lo, hi] of (F, d) corners in
+    meshgrid "ij" order and their (n, F, d) axes, as np.linspace per box."""
+    F, d = lo.shape
+    i, step = np.arange(n)[:, None, None], (hi - lo) / (n - 1)
+    axes = np.where(step == 0.0, i / (n - 1) * (hi - lo), i * step) + lo
+    axes[-1] = hi
+    mesh = np.empty((F, *(n,) * d, d))
     for k in range(d):
-        mesh[..., k] = axes[..., k].T.reshape((*F, *(1,) * k, n, *(1,) * (d - 1 - k)))
-    return mesh.reshape(*F, n**d, d), axes
+        mesh[..., k] = axes[..., k].T.reshape((F, *(1,) * k, n, *(1,) * (d - 1 - k)))
+    return mesh.reshape(F, n**d, d), axes
 
 
 def _faces(upper, A, bvec):
-    """(S, x0, free, pivots, W, c0) for each subset S of halfspaces and
+    """(x0, cols, W, c0, bound) for each subset S of halfspaces and
     fixing of some coordinates to a box face, x0 holding their values:
-    the |S| best-conditioned pivots solve the equalities as
-    c0 + W @ p[free]."""
+    cols lists the d free coordinates, the |S| best-conditioned pivots
+    that solve the equalities as c0 + W @ p[free] and K as padding (W, c0
+    padded with zeros); bound is bvec * (1 + 1e-12), inf on S."""
     K, J = len(upper), len(bvec)
     for r in range(1, min(J, K) + 1):
+        subsets = list(combinations(range(K), r))
         for S in combinations(range(J), r):
             AS, bS = A[list(S)], bvec[list(S)]
+            inv = cache(lambda c, AS=AS: np.linalg.inv(AS[:, list(subsets[c])]))
+            dets = np.abs(np.linalg.det(np.stack([AS[:, list(c)] for c in subsets])))
+            bound = np.where(np.isin(np.arange(J), S), np.inf, bvec * (1.0 + 1e-12))
             for n_fix in range(0, K - r + 1):
                 for fixed in combinations(range(K), n_fix):
                     free = [k for k in range(K) if k not in fixed]
-                    cands = list(combinations(free, r))
-                    dets = np.abs(np.linalg.det(np.stack([AS[:, list(c)] for c in cands])))
-                    if not dets.max() > 1e-12:
+                    cands = [c for c, sub in enumerate(subsets) if set(sub) <= set(free)]
+                    c = cands[int(np.argmax(dets[cands]))]
+                    if not dets[c] > 1e-12:
                         continue
-                    piv = list(cands[int(np.argmax(dets))])
+                    piv, fixed = list(subsets[c]), list(fixed)
                     ff = [k for k in free if k not in piv]
-                    inv_piv = np.linalg.inv(AS[:, piv])
-                    W = -inv_piv @ AS[:, ff] if ff else np.zeros((r, 0))
+                    W = np.vstack([-inv(c) @ AS[:, ff], np.zeros((n_fix, len(ff)))])
                     for pattern in product((0.0, 1.0), repeat=n_fix):
-                        x_fix = np.array(pattern) * upper[list(fixed)]
-                        rhs0 = bS - (AS[:, list(fixed)] @ x_fix if fixed else 0.0)
-                        x0 = np.zeros(K)
-                        x0[list(fixed)] = x_fix
-                        yield S, x0, ff, piv, W, inv_piv @ rhs0
+                        x0, c0 = np.zeros(K), np.zeros(r + n_fix)
+                        x0[fixed] = np.array(pattern) * upper[fixed]
+                        c0[:r] = inv(c) @ (bS - AS[:, fixed] @ x0[fixed])
+                        yield x0, (*ff, *piv, *[K] * n_fix), W, c0, bound
 
 
-def _refine_faces(objective, upper, A, bvec, faces, grid_step, n, max_rounds):
-    """Grid-refine faces with equally many free coordinates in lockstep:
-    each face's best value (-inf if none is feasible) and first point."""
-    F, K, d = len(faces), len(upper), len(faces[0][2])
-    r = max(len(f[3]) for f in faces)   # pivots, zero-padded (exact at K <= 3)
-    W, c0, up_piv = np.zeros((F, r, d)), np.zeros((F, r)), np.zeros((F, r))
-    x0, binds = np.array([f[1] for f in faces]), np.zeros((F, len(bvec)), dtype=bool)
-    order = np.tile(np.arange(K), (F, 1))   # columns of [x0 | free | pivots] below
-    for f, (S, _, ff, piv, Wf, c0f) in enumerate(faces):
-        binds[f, list(S)] = True
-        W[f, :len(piv)], c0[f, :len(piv)], up_piv[f, :len(piv)] = Wf, c0f, upper[piv]
-        order[f, ff + piv] = K + np.arange(d + len(piv))
-    up_ff, WT = upper[np.array([f[2] for f in faces], dtype=int)], W.transpose(0, 2, 1)
+def _refine_boxes(probs, grid_step, n, max_rounds):
+    """Best points and values on the boxes [0, upper] of problems (objective,
+    upper, A, b) with as many users and halfspaces, gridded in lockstep from
+    the origin; grid points are also pushed along their ray to the first
+    binding constraint, and infeasible ones clipped toward the incumbent."""
+    upper, bound = np.array([u for _, u, _, _ in probs]), np.array([b for *_, b in probs])
+    (P, K), best_p = upper.shape, np.zeros(upper.shape)
+    best_v = np.array([objective(best_p[:1])[0] for objective, *_ in probs])
+    live, lo, hi = np.arange(P), np.zeros((P, K)), upper
+    for _ in range(max_rounds):
+        pts, axes = _mesh(lo, hi, n)
+        (L, N), b = pts.shape[:2], bound[live].T[:, :, None]
+        dots = np.zeros((len(b), L, N))
+        for i, q in enumerate(live):
+            for j, a in enumerate(probs[q][2]):
+                np.matmul(pts[i], a, out=dots[j, i])
+        feas = np.logical_and.reduce(dots <= b * (1.0 + 1e-12))
+        with np.errstate(divide="ignore", invalid="ignore"):   # ray to the boundary
+            box = np.where(axes > 0.0, upper[live] / axes, np.inf).T
+            sigma = reduce(np.minimum, (col.reshape(L, *(1,) * k, n, *(1,) * (K - 1 - k))
+                                        for k, col in enumerate(box))).reshape(L, N)
+            sigma = np.minimum(sigma, np.where(dots > 0.0, b / dots, np.inf).min(
+                axis=0, initial=np.inf))
+        ok = np.flatnonzero(np.isfinite(sigma) & (sigma > 0.0))
+        ext, sigma = pts.reshape(L * N, K).take(ok, axis=0), sigma.take(ok)
+        for col in ext.T:
+            col *= sigma
+        ext *= 1.0 - 1e-13
+        ext = np.split(ext, np.searchsorted(ok, np.arange(N, L * N, N)))
+        del ok, sigma, dots   # only the candidates stay alive
+        for i, q in enumerate(live):
+            objective, _, A, bq = probs[q]
+            cand = np.concatenate([
+                pts[i] if feas[i].all() else pts[i].take(np.flatnonzero(feas[i]), axis=0),
+                ext[i], _clip_toward(pts[i].take(np.flatnonzero(~feas[i]), axis=0),
+                                     best_p[q], A, bq)])
+            vals = objective(cand)
+            k = int(np.argmax(vals))
+            if vals[k] > best_v[q]:
+                best_v[q], best_p[q] = vals[k], cand[k]
+        cell = (hi - lo) / (n - 1)
+        go = ~(cell <= grid_step).all(axis=1)   # a problem leaves once its cell is fine
+        if not go.any():
+            break
+        live, cell = live[go], cell[go]
+        lo = np.maximum(best_p[live] - 2.0 * cell, 0.0)
+        hi = np.minimum(best_p[live] + 2.0 * cell, upper[live])
+    return best_p, best_v
+
+
+def _refine_faces(probs, faces, grid_step, n, max_rounds):
+    """Grid-refine faces (q, x0, cols, W, c0, bound) of problems probs[q]
+    in lockstep, all with as many coordinates, halfspaces and free
+    coordinates, the faces of a problem next to each other: each face's
+    best value (-inf if none is feasible) and first point."""
+    prob, x0, cols, W, c0, bound = (np.array(z) for z in zip(*faces))
+    (F, K), d = x0.shape, W.shape[2]
+    up = np.take_along_axis(np.pad([probs[q][1] for q in prob], ((0, 0), (0, 1))), cols,
+                            axis=1)   # a zero bound for the padding pivots
+    up_ff, up_piv, WT = up[:, :d], up[:, d:], W.transpose(0, 2, 1)
+    order = np.tile(np.arange(K + 1), (F, 1))   # columns of [x0 | free | pivots] below
+    np.put_along_axis(order, cols, K + np.arange(K), axis=1)   # order[:, K] unused
     v_face, p_face = np.full(F, -np.inf), np.zeros((F, K))
     live, lo, hi, center = np.arange(F), np.zeros((F, d)), up_ff, np.full((F, d), np.nan)
     for _ in range(max_rounds):
@@ -145,23 +182,29 @@ def _refine_faces(objective, upper, A, bvec, faces, grid_step, n, max_rounds):
         F_, N = U.shape[:2]
         Xp = c0[:, None] + np.matmul(U, WT)
         feas = np.ones((F_, N), dtype=bool)
-        for i in range(r):
+        for i in range(K - d):
             feas &= (Xp[..., i] >= -1e-12) & (Xp[..., i] <= up_piv[:, None, i] + 1e-12)
-        X = np.concatenate([x0[:, None].repeat(N, axis=1), U,
-                            np.clip(Xp, 0.0, up_piv[:, None])], axis=2)
-        X = X[np.arange(F_)[:, None, None], np.arange(N)[:, None], order[:, None]]
-        X = X.reshape(F_ * N, K)
-        for j, (a, b) in enumerate(zip(A, bvec)):
-            feas &= binds[:, j, None] | (X @ a <= b * (1.0 + 1e-12)).reshape(F_, N)
+        X = np.concatenate([x0[:, :, None].repeat(N, axis=2), U.transpose(0, 2, 1),
+                            np.clip(Xp, 0.0, up_piv[:, None]).transpose(0, 2, 1)], axis=1)
+        X = X[np.arange(F_)[:, None], order[:, :K]].swapaxes(1, 2).copy().reshape(-1, K)
+        # each problem's first face, then F_: a problem's rows are X[s * N:e * N]
+        seg = np.flatnonzero(np.diff(prob[live], prepend=-1, append=-1))
+        dots = np.zeros((bound.shape[1], F_ * N))
+        for s, e in zip(seg, seg[1:]):
+            for j, a in enumerate(probs[prob[live[s]]][2]):
+                np.matmul(X[s * N:e * N], a, out=dots[j, s * N:e * N])
+        feas &= np.logical_and.reduce(dots.reshape(-1, F_, N) <= bound.T[:, :, None])
         vals = np.full(F_ * N, -np.inf)
         lone = feas.sum(axis=1) == 1
         rows = np.flatnonzero(feas & ~lone[:, None])
-        if len(rows):
-            vals[rows] = objective(X.take(rows, axis=0))
+        X_rows, cut = X.take(rows, axis=0), np.searchsorted(rows, seg * N)
+        for s, a, e in zip(seg, cut, cut[1:]):
+            if e > a:
+                vals[rows[a:e]] = probs[prob[live[s]]][0](X_rows[a:e])
         # numpy takes a (1, K) @ (K,) product as a dot, which can round
         # unlike the same row in a batch; a face's lone point goes alone
         for i in np.flatnonzero(feas & lone[:, None]):
-            vals[i] = objective(X[i:i + 1])[0]
+            vals[i] = probs[prob[live[i // N]]][0](X[i:i + 1])[0]
         best = np.arange(0, F_ * N, N) + vals.reshape(F_, N).argmax(axis=1)
         up = np.flatnonzero(vals[best] > v_face[live])
         v_face[live[up]], p_face[live[up]] = vals[best[up]], X[best[up]]
@@ -170,9 +213,9 @@ def _refine_faces(objective, upper, A, bvec, faces, grid_step, n, max_rounds):
         if not keep.all():   # drop the faces that stopped
             if not keep.any():
                 break
-            live, lo, hi, center, c0, WT, up_piv, x0, order, binds, up_ff = (
+            live, lo, hi, center, c0, WT, up_piv, x0, order, bound, up_ff = (
                 z[keep] for z in (live, lo, hi, center, c0, WT, up_piv, x0, order,
-                                  binds, up_ff))
+                                  bound, up_ff))
         span = (hi - lo) / 2.0
         c = np.where(np.isnan(center), (lo + hi) / 2.0, center)
         lo = np.clip(c - span / 2.0, 0.0, np.maximum(up_ff - span, 0.0))
@@ -180,26 +223,63 @@ def _refine_faces(objective, upper, A, bvec, faces, grid_step, n, max_rounds):
     return v_face, p_face
 
 
-def _face_candidates(objective, upper, halfspaces, grid_step, points_per_dim,
-                     max_rounds):
-    """Best point over every face of `_faces` (ties to the first face).
-    An optimum with exactly that face's active set is interior in its
-    free coordinates, which is the geometry plain gridding handles well.
-    """
-    A = np.stack([a for a, _ in halfspaces])
-    bvec = np.array([b for _, b in halfspaces])
-    faces = list(_faces(upper, A, bvec))
-    sizes = [len(f[2]) for f in faces]   # free coordinates
-    value, point = np.full(len(faces), -np.inf), np.zeros((len(faces), len(upper)))
-    for size in sorted(set(sizes)):
-        ids = [f for f, s in enumerate(sizes) if s == size]
-        value[ids], point[ids] = _refine_faces(
-            objective, upper, A, bvec, [faces[f] for f in ids], grid_step,
-            points_per_dim, max_rounds)
-    if not faces or value.max() == -np.inf:
-        return None, -np.inf
-    f = int(np.argmax(value))
-    return point[f], float(value[f])
+def _batches(keys, n):
+    """Indices of equal keys, last d, in runs of min(n**3, MAX_MESH_POINTS) // n**d."""
+    for key, ids in groupby(sorted(range(len(keys)), key=keys.__getitem__),
+                            key=keys.__getitem__):
+        ids, step = list(ids), min(n ** 3, MAX_MESH_POINTS) // n ** key[-1]
+        yield from (ids[s:s + step] for s in range(0, len(ids), step))
+
+
+def _improve_on_faces(probs, best, grid_step, n, max_rounds):
+    """Replace best[q] = (point, value) by problem q's best `_faces` point where
+    higher, ties to the first face; an optimum with exactly a face's active set
+    is interior in its free coordinates. Faces come in blocks, by problem shape."""
+    order = sorted(range(len(probs)), key=lambda q: probs[q][2].shape)   # (J, K)
+    faces = ((q, *f) for q in order for f in _faces(*probs[q][1:]))
+    while block := list(islice(faces, min(n ** 3, MAX_MESH_POINTS) // n)):
+        found = {}   # face -> (value, point)
+        for ids in _batches([(len(f[5]), *f[3].shape) for f in block], n):   # J, K - d, d
+            found.update(zip(ids, zip(*_refine_faces(
+                probs, [block[i] for i in ids], grid_step, n, max_rounds))))
+        for f, (q, *_) in enumerate(block):
+            if found[f][0] > best[q][1]:
+                best[q] = (found[f][1], float(found[f][0]))
+
+
+def _face_candidates(objective, upper, halfspaces, grid_step, points_per_dim, max_rounds):
+    """One problem's best face point and value, (None, -inf) if none is feasible."""
+    best = [(None, -np.inf)]
+    _improve_on_faces([(objective, upper, *map(np.array, zip(*halfspaces)))], best,
+                      grid_step, points_per_dim, max_rounds)
+    return best[0]
+
+
+def grid_state_oracles(problems, grid_step=1e-3, points_per_dim=21, max_rounds=80):
+    """`grid_state_oracle` of each (objective, upper, halfspaces) problem,
+    bit for bit, at most min(points_per_dim ** 3, MAX_MESH_POINTS) grid
+    rows a round. Every problem is checked before any objective call."""
+    probs = []   # (objective, upper, A, b), each halfspace a row a of A with a.p <= b
+    for objective, upper, halfspaces in problems:
+        upper, hs = np.asarray(upper, dtype=float), list(halfspaces)
+        if not 1 <= len(upper) <= 3:
+            raise UsageError("grid oracle supports 1 to 3 users")
+        if np.any(~np.isfinite(upper)) or np.any(upper < 0):
+            raise UsageError("grid oracle needs finite nonnegative upper bounds")
+        A = np.array([a for a, _ in hs], dtype=float).reshape(-1, len(upper))
+        probs.append((objective, upper, A, np.array([b for _, b in hs], dtype=float)))
+    K = max((len(u) for _, u, _, _ in probs), default=1)
+    if not (2 <= points_per_dim and min(points_per_dim, MAX_MESH_POINTS + 1) ** K
+            <= MAX_MESH_POINTS and 0.0 < grid_step < np.inf and max_rounds >= 1):
+        raise UsageError(f"grid oracle needs 2 <= points_per_dim, points_per_dim ** K"
+                         f" <= {MAX_MESH_POINTS}, 0 < grid_step < inf, max_rounds >= 1")
+    best = [None] * len(probs)
+    for ids in _batches([(*A.shape, A.shape[1]) for *_, A, _ in probs], points_per_dim):
+        for q, p, v in zip(ids, *_refine_boxes([probs[q] for q in ids], grid_step,
+                                               points_per_dim, max_rounds)):
+            best[q] = (p, float(v))
+    _improve_on_faces(probs, best, grid_step, points_per_dim, max_rounds)
+    return best
 
 
 def grid_state_oracle(objective, upper, halfspaces=(), grid_step=1e-3,
@@ -216,54 +296,13 @@ def grid_state_oracle(objective, upper, halfspaces=(), grid_step=1e-3,
         grid_step fine, or after max_rounds rounds.
     Returns (p_best, value_best). The value is exact at p_best; p_best
     is within O(grid_step) of optimal for generic instances.
-    Raises UsageError, before any grid is built, for K > 3, bounds not
-    finite and nonnegative, points_per_dim < 2 or points_per_dim ** K >
-    MAX_MESH_POINTS, grid_step not positive and finite, max_rounds < 1.
+    Raises UsageError, before any grid is built, for K outside 1..3,
+    bounds not finite and nonnegative, points_per_dim < 2 or
+    points_per_dim ** K > MAX_MESH_POINTS, grid_step not positive and
+    finite, max_rounds < 1.
     """
-    upper = np.asarray(upper, dtype=float)
-    K = upper.shape[0]
-    if K > 3:
-        raise UsageError("grid oracle supports at most 3 users")
-    if np.any(~np.isfinite(upper)) or np.any(upper < 0):
-        raise UsageError("grid oracle needs finite nonnegative upper bounds")
-    if not (2 <= points_per_dim and min(points_per_dim, MAX_MESH_POINTS + 1) ** K
-            <= MAX_MESH_POINTS and 0.0 < grid_step < np.inf and max_rounds >= 1):
-        raise UsageError(f"grid oracle needs 2 <= points_per_dim, points_per_dim ** K"
-                         f" <= {MAX_MESH_POINTS}, 0 < grid_step < inf, max_rounds >= 1")
-    halfspaces = [(np.asarray(a, dtype=float), float(b)) for a, b in halfspaces]
-
-    lo = np.zeros(K)
-    hi = upper.copy()
-    best_p = np.zeros(K)
-    best_v = float(objective(best_p[None])[0])
-
-    for _ in range(max_rounds):
-        pts, axes = _mesh(lo, hi, points_per_dim)
-        dots = [pts @ a for a, _ in halfspaces]
-        feas = np.ones(len(pts), dtype=bool)
-        for dot, (_, b) in zip(dots, halfspaces):
-            feas &= dot <= b * (1.0 + 1e-12)
-        cand = np.concatenate([
-            pts if feas.all() else pts.take(np.flatnonzero(feas), axis=0),
-            _ray_extend(pts, axes, upper, halfspaces, dots),
-            _clip_toward(pts.take(np.flatnonzero(~feas), axis=0), best_p, halfspaces)])
-        vals = objective(cand)
-        i = int(np.argmax(vals))
-        if vals[i] > best_v:
-            best_v = float(vals[i])
-            best_p = cand[i].copy()
-        cell = (hi - lo) / (points_per_dim - 1)
-        if np.all(cell <= grid_step):
-            break
-        lo = np.maximum(best_p - 2.0 * cell, 0.0)
-        hi = np.minimum(best_p + 2.0 * cell, upper)
-
-    if halfspaces:
-        fp, fv = _face_candidates(objective, upper, halfspaces, grid_step,
-                                  points_per_dim, max_rounds)
-        if fp is not None and fv > best_v:
-            best_p, best_v = fp, fv
-    return best_p, best_v
+    return grid_state_oracles([(objective, upper, halfspaces)], grid_step,
+                              points_per_dim, max_rounds)[0]
 
 
 def _water_cap(h, price):

@@ -199,6 +199,7 @@ def test_verify_clean(capsys):
 @pytest.mark.parametrize("perturb,suite", [
     ("case1_power", "perstate"),
     ("case2_power", "perstate"),
+    ("case3_power", "perstate"),
     ("case4_power", "perstate"),
     ("bc_power", "bc"),
     ("case1_power", "dual"),

@@ -1,13 +1,15 @@
 """Independent verification machinery: the grid search and the direct
 finite-sample convex solve must stand on their own, so they are tested
 against analytic optima, and the grid search also against its earlier
-one-face-at-a-time form (`grid_reference`), value for value."""
+one-face-at-a-time form (`grid_reference`), value for value, and its
+batched call against its one-problem call."""
 
 import numpy as np
 import pytest
 
 from crsum import (ConstraintCase, FadingModel, PowerBudget, UsageError,
-                   grid_state_oracle, oracle, saa_primal_oracle, sample_mac_states)
+                   grid_state_oracle, grid_state_oracles, oracle, saa_primal_oracle,
+                   sample_mac_states)
 from crsum.fading import ChannelStateMac
 from crsum.oracle import (MAX_MESH_POINTS, case1_problem, case2_problem,
                           case3_problem, case4_problem)
@@ -151,6 +153,65 @@ def test_grid_oracle_matches_reference_degenerate(obj, upper, hs):
         _assert_faces_match(obj, upper, hs)
 
 
+def _own_rows(objective, upper, seen):
+    """The objective, asserting that it only receives C-contiguous (N, K)
+    arrays of points in its own problem's box, and counting them in
+    seen as [rows, column sums]."""
+    upper = np.asarray(upper, dtype=float)
+
+    def checked(X):
+        assert X.ndim == 2 and X.shape[1] == len(upper) and X.flags.c_contiguous
+        assert (X >= 0.0).all() and (X <= upper * (1.0 + 1e-12)).all()
+        seen[0] += len(X)
+        seen[1] = seen[1] + X.sum(axis=0)
+        return objective(X)
+    return checked
+
+
+def _assert_batch_matches(problems, **kwargs):
+    """Each problem of one grid_state_oracles call gets exactly its
+    one-problem result, from as many rows as that call evaluates."""
+    problems = list(problems)
+    seen = [[0, 0.0] for _ in problems]
+    batch = grid_state_oracles([(_own_rows(obj, up, s), up, hs)
+                                for (obj, up, hs), s in zip(problems, seen)], **kwargs)
+    assert len(batch) == len(problems)
+    for (obj, up, hs), s, (p, v) in zip(problems, seen, batch):
+        alone = [0, 0.0]
+        p_1, v_1 = grid_state_oracle(_own_rows(obj, up, alone), up, hs, **kwargs)
+        assert v == v_1
+        np.testing.assert_array_equal(p, p_1)
+        assert s[0] == alone[0]
+        np.testing.assert_allclose(s[1], alone[1], rtol=1e-9)
+
+
+def test_grid_oracle_batch_matches_one_problem_calls():
+    """Random, degenerate and face-bound quadratic problems in one batch."""
+    _assert_batch_matches([*_random_problems(),
+                           *(p.values for p in _degenerate_problems()),
+                           *_quadratic_problems()])
+
+
+def test_grid_oracle_batch_keeps_to_the_row_bound(monkeypatch):
+    """With 3 points per axis a round holds at most 27 grid rows, so the
+    boxes and faces of this batch refine in many chunks."""
+    rows = []
+    boxes, faces = oracle._refine_boxes, oracle._refine_faces
+
+    def boxes_spy(probs, *args):
+        rows.append(len(probs) * 3 ** len(probs[0][1]))
+        return boxes(probs, *args)
+
+    def faces_spy(probs, chunk, *args):
+        rows.append(len(chunk) * 3 ** chunk[0][3].shape[1])   # W has d columns
+        return faces(probs, chunk, *args)
+
+    monkeypatch.setattr(oracle, "_refine_boxes", boxes_spy)
+    monkeypatch.setattr(oracle, "_refine_faces", faces_spy)
+    _assert_batch_matches(_random_problems(30), points_per_dim=3)
+    assert max(rows) <= 27 and len(rows) > 40
+
+
 @pytest.mark.parametrize("kwargs", [
     {"points_per_dim": 1}, {"points_per_dim": 0}, {"grid_step": 0.0},
     {"grid_step": -1e-3}, {"grid_step": np.nan}, {"grid_step": np.inf},
@@ -164,6 +225,21 @@ def test_grid_oracle_guards(kwargs):
         raise AssertionError("objective called")
     with pytest.raises(UsageError):
         grid_state_oracle(never, np.ones(3), [(np.ones(3), 1.0)], **kwargs)
+    with pytest.raises(UsageError):
+        grid_state_oracles([(never, np.ones(k), [(np.ones(k), 1.0)]) for k in (1, 2, 3)],
+                           **kwargs)
+
+
+@pytest.mark.parametrize("upper", [np.ones(4), np.ones(0), np.array([1.0, -0.5])],
+                         ids=["K = 4", "K = 0", "negative upper"])
+def test_grid_oracle_batch_guards(upper):
+    """One invalid problem, last in the batch, is refused before any
+    objective of the batch is called."""
+    def never(X):
+        raise AssertionError("objective called")
+    with pytest.raises(UsageError):
+        grid_state_oracles([(never, np.ones(2), [(np.ones(2), 1.0)]),
+                            (never, np.ones(1), []), (never, upper, [])])
 
 
 @pytest.mark.parametrize("max_rounds", [1, 3])
