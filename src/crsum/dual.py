@@ -338,12 +338,15 @@ class ColumnPool:
 
     columns holds (x_j, R_j, u_j, problem) per bounded evaluation: its
     multipliers, mean rate, LT usage and the problem it was solved
-    under, which re-solves it under its own ST caps when it is mixed.
-    floors holds the a of each price floor, x the last point's best
-    multipliers and problem the last point's problem.
+    under. kept maps a column's index in columns to its allocation P_j
+    while the column is basic in the master, so at most d+1 are alive;
+    a column that left the basis is re-solved under its own ST caps if
+    it is mixed again. floors holds the a of each price floor, x the
+    last point's best multipliers and problem the last point's problem.
     """
 
     columns: list = field(default_factory=list)
+    kept: dict = field(default_factory=dict)
     floors: list = field(default_factory=list)
     x: np.ndarray | None = None
     problem: _MacProblem | None = None
@@ -374,9 +377,10 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     A `ColumnPool` carries one curve's columns from point to point. The
     first evaluation is at the last point's best multipliers, and when
     every per-state ST set contains the last point's (`extends`) the
-    master starts from all pooled columns and floors. Either way this
-    point's columns join the pool; the dual value, and n_evals, come
-    from this point's own evaluations only.
+    master starts from all pooled columns and floors, and each column
+    still basic after a master solve keeps its allocation for the
+    mixture. Either way this point's columns join the pool; the dual
+    value, and n_evals, come from this point's own evaluations only.
     """
     problem = _make_problem(states, case, budget,
                             per_state_solver=per_state_solver,
@@ -388,28 +392,31 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
         max_iter = 100 * (d + 1)
     pool = ColumnPool() if pool is None else pool
     if not problem.extends(pool.problem):
-        pool.columns, pool.floors = [], []
+        pool.columns, pool.kept, pool.floors = [], {}, []
     x = pool.x if pool.x is not None and pool.x.size == d else problem.initial_center()
     pool.problem = problem
     report = ConvergenceReport(params={
         "dimension": d, "start": x.tolist(),
         "gap_tol": gap_tol, "feas_tol": feas_tol, "max_iter": max_iter})
-    cols = pool.columns
+    cols, kept = pool.columns, pool.kept
     master = _Master(problem.thresholds, [c[1] for c in cols], [c[2] for c in cols],
                      pool.floors)
     best_x, last, tol, policy = None, -1, gap_tol, None
-    points = {d + 1 + i: c for i, c in enumerate(cols)}    # master index -> column
+    points = {d + 1 + i: i for i in range(len(cols))}     # master index -> cols index
 
     def mix():
         """The master's mixture, state by state, and whether it is the
         last allocation alone (then already one-user where it must be)."""
         mixture = master.mixture()
+        for j, _ in mixture:
+            if points[j] not in kept:       # it left the basis once
+                xj, _, _, owner = cols[points[j]]
+                kept[points[j]] = owner.allocation(xj)
         if mixture == [(last, 1.0)]:
-            return last_P, True
+            return kept[points[last]], True
         out = np.zeros((n, K))
         for j, w in mixture:
-            xj, _, _, owner = points[j]
-            out = out + w * (last_P if j == last else owner.allocation(xj))
+            out = out + w * kept[points[j]]
         return out, False
 
     def keep(alloc):
@@ -429,8 +436,11 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
                 report.best_dual, best_x = value, x
             last = master.add_column(rate, usage)
             cols.append((x, rate, usage, problem))
-            points[last], last_P = cols[-1], P
+            points[last] = len(cols) - 1
+            kept[points[last]] = P
         master.solve()
+        for i in kept.keys() - {points.get(j) for j in master.basis.tolist()}:
+            del kept[i]
         gap = report.best_dual - master.value
         if usage is not None:
             report.rows.append((it, value, _lt_violation(problem, usage), gap))

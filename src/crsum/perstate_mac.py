@@ -418,32 +418,36 @@ def check_tdma_case2(state: ChannelStateMac, lam, gamma_st):
 
 
 def solve_states_case3(H: np.ndarray, G: np.ndarray, mu, p_st) -> np.ndarray:
-    """Vectorized case-3 closed form (sorted-ratio cap sweep)."""
+    """Vectorized case-3 closed form; mu is (M,), p_st is (K,).
+
+    Users fill their caps in each state's stable order of falling ratio
+    h_k / mu.g_k while the ratio beats 1 plus the fill so far; the last
+    of them water-fills, capped. The sweep runs one sorted position at
+    a time, on n-vectors gathered through flat indices, with the fill
+    summed in order and `run` the running product of the test.
+    """
     n, K = H.shape
-    p_st = np.asarray(p_st, dtype=float)
     W = _interference_price(G, mu)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(H > 0.0, np.where(W > 0.0, H / W, np.inf), 0.0)
     order = np.argsort(-ratio, axis=1, kind="stable")
-    rs = np.take_along_axis(ratio, order, axis=1)
-    hs = np.take_along_axis(H, order, axis=1)
-    Ps = np.take_along_axis(np.broadcast_to(p_st, (n, K)), order, axis=1)
-    filled = np.cumsum(hs * Ps, axis=1)
-    prev = np.concatenate([np.zeros((n, 1)), filled[:, :-1]], axis=1)
-    ok = rs > 1.0 + prev
-    cnt = np.cumprod(ok, axis=1).sum(axis=1)
-
-    rows = np.arange(n)
-    last = np.clip(cnt - 1, 0, K - 1)
+    flat = (order + np.arange(0, n * K, K)[:, None]).T     # (K, n)
+    R, Hf, caps = ratio.reshape(-1), H.reshape(-1), np.asarray(p_st, dtype=float)
+    Ps = np.zeros((K, n))
+    fill, run = np.zeros(n), np.ones(n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        part = (rs[rows, last] - 1.0 - prev[rows, last]) / hs[rows, last]
-    part = np.where(np.isnan(part), 0.0, part)
-    p_sorted = np.where(np.arange(K)[None, :] < (cnt - 1)[:, None], Ps, 0.0)
-    lastpos = (np.arange(K)[None, :] == (cnt - 1)[:, None]) & (cnt > 0)[:, None]
-    p_sorted = p_sorted + np.where(lastpos, np.minimum(Ps, part[:, None]), 0.0)
-    P = np.zeros((n, K))
-    np.put_along_axis(P, order, p_sorted, axis=1)
-    return P
+        for j in range(K):
+            r, h, c = R.take(flat[j]), Hf.take(flat[j]), caps.take(order[:, j])
+            run &= r > 1.0 + fill
+            if j:                   # the one before is full
+                np.copyto(Ps[j - 1], c_prev, where=run)
+            part = np.fmax((r - 1.0 - fill) / h, 0.0)      # NaN (h = inf) to 0
+            np.minimum(c, part, out=Ps[j], where=run)
+            fill += h * c
+            c_prev = c
+    P = np.zeros(n * K)
+    P.put(flat, Ps)
+    return P.reshape(n, K)
 
 
 def kkt_report_case3(h, g, mu, p_st, p) -> KktReport:

@@ -2,17 +2,19 @@
 at a time; they are held against their row-wise forms in
 `dual_reference`: bit for bit where the arithmetic is unchanged (one
 cap, one user), within a rounding tolerance where a sum over several
-columns changed its order."""
+columns changed its order. The case-3 closed form sweeps one sorted
+position at a time and matches `case3_reference` bit for bit."""
 
 import numpy as np
 import pytest
 
+import case3_reference
 import dual_reference
 from crsum import (ConstraintCase, FadingModel, PowerBudget,
                    UnboundedSubproblemError, ellipsoid_solve, sample_bc_states)
 from crsum.dual import _make_problem
 from crsum.fading import Ensemble
-from crsum.perstate_mac import solve_states_case1
+from crsum.perstate_mac import solve_states_case1, solve_states_case3
 
 
 def _instance(seed, n, K, M, idle=0.2):
@@ -97,6 +99,37 @@ def test_case1_zero_price_raises_like_reference():
     ref, new = errors
     assert str(new) == str(ref)
     assert (new.state_index, new.user_index) == (ref.state_index, ref.user_index) == (7, 1)
+
+
+def _case3_instances(n, K, M, seed):
+    """Random prices and caps, some zero direct and interference gains
+    (infinite ratios), then zero prices, ties, no gain at all and some
+    infinite gains."""
+    H, G, _, mu = _instance(seed, n, K, M)
+    rng = np.random.default_rng(seed + 100)
+    G[rng.random(G.shape) < 0.2] = 0.0
+    caps = rng.uniform(0.05, 2.0, K)
+    yield "random", H, G, mu, caps
+    yield "strong", 20.0 * H, G, mu, caps
+    yield "zero prices", H, G, np.zeros(M), caps
+    # every odd user has twice user 0's gains: the same ratio, another fill
+    Ht, Gt = H.copy(), G.copy()
+    Ht[:, 1::2], Gt[:, 1::2] = 2.0 * H[:, :1], 2.0 * G[:, :1]
+    yield "tied ratios", Ht, Gt, mu, caps
+    yield "tied and equal caps", Ht, Gt, mu, np.full(K, caps[0])
+    yield "no gain", np.zeros((n, K)), G, mu, caps
+    Hi = H.copy()
+    Hi[::3, 0] = np.inf             # an infinite fill: NaN water level, zero power
+    yield "infinite gain", Hi, G, mu, caps
+
+
+@pytest.mark.parametrize("n", [1, 7, 2500])
+@pytest.mark.parametrize("M", [0, 1, 2, 3, 4])
+def test_case3_equals_reference(n, M):
+    for K in range(1, 21):
+        for name, H, G, mu, caps in _case3_instances(n, K, M, seed=K):
+            want = case3_reference.solve_states_case3(H, G, mu, caps)
+            assert np.array_equal(solve_states_case3(H, G, mu, caps), want), (K, name)
 
 
 def _problem(case, K, M, n=400, tdma_mode=False, seed=0, solver=None):

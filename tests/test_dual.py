@@ -8,7 +8,7 @@ from crsum import (ConstraintCase, ConvergenceFailureError, FadingModel,
                    PowerBudget, UsageError, db_to_linear, ellipsoid_solve,
                    ergodic_capacity_bc, ergodic_capacity_mac,
                    ergodic_capacity_mac_tdma, sample_bc_states,
-                   sample_mac_states)
+                   sample_mac_states, tdma)
 from crsum.dual import (GAP_TOL, ColumnPool, DualPoint, _Master, _make_problem,
                         dual_value_and_subgradient)
 from crsum.oracle import saa_primal_oracle
@@ -256,3 +256,49 @@ def test_descending_case3_sweep_resets_the_pool(channel):
     for r in results:
         assert r.feasibility.all_satisfied and r.certified
     assert all(owner is pool.problem for _, _, _, owner in pool.columns)
+    assert set(pool.kept) <= set(range(len(pool.columns)))
+
+
+def _counted_curve(case, states, dbs):
+    """One pooled full-mode curve (K = 2, M = 1) whose per-state solver
+    records each call as an evaluation or as the re-solve of a pooled
+    column, and asserts that at most d+1 allocations are kept."""
+    pool, calls = ColumnPool(), []
+
+    def solver_for(budget):
+        def solve(H, G, pt):
+            assert len(pool.kept) <= pt.dimension + 1
+            x = pt.vector()
+            resolve = [i for i, (xi, _, _, owner) in enumerate(pool.columns)
+                       if owner._solve is solve and np.array_equal(xi, x)]
+            assert all(i not in pool.kept for i in resolve)
+            calls.append(bool(resolve))
+            return tdma.solve_states(case, H, G, pt.lam, pt.mu, budget)
+        return solve
+
+    results = []
+    for db in dbs:
+        budget = PowerBudget.symmetric(2, 1, db_to_linear(db), 1.0)
+        results.append(ergodic_capacity_mac(states, case, budget, pool=pool,
+                                            per_state_solver=solver_for(budget)))
+        assert len(pool.kept) <= results[-1].convergence.params["dimension"] + 1
+    return results, calls
+
+
+# re-solves of columns mixed after they left the basis, and evaluations,
+# on the curve P = -5..25 dB in steps of 5 at n = 300 (seed 3)
+KEPT_CURVE = {ConstraintCase.I: (1, 80), ConstraintCase.II: (1, 38),
+              ConstraintCase.III: (0, 26)}
+
+
+@pytest.mark.parametrize("case", list(KEPT_CURVE))
+def test_pooled_curve_keeps_basic_allocations(case):
+    """A mixed column is re-solved only if it left the basis: every
+    solver call is one of the curve's evaluations or such a re-solve."""
+    states = sample_mac_states(FadingModel(K=2, M=1, n_states=300, seed=3))
+    results, calls = _counted_curve(case, states, [-5.0 + 5.0 * i for i in range(7)])
+    assert all(r.certified for r in results)
+    resolves, evals = KEPT_CURVE[case]
+    assert sum(r.n_evals for r in results) == evals
+    assert sum(calls) == resolves
+    assert len(calls) == evals + resolves
