@@ -5,8 +5,8 @@ from .constraints import (ConstraintCase, ConstraintReport, PowerBudget,
 from .capacity import (PolicyResult, ergodic_capacity_bc, ergodic_capacity_mac,
                        ergodic_capacity_mac_tdma, fra_baseline_bc,
                        fra_baseline_mac)
-from .dual import (ConvergenceReport, DualPoint, dual_value_and_subgradient,
-                   ellipsoid_solve)
+from .dual import (ConvergenceReport, DualPoint, cutting_plane_solve,
+                   dual_value_and_subgradient, ellipsoid_solve)
 from .errors import (ConfigurationError, ConvergenceFailureError, CrsumError,
                      SolverFailureError, UnboundedSubproblemError, UsageError)
 from .fading import (ChannelStateBc, ChannelStateMac, Ensemble, FadingModel,
@@ -31,8 +31,9 @@ __all__ = [
     "Ensemble", "FadingModel", "KktReport", "PolicyResult", "PowerBudget",
     "SolverFailureError", "StateAllocation", "UnboundedSubproblemError",
     "UsageError", "UserOrdering", "as_ensemble", "bc_arrays", "bc_via_dual_mac",
-    "check_tdma_case2", "check_tdma_case3", "check_tdma_case4", "db_to_linear",
-    "dual_value_and_subgradient", "ellipsoid_solve", "ergodic_capacity_bc",
+    "check_tdma_case2", "check_tdma_case3", "check_tdma_case4",
+    "cutting_plane_solve", "db_to_linear", "dual_value_and_subgradient",
+    "ellipsoid_solve", "ergodic_capacity_bc",
     "ergodic_capacity_mac", "ergodic_capacity_mac_tdma", "export_bc_csv",
     "export_mac_csv", "feasibility_check",
     "fra_baseline_bc", "fra_baseline_mac", "grid_state_oracle", "grid_state_oracles",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constraints import (ConstraintCase, ConstraintReport, PowerBudget,
                           _check_dims, feasibility_check)
-from .dual import ConvergenceReport, DualPoint, ellipsoid_solve
+from .dual import ConvergenceReport, DualPoint, cutting_plane_solve
 from .errors import SolverFailureError, UsageError
 from .fading import Ensemble, as_ensemble
 from .perstate_bc import as_one_user_mac, solve_states_bc, solve_states_bc_via_mac
@@ -99,7 +99,7 @@ def _as_bc(res: PolicyResult, K: int, mode: str) -> PolicyResult:
 
 
 def _capacity(ensemble, case, budget, mode, **dual_opts) -> PolicyResult:
-    point, report, policy, _ = ellipsoid_solve(
+    point, report, policy, _ = cutting_plane_solve(
         ensemble, case, budget, tdma_mode=(mode == "tdma"), **dual_opts)
     return _assemble_mac(ensemble, case, budget, policy, mode=mode,
                          dual_point=point, report=report)

@@ -21,7 +21,7 @@ import numpy as np
 from .capacity import (ergodic_capacity_bc, ergodic_capacity_mac,
                        fra_baseline_bc, fra_baseline_mac)
 from .constraints import ConstraintCase, PowerBudget, db_to_linear
-from .dual import ColumnPool, DualPoint, dual_value_and_subgradient, ellipsoid_solve
+from .dual import ColumnPool, DualPoint, cutting_plane_solve, dual_value_and_subgradient
 from .errors import (ConfigurationError, ConvergenceFailureError, CrsumError,
                      UsageError)
 from .fading import FadingModel, sample_bc_states, sample_mac_states
@@ -468,9 +468,9 @@ def _suite_dual(solvers, rng, n_checks):
         solver = None if factor is None else (
             lambda H, G, pt, case=case, factor=factor: factor * tdma.solve_states(
                 case, H, G, pt.lam, pt.mu, budget))
-        point, report, policy, _ = ellipsoid_solve(states, case, budget,
-                                                   per_state_solver=solver,
-                                                   gap_tol=1e-6)
+        point, report, policy, _ = cutting_plane_solve(states, case, budget,
+                                                       per_state_solver=solver,
+                                                       gap_tol=1e-6)
         _, lower = saa_primal_oracle(states, case, budget)
         gap = report.best_dual - lower
         rel = gap / max(report.best_dual, 1e-9)

@@ -6,7 +6,7 @@ across fading states. The dual function
     g(x) = (1/n) sum_t  max_p L_t(p; x)  +  x . thresholds
 
 is convex in the multipliers x = (lam, mu) and is minimized here by
-Kelley's cutting planes. Every evaluation at x_j yields one column: the
+cutting planes. Every evaluation at x_j yields one column: the
 per-state maximizer P_j, its mean rate R_j and its long-term usage u_j.
 The LP dual of the cutting-plane model is a Dantzig-Wolfe master over
 those columns,
@@ -18,11 +18,29 @@ whose row prices are the next multipliers and whose weights mix the
 columns into a feasible policy sum_j w_j P_j state by state. By
 concavity that policy's rate is at least the master value, so the loop
 stops once the best dual value is within `GAP_TOL` of the master; the
-measured dual-primal gap certifies the answer. Each evaluation sums one
-user or cap column at a time over all states. With zero dualized
-constraints (case 4) the loop is a single exact evaluation. There is
-one problem adapter, the MAC's: a BC ensemble is solved as the one-user
-TDMA MAC of `perstate_bc.as_one_user_mac`.
+measured dual-primal gap certifies the answer.
+
+The master's prices x_master minimize the cutting-plane model, and
+Kelley's method evaluates there; that point can lie far from the best
+point x_best so far, so Kelley zigzags. The loop uses in-out separation
+(Wentges smoothing) instead: it evaluates at
+alpha * x_best + (1 - alpha) * x_master. A cut from any point is
+valid, so the stop test and the certificate are Kelley's. alpha starts
+at 0 and follows the automatic rule of Pessoa, Sadykov, Uchoa and
+Vanderbeck (INFORMS J. Comput. 2018): it shrinks while the dual still
+falls toward x_master at the evaluated point and grows otherwise. A
+smoothed evaluation mis-prices when its column does not price into the
+master; the next evaluation is then at x_master itself, so the loop
+converges as Kelley's does. Problems rounded to one user per state
+(case I, and TDMA mode with K > 1) keep alpha = 0: smoothing leaves
+some case-I TDMA curves a rounding gap above `GAP_TOL` once the master
+gap has closed, and case I must follow one trajectory in both modes.
+
+Each evaluation sums one user or cap column at a time over all states.
+With zero dualized constraints (case 4) the loop is a single exact
+evaluation. There is one problem adapter, the MAC's: a BC ensemble is
+solved as the one-user TDMA MAC of `perstate_bc.as_one_user_mac`. With
+one user there is nothing to round, so BC points are smoothed.
 """
 from __future__ import annotations
 
@@ -85,7 +103,8 @@ class ConvergenceReport:
     bounded evaluation: the LT violation is that of the per-state
     allocation at the iterate, the gap is best-dual minus master value
     so far. best_primal is the rate of the returned policy; n_evals
-    counts every evaluation, unbounded ones included.
+    counts every evaluation, unbounded ones included, and mispriced the
+    smoothed evaluations whose column did not price into the master.
     """
 
     params: dict
@@ -94,6 +113,7 @@ class ConvergenceReport:
     best_dual: float = np.inf
     best_primal: float = -np.inf
     n_evals: int = 0
+    mispriced: int = 0
 
     @property
     def n_iterations(self) -> int:
@@ -146,11 +166,14 @@ class _MacProblem:
         return 1.0 / self.thresholds
 
     def extends(self, old) -> bool:
-        """Whether every per-state ST set here contains `old`'s, so old's
-        columns are valid cuts and feasible columns of this problem."""
+        """Whether old has these states and every per-state ST set here
+        contains old's, so old's columns are valid cuts and feasible
+        columns of this problem. The states compare by value: a BC
+        point builds its one-user arrays afresh."""
         return (old is not None and old.case is self.case
-                and old.tdma_mode == self.tdma_mode and old.H.shape == self.H.shape
-                and self.thresholds.size > 0 and bool(np.all(self.st_caps >= old.st_caps)))
+                and old.tdma_mode == self.tdma_mode and self.thresholds.size > 0
+                and bool(np.all(self.st_caps >= old.st_caps))
+                and np.array_equal(old.H, self.H) and np.array_equal(old.G, self.G))
 
     def allocation(self, x: np.ndarray) -> np.ndarray:
         """The per-state maximizer of the Lagrangian at x."""
@@ -230,6 +253,22 @@ def dual_value_and_subgradient(states, case: ConstraintCase, budget: PowerBudget
 
 _RC_TOL = 1e-12         # a column prices in above this reduced cost (relative)
 _PIV_TOL = 1e-12        # smallest pivot element the ratio test accepts
+# The weight alpha of x_best in the evaluation point starts at 0 and
+# moves by these steps, up to _ALPHA_MAX (see `_smoothing`).
+_ALPHA_STEP = 0.3
+_ALPHA_MAX = 0.99
+
+
+def _smoothing(alpha, slope) -> float:
+    """The next weight of the best point in the evaluation point.
+
+    slope is the subgradient at the evaluated point along x_master -
+    x_best. Negative, the dual still falls toward the master's point,
+    so the weight shrinks; otherwise it grows (Pessoa et al. 2018).
+    """
+    if slope < 0.0:
+        return max(0.0, alpha - _ALPHA_STEP)
+    return min(_ALPHA_MAX, alpha + _ALPHA_STEP * (1.0 - alpha))
 
 
 class _Master:
@@ -282,14 +321,23 @@ class _Master:
     def weights(self) -> np.ndarray:
         return np.maximum(self.Binv.sum(axis=1), 0.0)
 
+    def _reduced_costs(self):
+        """Reduced costs at the current prices (zero on the basis), and
+        which columns price in."""
+        rc = self.c - self.prices() @ self.A
+        rc[self.basis] = 0.0
+        return rc, rc > _RC_TOL * (1.0 + np.abs(self.c))
+
+    def prices_in(self, j) -> bool:
+        """Whether column j would enter the current basis."""
+        return bool(self._reduced_costs()[1][j])
+
     def solve(self) -> None:
         """Pivot until no column prices in."""
         m = self.basis.size
         degenerate = 0
         for _ in range(1000 * m):
-            rc = self.c - self.prices() @ self.A
-            rc[self.basis] = 0.0
-            enter = rc > _RC_TOL * (1.0 + np.abs(self.c))
+            rc, enter = self._reduced_costs()
             if not enter.any():
                 return
             q = int(np.argmax(enter) if degenerate > m else np.argmax(rc))
@@ -352,9 +400,9 @@ class ColumnPool:
     problem: _MacProblem | None = None
 
 
-def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
-                    per_state_solver=None, tdma_mode=False,
-                    gap_tol=GAP_TOL, feas_tol=FEAS_TOL, max_iter=None, pool=None):
+def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
+                        per_state_solver=None, tdma_mode=False,
+                        gap_tol=GAP_TOL, feas_tol=FEAS_TOL, max_iter=None, pool=None):
     """Minimize the SAA dual by cutting planes and mix a feasible policy.
 
     Returns (point, report, policy, weight): the evaluated dual point
@@ -364,6 +412,8 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     once the best dual value is within gap_tol of the master value and
     raises ConvergenceFailureError if max_iter evaluations pass first
     (or the master stops moving first, which no instance has shown).
+    Evaluations are at the smoothed points of the module docstring, or
+    at the master's own point after a mis-price.
 
     A policy whose per-state optimum is single-user (TDMA mode, and case
     I in either mode) keeps only each mixed state's strongest user. That
@@ -375,7 +425,8 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     I in full mode returns the mixture, which is within the gap.
 
     A `ColumnPool` carries one curve's columns from point to point. The
-    first evaluation is at the last point's best multipliers, and when
+    first evaluation is at the last point's best multipliers, the centre
+    of the smoothing until a better point is found, and when
     every per-state ST set contains the last point's (`extends`) the
     master starts from all pooled columns and floors, and each column
     still basic after a master solve keeps its allocation for the
@@ -423,21 +474,26 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
         report.best_primal = problem.primal_value(alloc)
         return alloc
 
+    alpha, centred, x_master = 0.0, False, x     # alpha moves once best_x is set
     for it in range(max_iter):
         report.n_evals += 1
         try:
-            value, _, P, usage, rate = problem.evaluate(x)
+            value, subgrad, P, usage, rate = problem.evaluate(x)
         except UnboundedSubproblemError as exc:
             pool.floors.append(problem.unbounded_cut(exc))
             master.add_floor(pool.floors[-1])
             usage = None
         else:
+            if not one_user and best_x is not None:
+                alpha = _smoothing(alpha, subgrad @ (x_master - best_x))
             if value < report.best_dual:
                 report.best_dual, best_x = value, x
             last = master.add_column(rate, usage)
             cols.append((x, rate, usage, problem))
             points[last] = len(cols) - 1
             kept[points[last]] = P
+        mispriced = centred and not master.prices_in(master.c.size - 1)
+        report.mispriced += mispriced
         master.solve()
         for i in kept.keys() - {points.get(j) for j in master.basis.tolist()}:
             del kept[i]
@@ -456,9 +512,11 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
                 break
             tol /= 10.0
         x_next = master.prices()[:d] / problem.thresholds
-        if np.array_equal(x_next, x):
+        if not centred and np.array_equal(x_next, x_master):
             break                   # the master did not move: x would repeat
-        x = x_next
+        x_master = x_next
+        centred = alpha > 0.0 and not mispriced
+        x = alpha * best_x + (1.0 - alpha) * x_master if centred else x_master
     if policy is None:
         report.stop_reason = "max_iter" if report.n_evals == max_iter else "stall"
         raise ConvergenceFailureError(
@@ -472,3 +530,6 @@ def ellipsoid_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     pool.x = best_x
     point = DualPoint.from_vector(best_x, problem.n_lam)
     return point, report, policy, sum(w for _, w in master.mixture())
+
+
+ellipsoid_solve = cutting_plane_solve     # the former name, the same object
