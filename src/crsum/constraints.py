@@ -144,8 +144,7 @@ def _check(constraint_id, kind, achieved, threshold, tol) -> ConstraintRow:
 
 
 def feasibility_check(alloc_ensemble, states,
-                      case: ConstraintCase, budget: PowerBudget,
-                      st_tol: float = ST_TOL, lt_tol: float = LT_TOL) -> ConstraintReport:
+                      case: ConstraintCase, budget: PowerBudget) -> ConstraintReport:
     """Audit a MAC power policy against every constraint of `case`.
 
     `alloc_ensemble` is (n, K): one power vector per fading state, in
@@ -165,22 +164,22 @@ def feasibility_check(alloc_ensemble, states,
     if case.tpc_is_lt:
         ach = P.mean(axis=0)
         for k in range(K):
-            rows.append(_check(f"tpc_{k + 1}", "LT", ach[k], budget.tpc[k], lt_tol))
+            rows.append(_check(f"tpc_{k + 1}", "LT", ach[k], budget.tpc[k], LT_TOL))
     else:
         ach = P.max(axis=0)
         for k in range(K):
-            rows.append(_check(f"tpc_{k + 1}", "ST", ach[k], budget.tpc[k], st_tol))
+            rows.append(_check(f"tpc_{k + 1}", "ST", ach[k], budget.tpc[k], ST_TOL))
 
     if M:
         I = np.einsum("tk,tkm->tm", P, G)
         if case.ipc_is_lt:
             ach = I.mean(axis=0)
             for m in range(M):
-                rows.append(_check(f"ipc_{m + 1}", "LT", ach[m], budget.ipc[m], lt_tol))
+                rows.append(_check(f"ipc_{m + 1}", "LT", ach[m], budget.ipc[m], LT_TOL))
         else:
             ach = I.max(axis=0)
             for m in range(M):
-                rows.append(_check(f"ipc_{m + 1}", "ST", ach[m], budget.ipc[m], st_tol))
+                rows.append(_check(f"ipc_{m + 1}", "ST", ach[m], budget.ipc[m], ST_TOL))
     return ConstraintReport(rows=tuple(rows))
 
 

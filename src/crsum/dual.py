@@ -56,7 +56,6 @@ from .fading import Ensemble, as_ensemble
 from . import perstate_bc, tdma
 
 GAP_TOL = 1e-3
-FEAS_TOL = 1e-3
 # An unbounded evaluation adds the floor a.x >= PRICE_FLOOR * a.x0 on
 # the zero price a.x, where x0 is the starting point 1/thresholds.
 PRICE_FLOOR = 1e-6
@@ -306,8 +305,13 @@ class _Master:
         return self.c.size - 1
 
     def add_column(self, rate, usage) -> int:
-        """A visited policy: mean rate, LT usage. Returns its index."""
-        return self._add(rate, np.append(usage / self.b, 1.0), True)
+        """A visited policy: mean rate, LT usage. Returns its index, that
+        of an equal column already here if there is one: once the basis
+        inverse drifts, two equal columns can swap on every pivot."""
+        col = np.append(usage / self.b, 1.0)
+        twin = np.flatnonzero(self.real & (self.c == rate)
+                              & (self.A == col[:, None]).all(axis=0))
+        return int(twin[0]) if twin.size else self._add(rate, col, True)
 
     def add_floor(self, a) -> None:
         """The cut a.x >= PRICE_FLOOR * a.x0 on a zero price a.x."""
@@ -402,7 +406,7 @@ class ColumnPool:
 
 def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
                         per_state_solver=None, tdma_mode=False,
-                        gap_tol=GAP_TOL, feas_tol=FEAS_TOL, max_iter=None, pool=None):
+                        gap_tol=GAP_TOL, max_iter=None, pool=None):
     """Minimize the SAA dual by cutting planes and mix a feasible policy.
 
     Returns (point, report, policy, weight): the evaluated dual point
@@ -448,7 +452,7 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     pool.problem = problem
     report = ConvergenceReport(params={
         "dimension": d, "start": x.tolist(),
-        "gap_tol": gap_tol, "feas_tol": feas_tol, "max_iter": max_iter})
+        "gap_tol": gap_tol, "max_iter": max_iter})
     cols, kept = pool.columns, pool.kept
     master = _Master(problem.thresholds, [c[1] for c in cols], [c[2] for c in cols],
                      pool.floors)
@@ -477,6 +481,7 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     alpha, centred, x_master = 0.0, False, x     # alpha moves once best_x is set
     for it in range(max_iter):
         report.n_evals += 1
+        new = master.c.size         # the index of this evaluation's column, if added
         try:
             value, subgrad, P, usage, rate = problem.evaluate(x)
         except UnboundedSubproblemError as exc:
@@ -489,10 +494,11 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
             if value < report.best_dual:
                 report.best_dual, best_x = value, x
             last = master.add_column(rate, usage)
-            cols.append((x, rate, usage, problem))
-            points[last] = len(cols) - 1
+            if last == new:
+                cols.append((x, rate, usage, problem))
+                points[last] = len(cols) - 1
             kept[points[last]] = P
-        mispriced = centred and not master.prices_in(master.c.size - 1)
+        mispriced = centred and not (master.c.size > new and master.prices_in(new))
         report.mispriced += mispriced
         master.solve()
         for i in kept.keys() - {points.get(j) for j in master.basis.tolist()}:

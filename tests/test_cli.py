@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from crsum import ConvergenceFailureError, SolverFailureError
+from crsum import ConvergenceFailureError, SolverFailureError, UsageError
 from crsum import cli
 from crsum.cli import main
 
@@ -155,6 +155,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 2
     assert main(["run", "--out", str(tmp_path)]) == 2
     assert main(["verify", "--suite", "bogus"]) == 2
+    assert main(["verify", "--perturb", "bogus"]) == 2
+    assert "unknown perturbation" in capsys.readouterr().err
     # a reversed range or an empty list is no grid, not a shorter curve
     for grid in ("--P-dB=25:-5:5", "--P-dB=,"):
         assert main(["run", "--channel", "mac", "--case", "I", "--K", "2",
@@ -201,6 +203,9 @@ def test_verify_clean(capsys):
     ("case2_power", "perstate"),
     ("case3_power", "perstate"),
     ("case4_power", "perstate"),
+    ("case2_power", "tdma"),
+    ("case3_power", "tdma"),
+    ("case4_power", "tdma"),
     ("bc_power", "bc"),
     ("case1_power", "dual"),
 ])
@@ -222,13 +227,14 @@ def test_verify_rejects_zero_checks(capsys):
     assert "PASS" not in captured.out
 
 
-def test_verify_marks_suites_the_perturbation_misses(capsys):
-    main(["verify", "--suite", "sparsity", "--checks", "1",
-          "--perturb", "case2_power"])
-    lines = capsys.readouterr().out.splitlines()[:-1]
-    assert lines and all(ln.endswith("(not perturbed)") for ln in lines)
-    main(["verify", "--suite", "sparsity", "--checks", "1"])
-    assert "not perturbed" not in capsys.readouterr().out
+def test_power_factors_scale_the_named_solver_only():
+    """Every suite reads each solver's powers through one factor table."""
+    keys = ["case1", "case2", "case3", "case4", "bc"]
+    assert cli._power_factors(None) == dict.fromkeys(keys, 1.0)
+    assert cli._power_factors("case3_power") == {
+        "case1": 1.0, "case2": 1.0, "case3": 1.05, "case4": 1.0, "bc": 1.0}
+    with pytest.raises(UsageError, match="unknown perturbation"):
+        cli._power_factors("case5_power")
 
 
 def test_console_script_installed():

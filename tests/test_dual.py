@@ -149,6 +149,28 @@ def test_master_matches_linprog():
         assert (U.T @ w <= b + 1e-9).all() and w.sum() <= 1 + 1e-9
 
 
+def test_master_keeps_one_copy_of_equal_columns():
+    master = _Master(np.array([1.0, 2.0]))
+    j = master.add_column(0.5, np.array([0.3, 0.4]))
+    assert master.add_column(0.5, np.array([0.3, 0.4])) == j
+    assert master.add_column(0.5, np.array([0.3, 0.5])) == j + 1
+    assert master.c.size == j + 2
+
+
+def test_saturated_curve_reaches_an_optimal_master():
+    """fig7's K = 2 case-I curve at n = 20 (seed 1) evaluates one
+    allocation twice at 20 dB. As two master columns, the copies swapped
+    on every pivot once the basis inverse drifted, and the master LP
+    never reached an optimal basis."""
+    states = sample_mac_states(FadingModel(K=2, M=2, n_states=20, seed=1))
+    pool = ColumnPool()
+    for db in range(-5, 30, 5):
+        budget = PowerBudget.symmetric(2, 2, db_to_linear(db), 1.0)
+        assert ergodic_capacity_mac(states, ConstraintCase.I, budget, pool=pool).certified
+    columns = [(rate, tuple(usage)) for _, rate, usage, _ in pool.columns]
+    assert len(set(columns)) == len(columns)
+
+
 def test_mixture_is_feasible_and_at_least_the_master_value():
     """The returned policy meets the LT budget and, by concavity, rates
     no lower than the master's guaranteed value."""
@@ -393,7 +415,7 @@ def _counted_curve(case, states, dbs):
 
 # re-solves of columns mixed after they left the basis, and evaluations,
 # on the curve P = -5..25 dB in steps of 5 at n = 300 (seed 3)
-KEPT_CURVE = {ConstraintCase.I: (1, 80), ConstraintCase.II: (1, 37),
+KEPT_CURVE = {ConstraintCase.I: (1, 80), ConstraintCase.II: (0, 37),
               ConstraintCase.III: (0, 24)}
 
 
