@@ -21,7 +21,7 @@ import numpy as np
 from .capacity import (ergodic_capacity_bc, ergodic_capacity_mac,
                        fra_baseline_bc, fra_baseline_mac)
 from .constraints import ConstraintCase, PowerBudget, db_to_linear
-from .dual import ColumnPool, DualPoint, cutting_plane_solve, dual_value_and_subgradient
+from .dual import ColumnPool, cutting_plane_solve
 from .errors import (ConfigurationError, ConvergenceFailureError, CrsumError,
                      UsageError)
 from .fading import FadingModel, sample_bc_states, sample_mac_states

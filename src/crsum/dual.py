@@ -31,10 +31,13 @@ Vanderbeck (INFORMS J. Comput. 2018): it shrinks while the dual still
 falls toward x_master at the evaluated point and grows otherwise. A
 smoothed evaluation mis-prices when its column does not price into the
 master; the next evaluation is then at x_master itself, so the loop
-converges as Kelley's does. Problems rounded to one user per state
-(case I, and TDMA mode with K > 1) keep alpha = 0: smoothing leaves
-some case-I TDMA curves a rounding gap above `GAP_TOL` once the master
-gap has closed, and case I must follow one trajectory in both modes.
+converges as Kelley's does. One rule holds for every problem: alpha
+follows that automatic rule while the master tolerance is the stop
+tolerance, and is 0 once it tightens. Only a problem rounded to one
+user per state (case I, and TDMA mode with K > 1) tightens, when the
+rounding reopens a closed gap; from then on every evaluation is at
+x_master, as in Kelley's method. A problem that never rounds never
+tightens, and case I follows one trajectory in both modes.
 
 Each evaluation sums one user or cap column at a time over all states.
 With zero dualized constraints (case 4) the loop is a single exact
@@ -293,30 +296,33 @@ class _Master:
         self.A = np.hstack([np.eye(m), np.vstack([U.T, np.ones(len(U))]),
                             np.vstack([F.T, np.zeros(len(F))])])
         self.c = np.concatenate([np.zeros(m), rates, PRICE_FLOOR * F.sum(axis=1)])
-        # a visited policy, not a slack or floor
-        self.real = np.repeat([False, True, False], [m, len(U), len(F)])
+        # a visited policy's index in the pool, -1 on a slack or floor
+        self.pool_index = np.concatenate([np.full(m, -1), np.arange(len(U)),
+                                          np.full(len(F), -1)])
         self.basis = np.arange(m)
         self.Binv = np.eye(m)
 
-    def _add(self, cost, col, real) -> int:
+    def _add(self, cost, col, pool_index) -> None:
         self.A = np.column_stack([self.A, col])
         self.c = np.append(self.c, cost)
-        self.real = np.append(self.real, real)
-        return self.c.size - 1
+        self.pool_index = np.append(self.pool_index, pool_index)
 
     def add_column(self, rate, usage) -> int:
-        """A visited policy: mean rate, LT usage. Returns its index, that
-        of an equal column already here if there is one: once the basis
-        inverse drifts, two equal columns can swap on every pivot."""
+        """A visited policy: mean rate, LT usage. Returns its pool index,
+        that of an equal column already here if there is one: once the
+        basis inverse drifts, two equal columns can swap on every pivot."""
         col = np.append(usage / self.b, 1.0)
-        twin = np.flatnonzero(self.real & (self.c == rate)
-                              & (self.A == col[:, None]).all(axis=0))
-        return int(twin[0]) if twin.size else self._add(rate, col, True)
+        real = self.pool_index >= 0
+        twin = np.flatnonzero(real & (self.c == rate) & (self.A == col[:, None]).all(axis=0))
+        if twin.size:
+            return int(self.pool_index[twin[0]])
+        self._add(rate, col, np.count_nonzero(real))
+        return int(self.pool_index[-1])
 
     def add_floor(self, a) -> None:
         """The cut a.x >= PRICE_FLOOR * a.x0 on a zero price a.x."""
         col = np.append(a / self.b, 0.0)
-        self._add(PRICE_FLOOR * col.sum(), col, False)
+        self._add(PRICE_FLOOR * col.sum(), col, -1)
 
     def prices(self) -> np.ndarray:
         return self.c[self.basis] @ self.Binv
@@ -358,14 +364,15 @@ class _Master:
         raise SolverFailureError("master LP did not reach an optimal basis")
 
     def mixture(self):
-        """(column index, weight) of every visited policy in the basis."""
-        return [(int(j), float(w)) for j, w in zip(self.basis, self.weights)
-                if self.real[j] and w > 0.0]
+        """(pool index, weight) of every visited policy in the basis."""
+        return [(int(self.pool_index[j]), float(w)) for j, w in zip(self.basis, self.weights)
+                if self.pool_index[j] >= 0 and w > 0.0]
 
     @property
     def value(self) -> float:
-        """The mixture's guaranteed rate, sum_j w_j R_j over real columns."""
-        return float(sum(w * self.c[j] for j, w in self.mixture()))
+        """The mixture's guaranteed rate, sum_j w_j R_j over visited policies."""
+        return float(sum(w * self.c[j] for j, w in zip(self.basis, self.weights)
+                         if self.pool_index[j] >= 0))
 
 
 def _one_user(H, Q):
@@ -416,14 +423,17 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     once the best dual value is within gap_tol of the master value and
     raises ConvergenceFailureError if max_iter evaluations pass first
     (or the master stops moving first, which no instance has shown).
-    Evaluations are at the smoothed points of the module docstring, or
-    at the master's own point after a mis-price.
+    Evaluations are at the smoothed points of the module docstring
+    (at the master's own point after a mis-price) while the master
+    tolerance is gap_tol, and at the master's own point once it has
+    tightened.
 
     A policy whose per-state optimum is single-user (TDMA mode, and case
     I in either mode) keeps only each mixed state's strongest user. That
     lowers every usage, so the policy stays feasible, but it can open
     the gap again: the master tolerance then tightens tenfold at a time
-    down to gap_tol * TIGHTEN_FLOOR, or until the master stops moving.
+    down to gap_tol * TIGHTEN_FLOOR, or until the master stops moving,
+    and alpha stays 0.
     If the gap is still open then, TDMA mode reports the one-user policy
     with stop reason "rounding" (`report.certified` is false), and case
     I in full mode returns the mixture, which is within the gap.
@@ -456,28 +466,7 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     cols, kept = pool.columns, pool.kept
     master = _Master(problem.thresholds, [c[1] for c in cols], [c[2] for c in cols],
                      pool.floors)
-    best_x, last, tol, policy = None, -1, gap_tol, None
-    points = {d + 1 + i: i for i in range(len(cols))}     # master index -> cols index
-
-    def mix():
-        """The master's mixture, state by state, and whether it is the
-        last allocation alone (then already one-user where it must be)."""
-        mixture = master.mixture()
-        for j, _ in mixture:
-            if points[j] not in kept:       # it left the basis once
-                xj, _, _, owner = cols[points[j]]
-                kept[points[j]] = owner.allocation(xj)
-        if mixture == [(last, 1.0)]:
-            return kept[points[last]], True
-        out = np.zeros((n, K))
-        for j, w in mixture:
-            out = out + w * kept[points[j]]
-        return out, False
-
-    def keep(alloc):
-        report.best_primal = problem.primal_value(alloc)
-        return alloc
-
+    best_x, tol, policy = None, gap_tol, None
     alpha, centred, x_master = 0.0, False, x     # alpha moves once best_x is set
     for it in range(max_iter):
         report.n_evals += 1
@@ -489,34 +478,38 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
             master.add_floor(pool.floors[-1])
             usage = None
         else:
-            if not one_user and best_x is not None:
+            if tol == gap_tol and best_x is not None:
                 alpha = _smoothing(alpha, subgrad @ (x_master - best_x))
             if value < report.best_dual:
                 report.best_dual, best_x = value, x
-            last = master.add_column(rate, usage)
-            if last == new:
+            i = master.add_column(rate, usage)
+            if i == len(cols):
                 cols.append((x, rate, usage, problem))
-                points[last] = len(cols) - 1
-            kept[points[last]] = P
+            kept[i] = P
         mispriced = centred and not (master.c.size > new and master.prices_in(new))
         report.mispriced += mispriced
         master.solve()
-        for i in kept.keys() - {points.get(j) for j in master.basis.tolist()}:
+        for i in kept.keys() - set(master.pool_index[master.basis].tolist()):
             del kept[i]
         gap = report.best_dual - master.value
         if usage is not None:
             report.rows.append((it, value, _lt_violation(problem, usage), gap))
         if gap <= tol * max(report.best_dual, 1e-9):
-            mixed, alone = mix()
-            policy = keep(_one_user(problem.H, mixed) if one_user and not alone
-                          else mixed)
+            mixed = np.zeros((n, K))
+            for i, w in master.mixture():
+                if i not in kept:           # it left the basis once
+                    xi, _, _, owner = cols[i]
+                    kept[i] = owner.allocation(xi)
+                mixed = mixed + w * kept[i]
+            policy = _one_user(problem.H, mixed) if one_user else mixed
+            report.best_primal = problem.primal_value(policy)
             if report.certified_at(gap_tol):
                 report.stop_reason = "gap"
                 break
             report.stop_reason = "rounding"
             if tol <= gap_tol * TIGHTEN_FLOOR:
                 break
-            tol /= 10.0
+            tol, alpha = tol / 10.0, 0.0        # on to the master's own points
         x_next = master.prices()[:d] / problem.thresholds
         if not centred and np.array_equal(x_next, x_master):
             break                   # the master did not move: x would repeat
@@ -530,7 +523,8 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
             f"{gap / max(report.best_dual, 1e-9):.3e} above {gap_tol:.1e}",
             report=report)
     if report.stop_reason == "rounding" and not problem.tdma_mode:
-        policy = keep(mixed)        # case I in full mode needs no rounding
+        policy = mixed              # case I in full mode needs no rounding
+        report.best_primal = problem.primal_value(policy)
         if report.certified_at(gap_tol):
             report.stop_reason = "gap"
     pool.x = best_x

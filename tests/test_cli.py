@@ -157,7 +157,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["verify", "--suite", "bogus"]) == 2
     assert main(["verify", "--perturb", "bogus"]) == 2
     assert "unknown perturbation" in capsys.readouterr().err
-    # a reversed range or an empty list is no grid, not a shorter curve
+    # a reversed range or an empty list is no grid, not a shorter curve;
+    # a valid range includes its stop
+    assert cli._grid("-5:25:5") == [-5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0]
+    assert len(cli._grid("0:1:0.1")) == 11 and cli._grid("0:1:0.1")[-1] == 1.0
+    assert cli._grid("3:3:1") == [3.0]
     for grid in ("--P-dB=25:-5:5", "--P-dB=,"):
         assert main(["run", "--channel", "mac", "--case", "I", "--K", "2",
                      grid, "--samples", "10", "--out", str(tmp_path)]) == 2

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crsum import (ConstraintCase, FadingModel, PowerBudget,
-                   sample_mac_states, mac_arrays)
+                   UnboundedSubproblemError, sample_mac_states, mac_arrays)
 from crsum.fading import ChannelStateBc, ChannelStateMac
 from crsum.perstate_bc import solve_state_bc, solve_states_bc
 from crsum.perstate_mac import (solve_states_case1, solve_states_case2,
@@ -172,3 +172,16 @@ def test_ties_go_to_user_zero(case):
     assert not user.any()
     assert solve_state_bc(ChannelStateBc(h=H[0], f=G[0, 0]), case, 0.3, mu,
                           budget).user == 0
+
+
+def test_zero_price_without_caps_is_unbounded():
+    """Case II at M = 0 has no interference cap: a zero transmit price
+    leaves any user with gain unbounded, and the error names the first
+    such (state, user)."""
+    H = np.array([[0.0, 0.0], [0.0, 2.0], [1.0, 3.0]])
+    G = np.zeros((3, 2, 0))
+    budget = PowerBudget.symmetric(2, 0, p=1.0, gamma=1.0)
+    with pytest.raises(UnboundedSubproblemError) as exc:
+        solve_states(ConstraintCase.II, H, G, np.zeros(2), np.zeros(0), budget,
+                     tdma_mode=True)
+    assert (exc.value.state_index, exc.value.user_index) == (1, 1)
