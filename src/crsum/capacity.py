@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constraints import (ConstraintCase, ConstraintReport, PowerBudget,
-                          _check_dims, feasibility_check)
+                          _audit, _check_dims)
 from .dual import ConvergenceReport, DualPoint, cutting_plane_solve
 from .errors import SolverFailureError, UsageError
 from .fading import Ensemble, as_ensemble
@@ -67,12 +67,14 @@ def _assemble_mac(ensemble, case, budget, P, *, mode, dual_point,
     n, K = H.shape
     rates = np.log1p(np.einsum("tk,tk->t", H, P))
     rate, stderr = _rate_stats(rates)
-    I = np.einsum("tk,tkm->tm", P, G)
-    feas = feasibility_check(P, ensemble, case, budget)
+    feas, (avg_p, worst_p, avg_i, worst_i) = _audit(P, G, case, budget)
     if not feas.all_satisfied:
         raise SolverFailureError("recovered policy failed its feasibility audit",
                                  residual=feas.max_relative_violation)
-    hist = np.bincount((P > ACTIVE_TOL).sum(axis=1), minlength=K + 1)
+    active = np.zeros(n, dtype=np.intp)     # by columns, as the audit's maxima
+    for k in range(K):
+        active += P[:, k] > ACTIVE_TOL
+    hist = np.bincount(active, minlength=K + 1)
     return PolicyResult(
         channel="mac", case=case, mode=mode,
         ergodic_sum_rate=rate, rate_stderr=stderr,
@@ -81,10 +83,8 @@ def _assemble_mac(ensemble, case, budget, P, *, mode, dual_point,
         dual_point=dual_point,
         certified=report.certified if report else True,
         n_evals=report.n_evals if report else 0,
-        achieved_avg_tx_power=P.mean(axis=0),
-        achieved_worst_tx_power=P.max(axis=0),
-        achieved_avg_interference=I.mean(axis=0) if G.shape[2] else np.zeros(0),
-        achieved_worst_interference=I.max(axis=0) if G.shape[2] else np.zeros(0),
+        achieved_avg_tx_power=avg_p, achieved_worst_tx_power=worst_p,
+        achieved_avg_interference=avg_i, achieved_worst_interference=worst_i,
         active_count_histogram=hist,
         max_lt_violation=feas.max_relative_violation,
         n_states=n, alloc=P, feasibility=feas, convergence=report)

@@ -143,6 +143,34 @@ def _check(constraint_id, kind, achieved, threshold, tol) -> ConstraintRow:
     return ConstraintRow(constraint_id, kind, float(achieved), float(threshold), bool(ok))
 
 
+def _column_max(X) -> np.ndarray:
+    """X.max(axis=0), one column at a time: exact, and a reduction over
+    the short axis 1 of an (n, K) array runs state by state."""
+    return np.array([X[:, k].max() for k in range(X.shape[1])])
+
+
+def _audit(P, G, case: ConstraintCase, budget: PowerBudget):
+    """`feasibility_check` on the arrays P (n, K) and G (n, K, M). Also
+    returns the four statistics it reads, from one pass: each user's
+    average and worst transmit power and each primary receiver's
+    average and worst interference."""
+    n, K, M = G.shape
+    if P.shape != (n, K):
+        raise UsageError(f"alloc_ensemble has shape {P.shape}, expected {(n, K)}")
+    _check_dims(budget, K, M)
+    if np.any(P < -1e-12):
+        raise UsageError("negative transmit powers in the policy")
+    I = np.einsum("tk,tkm->tm", P, G)
+    stats = (P.mean(axis=0), _column_max(P), I.mean(axis=0), _column_max(I))
+    rows = []
+    for name, lt, threshold, avg, worst in (("tpc", case.tpc_is_lt, budget.tpc, *stats[:2]),
+                                            ("ipc", case.ipc_is_lt, budget.ipc, *stats[2:])):
+        ach, kind, tol = (avg, "LT", LT_TOL) if lt else (worst, "ST", ST_TOL)
+        rows += [_check(f"{name}_{i + 1}", kind, ach[i], threshold[i], tol)
+                 for i in range(threshold.size)]
+    return ConstraintReport(rows=tuple(rows)), stats
+
+
 def feasibility_check(alloc_ensemble, states,
                       case: ConstraintCase, budget: PowerBudget) -> ConstraintReport:
     """Audit a MAC power policy against every constraint of `case`.
@@ -151,36 +179,8 @@ def feasibility_check(alloc_ensemble, states,
     ensemble order. LT constraints are judged on the sample average, ST
     constraints on the worst state.
     """
-    P = np.asarray(alloc_ensemble, dtype=float)
-    G = mac_arrays(states)[1]
-    n, K, M = G.shape
-    if P.shape != (n, K):
-        raise UsageError(f"alloc_ensemble has shape {P.shape}, expected {(n, K)}")
-    _check_dims(budget, K, M)
-    if np.any(P < -1e-12):
-        raise UsageError("negative transmit powers in the policy")
-
-    rows = []
-    if case.tpc_is_lt:
-        ach = P.mean(axis=0)
-        for k in range(K):
-            rows.append(_check(f"tpc_{k + 1}", "LT", ach[k], budget.tpc[k], LT_TOL))
-    else:
-        ach = P.max(axis=0)
-        for k in range(K):
-            rows.append(_check(f"tpc_{k + 1}", "ST", ach[k], budget.tpc[k], ST_TOL))
-
-    if M:
-        I = np.einsum("tk,tkm->tm", P, G)
-        if case.ipc_is_lt:
-            ach = I.mean(axis=0)
-            for m in range(M):
-                rows.append(_check(f"ipc_{m + 1}", "LT", ach[m], budget.ipc[m], LT_TOL))
-        else:
-            ach = I.max(axis=0)
-            for m in range(M):
-                rows.append(_check(f"ipc_{m + 1}", "ST", ach[m], budget.ipc[m], ST_TOL))
-    return ConstraintReport(rows=tuple(rows))
+    return _audit(np.asarray(alloc_ensemble, dtype=float), mac_arrays(states)[1],
+                  case, budget)[0]
 
 
 def db_to_linear(db: float) -> float:

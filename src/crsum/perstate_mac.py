@@ -13,7 +13,9 @@ running best over the user columns; a sorted-ratio cap-filling sweep).
 Case 4 is the linear program max h.p over the power polytope: a
 fractional knapsack in decreasing h_k/g_k with one interference cap
 (M = 1), the lockstep bounded-variable simplex `bounded_simplex` with
-several, at any K. Case 2 is the same simplex swept in the rate's
+several, at any K; it prices by Dantzig's rule, falls back to Bland's
+on a run of degenerate pivots, and drops each state in the round it
+turns optimal. Case 2 is the same simplex swept in the rate's
 slope t = 1/(1+h.p) (`_case2_simplex`), at every M and with no limit
 on K.
 
@@ -555,15 +557,20 @@ def _pivot(T, D, basis, col, r, j, s, piv=None):
 @np.errstate(divide="ignore", invalid="ignore")
 def bounded_simplex(c, A, b, u):
     """Batched bounded-variable primal simplex: max c.x s.t. A x <= b,
-    0 <= x <= u, state by state, for c, u (n, K), A (n, M, K), b (n, M) > 0.
+    0 <= x <= u, state by state, for c, u (n, K), A (n, M, K), b (n, M) >= 0.
 
     Each state starts at x = 0 with the slacks basic and the n tableaux
-    (`_slack_tableau`) pivot in lockstep; optimal states idle and are
-    dropped once they are half the batch, their basis, reduced costs
-    and bounds written out at their batch index. Bland's rule
-    (lowest-index entering and leaving variable) makes ties and
-    identical columns terminate; an entering variable whose own bound
-    comes first flips to it instead. One batched solve with the final
+    (`_slack_tableau`) pivot in lockstep; a state is dropped in the
+    round it turns optimal, its basis, reduced costs and bounds written
+    out at its batch index. A state enters the column with the largest
+    |reduced cost| (Dantzig's rule, ties to the lowest index) and leaves
+    by the lowest index among tied ratios; an entering variable whose
+    own bound comes first flips to it instead. After more than K + M
+    degenerate (zero-step) pivots in a row it enters by the lowest index
+    (Bland's rule) until a step moves it. So it terminates: a moving
+    step raises the objective, so no basis recurs across one, and
+    Bland's rule cannot cycle among degenerate pivots (Bland, Math.
+    Oper. Res. 1977). One batched solve with the final
     bases recomputes the basic values from the data. Returns x (n, K),
     the row prices y (n, M) >= 0 and the upper-bound prices
     z (n, K) >= 0: c - A^T y - z <= 0, with equality where 0 < x < u.
@@ -572,31 +579,37 @@ def bounded_simplex(c, A, b, u):
     N = K + M
     ub = np.concatenate([np.broadcast_to(u, (n, K)), np.full((n, M), np.inf)], axis=1)
     b = np.broadcast_to(np.asarray(b, dtype=float), (n, M))
+    if not n:
+        return np.zeros((0, K)), np.zeros((0, M)), np.zeros((0, K))
     T, beta, basis, (d,) = _slack_tableau(A, b, c)
     upper = np.zeros((N, n), dtype=bool)                # nonbasic at its upper bound
     tol = _OPT_RTOL * np.abs(c).max(axis=1, initial=0.0)
-    # a dropped state's basis, d and bounds go back to the full-size
-    # starting arrays at its batch index (in place at the first drop)
-    basis_out, d_out, upper_out = basis, d, upper
-    idx, ubf, pivots = np.arange(n), ub.reshape(-1), 0
+    # each group of dropped states' batch index, basis, d and bounds, put
+    # back in batch order at the end: no full-size copy beside the batch
+    done = []
+    idx, ubf, pivots, stall = np.arange(n), ub.reshape(-1), 0, np.zeros(n, dtype=np.intp)
     while True:
-        enter = np.where(upper, d < -tol, d > tol)
-        go = enter.any(axis=0)
-        if 2 * np.count_nonzero(go) <= go.size:     # drop the optimal states
+        gain = np.where(upper, -d, d)                   # per unit step of each column
+        best = gain.max(axis=0)
+        go = best > tol
+        if not go.all():                            # drop the optimal states
             gone, keep = np.flatnonzero(~go), np.flatnonzero(go)
-            at = idx.take(gone)
-            basis_out[:, at], d_out[:, at], upper_out[:, at] = (
-                a.take(gone, axis=-1) for a in (basis, d, upper))
-            idx, basis, d, upper, T, beta, tol, enter, go = (
+            done.append([a.take(gone, axis=-1) for a in (idx, basis, d, upper)])
+            T = T.take(keep, axis=-1)               # the largest two one at a time,
+            gain = gain.take(keep, axis=-1)         # so old and new never all coexist
+            idx, basis, d, upper, beta, tol, best, go, stall = (
                 a.take(keep, axis=-1) for a in
-                (idx, basis, d, upper, T, beta, tol, enter, go))
+                (idx, basis, d, upper, beta, tol, best, go, stall))
             if not idx.size:
                 break
         if pivots == _MAX_PIVOTS:
             raise SolverFailureError(f"simplex exceeded {_MAX_PIVOTS} pivots")
         pivots += 1
         m, s = idx.size, np.arange(idx.size)
-        j = _first(enter, go)                           # lowest entering index
+        j = _first(gain, best)                          # Dantzig: the largest gain
+        if stall.max() > N:                             # Bland: the lowest improving index
+            j = np.where(stall > N, _first(gain > tol, go), j)
+        del gain                                        # not held through the pivot
         jm = j * m + s
         sign = np.where(upper.reshape(-1).take(jm), -1.0, 1.0)  # moves down from u
         col = T.reshape(M, N * m).take(jm, axis=1)
@@ -608,12 +621,13 @@ def bounded_simplex(c, A, b, u):
         step = ratio.min(axis=0, initial=np.inf)
         uj = ubf.take(idx * N + j)
         flip = uj <= step
-        piv = go & ~flip
-        step = np.where(go, np.minimum(step, uj), 0.0)
+        piv = ~flip
+        step = np.minimum(step, uj)
         if np.isinf(step).any():
             raise SolverFailureError("simplex: the linear program is unbounded")
+        stall = np.where(step == 0.0, stall + 1, 0)     # zero steps in a row
         beta -= step * alpha
-        upper.reshape(-1)[jm] ^= go & flip
+        upper.reshape(-1)[jm] ^= flip
         if not piv.any():
             continue
         leave = np.where(ratio == step, basis, N)
@@ -624,6 +638,9 @@ def bounded_simplex(c, A, b, u):
         up[jm] &= ~piv
         bf[rs] = np.where(piv, np.where(sign > 0.0, 0.0, uj) + sign * step, bf.take(rs))
         _pivot(T, d[None], basis, col, r, j, s, piv)
+    at, *out = (np.concatenate(a, axis=-1) for a in zip(*done))
+    order = np.argsort(at)
+    basis_out, d_out, upper_out = (a.take(order, axis=-1) for a in out)
     x = np.where(upper_out.T, ub, 0.0)
     full = np.concatenate([A, np.broadcast_to(np.eye(M), (n, M, M))], axis=2)  # [A I]
     rhs = b - np.einsum("nmk,nk->nm", full, x)

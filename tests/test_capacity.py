@@ -8,7 +8,10 @@ import pytest
 from crsum import (ConstraintCase, Ensemble, FadingModel, PowerBudget,
                    ergodic_capacity_bc, ergodic_capacity_mac,
                    ergodic_capacity_mac_tdma, fra_baseline_bc,
-                   fra_baseline_mac, sample_bc_states)
+                   fra_baseline_mac, sample_bc_states, sample_mac_states)
+from crsum.constraints import LT_TOL, ST_TOL
+from crsum.perstate_bc import as_one_user_mac
+from crsum.perstate_mac import ACTIVE_TOL
 
 CASES = list(ConstraintCase)
 
@@ -177,3 +180,60 @@ def test_bc_is_the_one_user_mac():
     assert bc.mode == "fra" and bc.alloc.shape == (n,)
     assert bc.active_count_histogram.shape == (K + 1,)
     assert abs(bc.ergodic_sum_rate - mac.ergodic_sum_rate) <= 1e-12
+
+
+def _two_pass_audit(P, G, case, budget):
+    """The rows, the four achieved_* arrays and the histogram as the
+    separate audit and assembly passes computed them."""
+    n, K, M = G.shape
+    rows = []
+    tpc = P.mean(axis=0) if case.tpc_is_lt else P.max(axis=0)
+    kind, tol = ("LT", LT_TOL) if case.tpc_is_lt else ("ST", ST_TOL)
+    for k in range(K):
+        rows.append((f"tpc_{k + 1}", kind, float(tpc[k]), float(budget.tpc[k]),
+                     bool(tpc[k] <= budget.tpc[k] * (1.0 + tol))))
+    I = np.einsum("tk,tkm->tm", P, G)
+    if M:
+        ipc = I.mean(axis=0) if case.ipc_is_lt else I.max(axis=0)
+        kind, tol = ("LT", LT_TOL) if case.ipc_is_lt else ("ST", ST_TOL)
+        for m in range(M):
+            rows.append((f"ipc_{m + 1}", kind, float(ipc[m]), float(budget.ipc[m]),
+                         bool(ipc[m] <= budget.ipc[m] * (1.0 + tol))))
+    fields = (P.mean(axis=0), P.max(axis=0),
+              I.mean(axis=0) if M else np.zeros(0), I.max(axis=0) if M else np.zeros(0))
+    hist = np.bincount((P > ACTIVE_TOL).sum(axis=1), minlength=K + 1)
+    return rows, fields, hist
+
+
+def _bits(a):
+    return np.asarray(a).dtype.str, np.shape(a), np.asarray(a).tobytes()
+
+
+def test_one_audit_pass_matches_the_two_pass_formulas(small_mac_ensemble, small_bc_ensemble):
+    """Rows, achieved_* fields and histogram equal the two-pass formulas
+    bit for bit: MAC case I and case IV (the knapsack at M = 1, the
+    simplex at M = 2), the BC as its one-user MAC, and M = 0."""
+    wide = sample_mac_states(FadingModel(K=4, M=2, n_states=300, seed=7))
+    no_caps = sample_mac_states(FadingModel(K=3, M=0, n_states=100, seed=5))
+    runs = [(small_mac_ensemble, case, PowerBudget.symmetric(2, 1, 1.0, 0.8))
+            for case in (ConstraintCase.I, ConstraintCase.IV)]
+    runs += [(wide, ConstraintCase.IV, PowerBudget.symmetric(4, 2, 1.0, 0.8)),
+             (no_caps, ConstraintCase.II, PowerBudget(tpc=np.ones(3), ipc=np.zeros(0)))]
+    checked = []
+    for states, case, budget in runs:
+        res = ergodic_capacity_mac(states, case, budget)
+        checked.append((res, res.alloc, states.G, case, budget, res.active_count_histogram))
+    bc_budget = PowerBudget(tpc=np.zeros(0), ipc=np.full(2, 0.8), bs_tpc=1.0)
+    res = ergodic_capacity_bc(small_bc_ensemble, ConstraintCase.I, bc_budget)
+    _, G1, mac = as_one_user_mac(small_bc_ensemble.H, small_bc_ensemble.F, bc_budget)
+    checked.append((res, res.alloc[:, None], G1, ConstraintCase.I, mac,
+                    res.active_count_histogram[:2]))
+    for res, P, G, case, budget, hist in checked:
+        rows, fields, ref_hist = _two_pass_audit(P, G, case, budget)
+        assert repr([(r.constraint_id, r.kind, r.achieved, r.threshold, r.satisfied)
+                     for r in res.feasibility.rows]) == repr(rows)
+        got = (res.achieved_avg_tx_power, res.achieved_worst_tx_power,
+               res.achieved_avg_interference, res.achieved_worst_interference)
+        assert [_bits(a) for a in got] == [_bits(a) for a in fields]
+        assert _bits(hist) == _bits(ref_hist)
+        assert res.max_lt_violation == res.feasibility.max_relative_violation

@@ -10,15 +10,17 @@ knapsack). It is checked against
  2. scipy's linprog on the same linear program (skipped without scipy),
  3. its own KKT report, on random and on degenerate states.
 No K, M is refused for case 4, nor for case 2, whose sweep pivots the
-same tableau (`test_case2_simplex.py`).
+same tableau (`test_case2_simplex.py`). The last three tests pin the
+simplex's pricing (Dantzig's rule), its per-round drop of optimal
+states and its fallback to Bland's rule on a stall.
 """
 
 import numpy as np
 import pytest
 
 from crsum import (ConstraintCase, Ensemble, PowerBudget, SolverFailureError,
-                   ergodic_capacity_mac)
-from crsum.perstate_mac import (kkt_report_case2, kkt_report_case4,
+                   ergodic_capacity_mac, perstate_mac)
+from crsum.perstate_mac import (bounded_simplex, kkt_report_case2, kkt_report_case4,
                                 solve_states_case2, solve_states_case4)
 from enum_oracles import _case4_enumerate, exhaustive_case4
 
@@ -164,6 +166,12 @@ def test_pivot_cap_raises(monkeypatch, solve):
         solve(H, G, p_st, gamma)
 
 
+def test_empty_batch():
+    P, LAM, MU = solve_states_case4(np.zeros((0, 4)), np.zeros((0, 4, 2)), np.ones(4),
+                                    np.ones(2), want_multipliers=True)
+    assert P.shape == LAM.shape == (0, 4) and MU.shape == (0, 2)
+
+
 def test_silent_user_without_gains():
     """h_k = 0 and g_k = 0: the user sends nothing and is not counted
     active (the dual-vertex enumeration gave it its full cap)."""
@@ -177,3 +185,93 @@ def test_silent_user_without_gains():
                                PowerBudget(tpc=np.ones(3), ipc=gamma))
     assert res.alloc[0, 0] == 0.0
     assert list(res.active_count_histogram) == [0, 0, 1, 0]
+
+
+# Lockstep rounds of the case-4 simplex on a seeded K = 4, M = 2 batch of
+# 1000 states at gamma = 1, P = -5..25 dB (fig6's case IV), as measured.
+# Lowest-index entering takes (9, 8, 7, 6, 6, 6, 6).
+SWEEP_ROUNDS = (6, 5, 5, 5, 5, 5, 5)
+
+
+def _rounds(monkeypatch, *batch):
+    """The least _MAX_PIVOTS at which case 4 solves `batch`: its rounds."""
+    for cap in range(100):
+        monkeypatch.setattr("crsum.perstate_mac._MAX_PIVOTS", cap)
+        try:
+            solve_states_case4(*batch)
+            return cap
+        except SolverFailureError as exc:
+            assert "pivots" in str(exc)
+
+
+def test_dantzig_pricing_pins_the_pivot_rounds(monkeypatch):
+    rng = np.random.Generator(np.random.Philox(key=6))
+    H, G = rng.exponential(1.0, (1000, 4)), rng.exponential(1.0, (1000, 4, 2))
+    rounds = tuple(_rounds(monkeypatch, H, G, np.full(4, 10.0 ** (p / 10)), np.ones(2))
+                   for p in range(-5, 30, 5))
+    assert rounds == SWEEP_ROUNDS
+
+
+def test_a_state_leaves_the_batch_in_the_round_it_turns_optimal(monkeypatch):
+    """States pivot independently, so round t of the batch holds exactly
+    the states that need t or more rounds alone (Dantzig's `_first`
+    call, on the float gains, runs once a round on the whole batch)."""
+    H, G, p_st, gamma = _batch(19, 40, 4, 2)
+    alone = [_rounds(monkeypatch, H[i:i + 1], G[i:i + 1], p_st, gamma) for i in range(40)]
+    monkeypatch.undo()
+    sizes, first = [], perstate_mac._first
+
+    def spy(a, low):
+        if a.dtype == float:
+            sizes.append(a.shape[-1])
+        return first(a, low)
+
+    monkeypatch.setattr(perstate_mac, "_first", spy)
+    solve_states_case4(H, G, p_st, gamma)
+    assert sizes == [sum(r >= t for r in alone) for t in range(1, max(alone) + 1)]
+    assert len(set(sizes)) > 2
+
+
+# Beale's example in Chvatal's form (Linear Programming, 1983, ch. 3):
+# Dantzig's rule with lowest-index leaving cycles through six degenerate
+# bases at x = 0. The optimum is x = (1, 0, 1, 0), value 1.
+BEALE = (np.array([10.0, -57.0, -9.0, -24.0]),
+         np.array([[0.5, -5.5, -2.5, 9.0], [0.5, -1.5, -0.5, 1.0], [1.0, 0.0, 0.0, 0.0]]),
+         np.array([0.0, 0.0, 1.0]), np.full(4, np.inf))
+
+
+def test_a_stalled_state_falls_back_to_blands_rule(monkeypatch):
+    """Bland's entering rule is the `_first` call on the boolean mask of
+    improving columns. A case-4 state whose caps meet at a vertex of the
+    box, with two identical users, never stalls, alone or batched with
+    Beale's cycling example; Beale's state stalls, falls back and reaches
+    the optimum. Both match linprog, and the case-4 state the
+    enumerations."""
+    optimize = pytest.importorskip("scipy.optimize")
+    bland = []
+    first = perstate_mac._first
+
+    def spy(a, low):
+        if a.dtype == bool:
+            bland.append(a)
+        return first(a, low)
+
+    monkeypatch.setattr(perstate_mac, "_first", spy)
+    h, p_st = np.array([2.0, 2.0, 1.0, 1.0]), np.ones(4)
+    g = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 0.5, 1.0], [1.0, 1.0, 0.5]])
+    gamma = g.T @ np.array([1.0, 1.0, 0.0, 0.0])          # every cap is tight there
+    alone = bounded_simplex(h[None], g.T[None], gamma[None], p_st[None])[0]
+    assert not bland
+    x = bounded_simplex(*(np.stack(pair) for pair in zip(BEALE, (h, g.T, gamma, p_st))))[0]
+    assert bland
+    np.testing.assert_array_equal(x[1], alone[0])
+    c, A, b, u = BEALE
+    lp = optimize.linprog(-c, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    assert lp.status == 0 and abs(c @ x[0] + lp.fun) <= 1e-12
+    np.testing.assert_allclose(x[0], [1.0, 0.0, 1.0, 0.0], rtol=0, atol=1e-15)
+    lp = optimize.linprog(-h, A_ub=g.T, b_ub=gamma, bounds=list(zip(np.zeros(4), p_st)),
+                          method="highs")
+    assert lp.status == 0 and abs(h @ x[1] + lp.fun) <= 1e-12
+    for solve in (exhaustive_case4, _case4_enumerate):
+        P_ref = solve(h[None], g[None], p_st, gamma)[0]
+        assert abs(h @ x[1] - h @ P_ref[0]) <= 1e-12

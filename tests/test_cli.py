@@ -3,6 +3,7 @@ config handling, and the verify suites (including their ability to
 catch a deliberately broken solver)."""
 
 import csv
+import shutil
 import subprocess
 import sys
 
@@ -241,11 +242,25 @@ def test_power_factors_scale_the_named_solver_only():
         cli._power_factors("case5_power")
 
 
-def test_console_script_installed():
+VERIFY_SPARSITY = ["verify", "--suite", "sparsity", "--checks", "2"]
+
+
+def test_main_runs_in_a_fresh_interpreter():
+    """`crsum.cli.main` in a new process, as the entry point calls it."""
     proc = subprocess.run([sys.executable, "-c",
                            "from crsum.cli import main; raise SystemExit("
-                           "main(['verify', '--suite', 'sparsity',"
-                           " '--checks', '2']))"],
+                           f"main({VERIFY_SPARSITY!r}))"],
                           capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "PASS" in proc.stdout
+
+
+def test_console_script_on_path():
+    """The `crsum` command that `pip install -e . --no-build-isolation`
+    puts on PATH (skipped where the package is not installed)."""
+    exe = shutil.which("crsum")
+    if exe is None:
+        pytest.skip("the crsum console script is not installed")
+    proc = subprocess.run([exe, *VERIFY_SPARSITY], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "PASS" in proc.stdout
