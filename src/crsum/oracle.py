@@ -10,11 +10,12 @@ unreachable by axis-aligned grids, so every combination of active
 halfspaces and box faces is also enumerated explicitly: each such face
 is parameterized as a graph over its free coordinates and grid-searched
 in those coordinates, where the constrained optimum is interior again.
-`grid_state_oracles` refines many problems in lockstep: boxes, and faces,
-of equal shape share each round's mesh; each problem keeps its own
-objective calls and products. Points are C-contiguous (N, K) arrays
-worked on column by column (numpy reduces and gathers along a short last
-axis row by row).
+`grid_state_oracles` refines many problems in lockstep: boxes, and faces
+(each listed once), of equal shape share each round's mesh, which spans
+only axes of positive width (no copies along a dead user's zero bound);
+each problem keeps its own objective calls. Points are C-contiguous (N, K)
+arrays worked on column by column (numpy reduces and gathers along a
+short last axis row by row).
 
 `saa_primal_oracle` maximizes the sample-average sum rate directly over
 the stacked per-state powers with an augmented-Lagrangian scheme: the
@@ -26,8 +27,8 @@ lower-bounds the true SAA optimum.
 """
 from __future__ import annotations
 
-from functools import cache, reduce
-from itertools import combinations, groupby, islice, product
+from functools import reduce
+from itertools import combinations, groupby, product
 
 import numpy as np
 
@@ -69,70 +70,75 @@ def _clip_toward(pts, anchor, A, b):
     return out
 
 
-def _mesh(lo, hi, n):
-    """The (F, n**d, d) grids of the boxes [lo, hi] of (F, d) corners in
-    meshgrid "ij" order and their (n, F, d) axes, as np.linspace per box."""
-    F, d = lo.shape
+def _span(width):
+    """Mesh axes: those of positive width, else the first (a one-row mesh rounds unlike copies)."""
+    span = width > 0.0
+    span[..., :1] |= ~span.any(axis=-1, keepdims=True)
+    return span
+
+
+def _mesh(lo, hi, n, span):
+    """The (F, n**s, d) grids of the boxes [lo, hi] of (F, d) corners in "ij" order over
+    the s axes span marks (0 on the others), and their (n, F, s) axes, as np.linspace."""
+    (F, d), s, lo, hi = lo.shape, int(span.sum()), lo[:, span], hi[:, span]
     i, step = np.arange(n)[:, None, None], (hi - lo) / (n - 1)
     axes = np.where(step == 0.0, i / (n - 1) * (hi - lo), i * step) + lo
     axes[-1] = hi
-    mesh = np.empty((F, *(n,) * d, d))
-    for k in range(d):
-        mesh[..., k] = axes[..., k].T.reshape((F, *(1,) * k, n, *(1,) * (d - 1 - k)))
-    return mesh.reshape(F, n**d, d), axes
+    mesh = np.zeros((F, *(n,) * s, d))
+    for j, k in enumerate(np.flatnonzero(span)):
+        mesh[..., k] = axes[..., j].T.reshape((F, *(1,) * j, n, *(1,) * (s - 1 - j)))
+    return mesh.reshape(F, n**s, d), axes
 
 
-def _faces(upper, A, bvec):
-    """(x0, cols, W, c0, bound) for each subset S of halfspaces and
-    fixing of some coordinates to a box face, x0 holding their values:
-    cols lists the d free coordinates, the |S| best-conditioned pivots
-    that solve the equalities as c0 + W @ p[free] and K as padding (W, c0
-    padded with zeros); bound is bvec * (1 + 1e-12), inf on S."""
-    K, J = len(upper), len(bvec)
-    for r in range(1, min(J, K) + 1):
-        subsets = list(combinations(range(K), r))
-        for S in combinations(range(J), r):
-            AS, bS = A[list(S)], bvec[list(S)]
-            inv = cache(lambda c, AS=AS: np.linalg.inv(AS[:, list(subsets[c])]))
-            dets = np.abs(np.linalg.det(np.stack([AS[:, list(c)] for c in subsets])))
-            bound = np.where(np.isin(np.arange(J), S), np.inf, bvec * (1.0 + 1e-12))
-            for n_fix in range(0, K - r + 1):
-                for fixed in combinations(range(K), n_fix):
-                    free = [k for k in range(K) if k not in fixed]
-                    cands = [c for c, sub in enumerate(subsets) if set(sub) <= set(free)]
-                    c = cands[int(np.argmax(dets[cands]))]
-                    if not dets[c] > 1e-12:
-                        continue
-                    piv, fixed = list(subsets[c]), list(fixed)
-                    ff = [k for k in free if k not in piv]
-                    W = np.vstack([-inv(c) @ AS[:, ff], np.zeros((n_fix, len(ff)))])
-                    for pattern in product((0.0, 1.0), repeat=n_fix):
-                        x0, c0 = np.zeros(K), np.zeros(r + n_fix)
-                        x0[fixed] = np.array(pattern) * upper[fixed]
-                        c0[:r] = inv(c) @ (bS - AS[:, fixed] @ x0[fixed])
-                        yield x0, (*ff, *piv, *[K] * n_fix), W, c0, bound
+def _faces(upper, A, b):
+    """Arrays (q, d, x0, cols, W, A, bound, up), a row per face of the problems {0 <= p <=
+    upper[q], A[q] p <= b[q]} of one shape, each problem's in order of halfspace subset S,
+    fixing of coordinates to a box face and pattern, but a 1 on a zero bound (it repeats
+    the 0): d free coordinates; cols lists them, the |S| best-conditioned pivots that
+    solve the equalities as x0[pivots] + W @ p[free] and K as padding; x0 holds the fixed
+    values, up the bounds on cols; bound is b * (1 + 1e-12), inf on S."""
+    (_, J, K), out, up = A.shape, [], np.pad(upper, ((0, 0), (0, 1)))
+    for S, fixed in ((list(S), list(f)) for r in range(1, min(J, K) + 1)
+                     for S in combinations(range(J), r) for n_fix in range(K - r + 1)
+                     for f in combinations(range(K), n_fix)):
+        r, AS, free = len(S), A[:, S], [k for k in range(K) if k not in fixed]
+        pivots = list(combinations(free, r))   # in the order the reference tries them
+        dets = np.abs(np.linalg.det(AS[:, :, pivots].swapaxes(1, 2)))
+        patterns, bound = np.array(list(product((0.0, 1.0), repeat=len(fixed)))), b * (1 + 1e-12)
+        bound[:, S] = np.inf
+        for c in set(dets.argmax(axis=1).tolist()):   # the problems whose pivots are pivots[c]
+            q = np.flatnonzero((dets.argmax(axis=1) == c) & (dets[:, c] > 1e-12))
+            piv, ASq, fix_up = list(pivots[c]), AS[q], upper[q][:, None, fixed]
+            ff, inv = [k for k in free if k not in piv], np.linalg.inv(ASq[:, :, piv])
+            x0, W = np.zeros((len(q), len(patterns), K + 1)), np.zeros((len(q), K, K))
+            x0[:, :, fixed], W[:, :r, :len(ff)] = patterns * fix_up, -inv @ ASq[:, :, ff]
+            rhs = b[q][:, None, S] - (ASq[:, None][..., fixed] @ x0[:, :, fixed, None])[..., 0]
+            x0[:, :, piv] = (inv[:, None] @ rhs[..., None])[..., 0]
+            i, t = np.nonzero(~((patterns > 0.0) & (fix_up == 0.0)).any(axis=2))
+            cols = np.array(ff + piv + [K] * len(fixed))
+            out.append((q[i], np.full(len(i), len(ff)), x0[i, t], cols[None].repeat(len(i), 0),
+                        W[i], A[q[i]], bound[q[i]], up[q[i]][:, cols]))
+    order = np.argsort(np.concatenate([z[0] for z in out]), kind="stable")
+    return [np.concatenate(z)[order] for z in zip(*out)]   # each problem's faces in order
 
 
 def _refine_boxes(probs, grid_step, n, max_rounds):
     """Best points and values on the boxes [0, upper] of problems (objective,
-    upper, A, b) with as many users and halfspaces, gridded in lockstep from
-    the origin; grid points are also pushed along their ray to the first
-    binding constraint, and infeasible ones clipped toward the incumbent."""
-    upper, bound = np.array([u for _, u, _, _ in probs]), np.array([b for *_, b in probs])
-    (P, K), best_p = upper.shape, np.zeros(upper.shape)
+    upper, A, b) of one shape and `_span`, gridded in lockstep from the origin;
+    grid points are also pushed along their ray to the first binding
+    constraint, and infeasible ones clipped toward the incumbent."""
+    upper, A, bound = (np.array([z[k] for z in probs]) for k in (1, 2, 3))
+    (P, K), best_p, span = upper.shape, np.zeros(upper.shape), _span(upper[0])
     best_v = np.array([objective(best_p[:1])[0] for objective, *_ in probs])
     live, lo, hi = np.arange(P), np.zeros((P, K)), upper
     for _ in range(max_rounds):
-        pts, axes = _mesh(lo, hi, n)
+        pts, axes = _mesh(lo, hi, n, span)
         (L, N), b = pts.shape[:2], bound[live].T[:, :, None]
-        dots = np.zeros((len(b), L, N))
-        for i, q in enumerate(live):
-            for j, a in enumerate(probs[q][2]):
-                np.matmul(pts[i], a, out=dots[j, i])
+        dots = np.matmul(pts, A[live].transpose(1, 0, 2)[..., None])[..., 0]   # (J, L, N)
         feas = np.logical_and.reduce(dots <= b * (1.0 + 1e-12))
         with np.errstate(divide="ignore", invalid="ignore"):   # ray to the boundary
-            box = np.where(axes > 0.0, upper[live] / axes, np.inf).T
-            sigma = reduce(np.minimum, (col.reshape(L, *(1,) * k, n, *(1,) * (K - 1 - k))
+            box = np.where(axes > 0.0, upper[live][:, span] / axes, np.inf).T
+            sigma = reduce(np.minimum, (col.reshape(L, *(1,) * k, n, *(1,) * (len(box) - 1 - k))
                                         for k, col in enumerate(box))).reshape(L, N)
             sigma = np.minimum(sigma, np.where(dots > 0.0, b / dots, np.inf).min(
                 axis=0, initial=np.inf))
@@ -144,11 +150,14 @@ def _refine_boxes(probs, grid_step, n, max_rounds):
         ext = np.split(ext, np.searchsorted(ok, np.arange(N, L * N, N)))
         del ok, sigma, dots   # only the candidates stay alive
         for i, q in enumerate(live):
-            objective, _, A, bq = probs[q]
+            objective, _, Aq, bq = probs[q]
+            # the reference clips n ** K // N copies of each row: a lone row goes twice
+            clip = pts[i].take(np.flatnonzero(~feas[i]), axis=0)
+            clip = _clip_toward(clip.repeat(2, axis=0) if len(clip) == 1 < n ** K // N else clip,
+                                best_p[q], Aq, bq)[:len(clip)]
             cand = np.concatenate([
                 pts[i] if feas[i].all() else pts[i].take(np.flatnonzero(feas[i]), axis=0),
-                ext[i], _clip_toward(pts[i].take(np.flatnonzero(~feas[i]), axis=0),
-                                     best_p[q], A, bq)])
+                ext[i], clip])
             vals = objective(cand)
             k = int(np.argmax(vals))
             if vals[k] > best_v[q]:
@@ -163,44 +172,39 @@ def _refine_boxes(probs, grid_step, n, max_rounds):
     return best_p, best_v
 
 
-def _refine_faces(probs, faces, grid_step, n, max_rounds):
-    """Grid-refine faces (q, x0, cols, W, c0, bound) of problems probs[q]
-    in lockstep, all with as many coordinates, halfspaces and free
-    coordinates, the faces of a problem next to each other: each face's
-    best value (-inf if none is feasible) and first point."""
-    prob, x0, cols, W, c0, bound = (np.array(z) for z in zip(*faces))
-    (F, K), d = x0.shape, W.shape[2]
-    up = np.take_along_axis(np.pad([probs[q][1] for q in prob], ((0, 0), (0, 1))), cols,
-                            axis=1)   # a zero bound for the padding pivots
-    up_ff, up_piv, WT = up[:, :d], up[:, d:], W.transpose(0, 2, 1)
-    order = np.tile(np.arange(K + 1), (F, 1))   # columns of [x0 | free | pivots] below
-    np.put_along_axis(order, cols, K + np.arange(K), axis=1)   # order[:, K] unused
+def _refine_faces(probs, prob, span, faces, grid_step, n, max_rounds):
+    """Grid-refine `_faces` rows (x0, cols, W, A, bound, up) of problems probs[prob] in
+    lockstep, all of one shape and `_span` of the d free coordinates, a problem's faces
+    next to each other: each face's best value (-inf if none is feasible) and first point."""
+    x0, cols, W, A, bound, up = faces
+    (F, K), d = cols.shape, len(span)
+    up_ff, up_piv, WT = up[:, :d], up[:, d:], W[:, :K - d, :d].transpose(0, 2, 1)
+    c0 = np.take_along_axis(x0, cols[:, d:], axis=1)   # the pivots' values at p[free] = 0
     v_face, p_face = np.full(F, -np.inf), np.zeros((F, K))
     live, lo, hi, center = np.arange(F), np.zeros((F, d)), up_ff, np.full((F, d), np.nan)
     for _ in range(max_rounds):
-        U = _mesh(lo, hi, n)[0]
+        U = _mesh(lo, hi, n, span)[0]
         F_, N = U.shape[:2]
         Xp = c0[:, None] + np.matmul(U, WT)
         feas = np.ones((F_, N), dtype=bool)
         for i in range(K - d):
             feas &= (Xp[..., i] >= -1e-12) & (Xp[..., i] <= up_piv[:, None, i] + 1e-12)
-        X = np.concatenate([x0[:, :, None].repeat(N, axis=2), U.transpose(0, 2, 1),
-                            np.clip(Xp, 0.0, up_piv[:, None]).transpose(0, 2, 1)], axis=1)
-        X = X[np.arange(F_)[:, None], order[:, :K]].swapaxes(1, 2).copy().reshape(-1, K)
+        X = np.repeat(x0[:, None], N, axis=1)   # (F_, N, K + 1), the padding to column K
+        for k, v in enumerate(np.dstack([U, np.clip(Xp, 0.0, up_piv[:, None])]).transpose(2, 0, 1)):
+            X[np.arange(F_)[:, None], np.arange(N), cols[:, k:k + 1]] = v
+        X = X[..., :K].reshape(-1, K)
         # each problem's first face, then F_: a problem's rows are X[s * N:e * N]
         seg = np.flatnonzero(np.diff(prob[live], prepend=-1, append=-1))
-        dots = np.zeros((bound.shape[1], F_ * N))
-        for s, e in zip(seg, seg[1:]):
-            for j, a in enumerate(probs[prob[live[s]]][2]):
-                np.matmul(X[s * N:e * N], a, out=dots[j, s * N:e * N])
-        feas &= np.logical_and.reduce(dots.reshape(-1, F_, N) <= bound.T[:, :, None])
+        dots = np.matmul(X.reshape(F_, N, K), A[live].transpose(1, 0, 2)[..., None])[..., 0]
+        feas &= np.logical_and.reduce(dots <= bound.T[:, :, None])
         vals = np.full(F_ * N, -np.inf)
-        lone = feas.sum(axis=1) == 1
+        lone = feas.sum(axis=1) * (n ** d // N) == 1   # times the reference's copies
         rows = np.flatnonzero(feas & ~lone[:, None])
         X_rows, cut = X.take(rows, axis=0), np.searchsorted(rows, seg * N)
-        for s, a, e in zip(seg, cut, cut[1:]):
+        for s, a, e in zip(seg, cut, cut[1:]):   # a lone row here stands for its copies
             if e > a:
-                vals[rows[a:e]] = probs[prob[live[s]]][0](X_rows[a:e])
+                Xq = X_rows[a:e] if e - a > 1 else X_rows[a:e].repeat(2, axis=0)
+                vals[rows[a:e]] = probs[prob[live[s]]][0](Xq)[:e - a]
         # numpy takes a (1, K) @ (K,) product as a dot, which can round
         # unlike the same row in a batch; a face's lone point goes alone
         for i in np.flatnonzero(feas & lone[:, None]):
@@ -213,21 +217,20 @@ def _refine_faces(probs, faces, grid_step, n, max_rounds):
         if not keep.all():   # drop the faces that stopped
             if not keep.any():
                 break
-            live, lo, hi, center, c0, WT, up_piv, x0, order, bound, up_ff = (
-                z[keep] for z in (live, lo, hi, center, c0, WT, up_piv, x0, order,
-                                  bound, up_ff))
-        span = (hi - lo) / 2.0
+            live, lo, hi, center, c0, WT, up_piv, x0, cols, bound, up_ff = (
+                z[keep] for z in (live, lo, hi, center, c0, WT, up_piv, x0, cols, bound, up_ff))
+        width = (hi - lo) / 2.0
         c = np.where(np.isnan(center), (lo + hi) / 2.0, center)
-        lo = np.clip(c - span / 2.0, 0.0, np.maximum(up_ff - span, 0.0))
-        hi = np.minimum(lo + span, up_ff)
+        lo = np.clip(c - width / 2.0, 0.0, np.maximum(up_ff - width, 0.0))
+        hi = np.minimum(lo + width, up_ff)
     return v_face, p_face
 
 
 def _batches(keys, n):
-    """Indices of equal keys, last d, in runs of min(n**3, MAX_MESH_POINTS) // n**d."""
+    """Indices of equal keys, last the `_span`, in runs of min(n**3, MAX_MESH_POINTS) // n**s."""
     for key, ids in groupby(sorted(range(len(keys)), key=keys.__getitem__),
                             key=keys.__getitem__):
-        ids, step = list(ids), min(n ** 3, MAX_MESH_POINTS) // n ** key[-1]
+        ids, step = list(ids), min(n ** 3, MAX_MESH_POINTS) // n ** sum(key[-1])
         yield from (ids[s:s + step] for s in range(0, len(ids), step))
 
 
@@ -235,24 +238,20 @@ def _improve_on_faces(probs, best, grid_step, n, max_rounds):
     """Replace best[q] = (point, value) by problem q's best `_faces` point where
     higher, ties to the first face; an optimum with exactly a face's active set
     is interior in its free coordinates. Faces come in blocks, by problem shape."""
-    order = sorted(range(len(probs)), key=lambda q: probs[q][2].shape)   # (J, K)
-    faces = ((q, *f) for q in order for f in _faces(*probs[q][1:]))
-    while block := list(islice(faces, min(n ** 3, MAX_MESH_POINTS) // n)):
-        found = {}   # face -> (value, point)
-        for ids in _batches([(len(f[5]), *f[3].shape) for f in block], n):   # J, K - d, d
-            found.update(zip(ids, zip(*_refine_faces(
-                probs, [block[i] for i in ids], grid_step, n, max_rounds))))
-        for f, (q, *_) in enumerate(block):
-            if found[f][0] > best[q][1]:
-                best[q] = (found[f][1], float(found[f][0]))
-
-
-def _face_candidates(objective, upper, halfspaces, grid_step, points_per_dim, max_rounds):
-    """One problem's best face point and value, (None, -inf) if none is feasible."""
-    best = [(None, -np.inf)]
-    _improve_on_faces([(objective, upper, *map(np.array, zip(*halfspaces)))], best,
-                      grid_step, points_per_dim, max_rounds)
-    return best[0]
+    for qs in map(np.array, _batches([(*A.shape, (True, True)) for *_, A, _ in probs], n)):
+        J, K = probs[qs[0]][2].shape   # n problems of a shape, as a two-axis mesh's run
+        if not J:
+            continue
+        q, d, *faces = _faces(*(np.array([probs[i][k] for i in qs]) for k in (1, 2, 3)))
+        free = np.arange(K) < d[:, None]
+        span = _span(np.where(free, faces[-1], 0.0)) & free
+        v, p = np.full(len(q), -np.inf), np.zeros((len(q), K))
+        for ids in _batches(list(zip(d.tolist(), map(tuple, span.tolist()))), n):
+            v[ids], p[ids] = _refine_faces(probs, qs[q[ids]], span[ids[0], :d[ids[0]]],
+                                           [z[ids] for z in faces], grid_step, n, max_rounds)
+        for i, qi in enumerate(qs[q]):   # each problem's faces in order
+            if v[i] > best[qi][1]:
+                best[qi] = (p[i], float(v[i]))
 
 
 def grid_state_oracles(problems, grid_step=1e-3, points_per_dim=21, max_rounds=80):
@@ -274,7 +273,8 @@ def grid_state_oracles(problems, grid_step=1e-3, points_per_dim=21, max_rounds=8
         raise UsageError(f"grid oracle needs 2 <= points_per_dim, points_per_dim ** K"
                          f" <= {MAX_MESH_POINTS}, 0 < grid_step < inf, max_rounds >= 1")
     best = [None] * len(probs)
-    for ids in _batches([(*A.shape, A.shape[1]) for *_, A, _ in probs], points_per_dim):
+    for ids in _batches([(*A.shape, tuple(_span(u).tolist())) for _, u, A, _ in probs],
+                        points_per_dim):
         for q, p, v in zip(ids, *_refine_boxes([probs[q] for q in ids], grid_step,
                                                points_per_dim, max_rounds)):
             best[q] = (p, float(v))

@@ -96,6 +96,8 @@ def _degenerate_problems():
                        id="halfspace that never binds")
     yield pytest.param(*case4_problem(ChannelStateMac(h=h[:2], g=g[:2]), [0.7, 0.9],
                                       [0.5, 3.0]), id="K = 2, zero column of g")
+    yield pytest.param(lambda X: -((X - 0.6) ** 2).sum(axis=1), np.ones(3),
+                       [(np.ones(3), 1.2)], id="pivots of equal determinant")
 
 
 def _quadratic_problems(n=60):
@@ -120,14 +122,21 @@ def _assert_oracle_matches(obj, upper, hs):
     np.testing.assert_array_equal(p, p_ref)
 
 
+def _face_candidates(objective, upper, halfspaces, grid_step, points_per_dim, max_rounds):
+    """One problem's best face point and value, (None, -inf) if none is feasible."""
+    best = [(None, -np.inf)]
+    oracle._improve_on_faces([(objective, upper, *map(np.array, zip(*halfspaces)))], best,
+                             grid_step, points_per_dim, max_rounds)
+    return best[0]
+
+
 def _assert_faces_match(obj, upper, hs):
     """The face search alone: the best face's value and point, to the
     last bit. The box grid often reaches the same optimum, so the whole
     oracle's result would hide most faces refined wrongly or skipped."""
     upper = np.asarray(upper, dtype=float)
     hs = [(np.asarray(a, dtype=float), float(b)) for a, b in hs]
-    fp, fv = oracle._face_candidates(_c_contiguous_rows(obj, len(upper)), upper,
-                                     hs, 1e-3, 21, 80)
+    fp, fv = _face_candidates(_c_contiguous_rows(obj, len(upper)), upper, hs, 1e-3, 21, 80)
     fp_ref, fv_ref = grid_reference._face_candidates(obj, upper, hs, 1e-3, 21)
     assert fv == fv_ref
     np.testing.assert_array_equal(fp, fp_ref)
@@ -151,6 +160,95 @@ def test_grid_oracle_matches_reference_degenerate(obj, upper, hs):
     _assert_oracle_matches(obj, upper, hs)
     if hs:
         _assert_faces_match(obj, upper, hs)
+
+
+_G3 = np.array([[0.9, 0.4], [0.6, 1.1], [1.5, 0.8]])
+
+# (objective rows, one-row calls) of one call on the case-IV problems below,
+# keyed by (caps, M); the reference evaluates 55,126, 74,177 and 74,177 rows at
+# caps (0, 0, 1.7), 55,546, 77,495 and 79,036 at (0, 1.2, 0.9), and 9,262 at
+# (0, 0, 0), with 1, 5, 5, 1, 5, 7, 1, 1 and 1 one-row calls
+DEAD_USER_CALLS = {((0.0, 0.0, 1.7), 0): (126, 1), ((0.0, 0.0, 1.7), 1): (232, 2),
+                   ((0.0, 0.0, 1.7), 2): (232, 2), ((0.0, 1.2, 0.9), 0): (2646, 1),
+                   ((0.0, 1.2, 0.9), 1): (3866, 3), ((0.0, 1.2, 0.9), 2): (4020, 4),
+                   ((0.0, 0.0, 0.0), 0): (22, 1), ((0.0, 0.0, 0.0), 1): (22, 1),
+                   ((0.0, 0.0, 0.0), 2): (22, 1)}
+
+
+def _recorded(objective, calls):
+    def recording(X):
+        calls.append(X.copy())
+        return objective(X)
+    return recording
+
+
+def _assert_calls_match(obj, up, hs):
+    """The oracle's result equals the reference's bit for bit; returns both
+    calls' (objective rows, one-row calls), and checks that a one-row call
+    only evaluates a point the reference evaluates in one row."""
+    calls, calls_ref = [], []
+    p, v = grid_state_oracle(_c_contiguous_rows(_recorded(obj, calls), len(up)), up, hs)
+    p_ref, v_ref = grid_reference.grid_state_oracle(_recorded(obj, calls_ref), up, hs)
+    assert v == v_ref
+    np.testing.assert_array_equal(p, p_ref)
+    lone, lone_ref = ([tuple(X[0]) for X in c if len(X) == 1] for c in (calls, calls_ref))
+    assert set(lone) <= set(lone_ref)
+    return [(sum(map(len, c)), len(one)) for c, one in ((calls, lone), (calls_ref, lone_ref))]
+
+
+@pytest.mark.parametrize("M", [0, 1, 2])
+@pytest.mark.parametrize("caps", [(0.0, 0.0, 1.7), (0.0, 1.2, 0.9), (0.0, 0.0, 0.0)])
+def test_dead_users_refine_on_fewer_rows(caps, M):
+    """A 3-user box whose users with a zero cap are dead meshes only the
+    other axes, and its faces skip what repeats: the reference's result bit
+    for bit from pinned, far fewer objective rows."""
+    state = ChannelStateMac(h=np.array([1.3, 0.7, 2.1]), g=_G3[:, :M])
+    obj, up, hs = case4_problem(state, caps, [0.8, 1.1][:M])
+    (rows, lone), (rows_ref, _) = _assert_calls_match(obj, up, hs)
+    assert (rows, lone) == DEAD_USER_CALLS[caps, M] and rows < rows_ref
+    if hs:
+        _assert_faces_match(obj, up, hs)
+
+
+def test_lone_point_of_a_face_with_copies_is_evaluated_in_a_batch():
+    """The face of the halfspace with user 1 free at its zero cap holds one
+    feasible point in its first round (user 2 at 1.0, user 3 the pivot at
+    0.005). The reference's mesh holds 21 copies of it, so it is evaluated
+    in a batch of two rows, not alone: 4 one-row calls (the origin, two
+    vertices and a face without copies; the reference makes 7, 3 of them for
+    faces that repeat)."""
+    state = ChannelStateMac(h=np.array([1.3, 0.7, 2.1]), g=np.array([[0.5], [0.6], [2.0]]))
+    obj, up, hs = case4_problem(state, [0.0, 2.0, 0.02], [0.61])
+    (rows, lone), (rows_ref, lone_ref) = _assert_calls_match(obj, up, hs)
+    assert (rows, lone) == (3689, 4) and (rows_ref, lone_ref) == (75448, 7)
+
+
+def test_box_phase_matches_reference(monkeypatch):
+    """The box refinement alone, bit for bit, where the last user is dead:
+    a round with one infeasible mesh point, 21 copies in the reference's
+    mesh, clips it by a product of two rows, which rounds like the
+    reference's batch where one row alone would not."""
+    monkeypatch.setattr(oracle, "_improve_on_faces", lambda *args: None)
+    monkeypatch.setattr(grid_reference, "_face_candidates", lambda *args: (None, -np.inf))
+    state = ChannelStateMac(h=np.array([0.04, 1.85, 0.21]), g=np.array([[1.23], [1.3], [1.57]]))
+    _assert_calls_match(*case4_problem(state, [0.41, 0.69, 0.0], [1.399]))
+    for obj, up, hs in _random_problems(20):
+        _assert_calls_match(obj, up, hs)
+
+
+@pytest.mark.parametrize("caps, n_faces", [((0.0, 1.2, 0.9), 34), ((0.0, 0.0, 1.7), 25),
+                                           ((0.0, 0.0, 0.0), 18), ((0.5, 1.2, 0.9), 45)])
+def test_faces_are_listed_once(caps, n_faces):
+    """K = 3, M = 2: 45 faces when no bound is zero. A coordinate fixed at
+    its zero bound has one pattern, not a 0 and a 1 that repeat each other,
+    so no two faces share x0 (fixed values and pivot offsets), cols and W."""
+    state = ChannelStateMac(h=np.array([1.3, 0.7, 2.1]), g=_G3)
+    _, up, hs = case4_problem(state, caps, [0.8, 1.1])
+    A, b = map(np.array, zip(*hs))
+    q, _, x0, cols, W, *_ = oracle._faces(up[None], A[None], b[None])
+    assert len(q) == n_faces
+    assert len({(x.tobytes(), c.tobytes(), w.tobytes()) for x, c, w in zip(x0, cols, W)}) \
+        == n_faces
 
 
 def _own_rows(objective, upper, seen):
@@ -194,22 +292,25 @@ def test_grid_oracle_batch_matches_one_problem_calls():
 
 def test_grid_oracle_batch_keeps_to_the_row_bound(monkeypatch):
     """With 3 points per axis a round holds at most 27 grid rows, so the
-    boxes and faces of this batch refine in many chunks."""
-    rows = []
-    boxes, faces = oracle._refine_boxes, oracle._refine_faces
+    boxes and faces of this batch refine in many chunks, and a 3-user box
+    with a dead user (a zero upper bound) shares its rounds with another."""
+    rows, boxes = [], []
+    mesh, refine_boxes = oracle._mesh, oracle._refine_boxes
+
+    def mesh_spy(*args):
+        grid = mesh(*args)
+        rows.append(grid[0].shape[0] * grid[0].shape[1])   # (F, points, d)
+        return grid
 
     def boxes_spy(probs, *args):
-        rows.append(len(probs) * 3 ** len(probs[0][1]))
-        return boxes(probs, *args)
+        boxes.append([up for _, up, _, _ in probs])
+        return refine_boxes(probs, *args)
 
-    def faces_spy(probs, chunk, *args):
-        rows.append(len(chunk) * 3 ** chunk[0][3].shape[1])   # W has d columns
-        return faces(probs, chunk, *args)
-
+    monkeypatch.setattr(oracle, "_mesh", mesh_spy)
     monkeypatch.setattr(oracle, "_refine_boxes", boxes_spy)
-    monkeypatch.setattr(oracle, "_refine_faces", faces_spy)
     _assert_batch_matches(_random_problems(30), points_per_dim=3)
     assert max(rows) <= 27 and len(rows) > 40
+    assert any(len(ups) > 1 and len(ups[0]) == 3 and (ups[0] == 0.0).any() for ups in boxes)
 
 
 @pytest.mark.parametrize("kwargs", [
