@@ -8,8 +8,9 @@ without a dual loop are exact. Rates are sample averages in nats.
 There is one pipeline: the BC is solved, audited and assembled as the
 one-user MAC of `perstate_bc.as_one_user_mac` and its result
 relabelled as the BC's. At the final multipliers every BC state is
-solved once more through the K-user auxiliary MAC, and the BC pipeline
-refuses to return if the two paths disagree.
+solved once more on those one-user arrays and through the K-user
+auxiliary MAC, and the BC pipeline refuses to return if the two paths
+disagree.
 """
 from __future__ import annotations
 
@@ -22,8 +23,9 @@ from .constraints import (ConstraintCase, ConstraintReport, PowerBudget,
 from .dual import ConvergenceReport, DualPoint, cutting_plane_solve
 from .errors import SolverFailureError, UsageError
 from .fading import Ensemble, as_ensemble
-from .perstate_bc import as_one_user_mac, solve_states_bc, solve_states_bc_via_mac
+from .perstate_bc import as_one_user_mac, solve_states_bc_via_mac
 from .perstate_mac import ACTIVE_TOL, _ipc_caps
+from .tdma import solve_states
 
 BC_STATE_AGREE_TOL = 1e-8
 BC_RATE_AGREE_TOL = 1e-6
@@ -130,18 +132,18 @@ def _bc_prices(point: DualPoint, M: int):
             point.mu if point.mu.size else np.zeros(M))
 
 
-def _bc_agreement_check(ensemble, case, budget, point: DualPoint):
-    """Solve every state along both BC paths and compare."""
-    Hb, F = ensemble.H, ensemble.F
-    lam, mu = _bc_prices(point, F.shape[1])
-    q1, _ = solve_states_bc(Hb, F, case, lam, mu, budget)
-    q2, _ = solve_states_bc_via_mac(Hb, F, case, lam, mu, budget)
+def _bc_agreement_check(ensemble, H1, G1, mac, case, budget, point: DualPoint):
+    """Solve every state along both BC paths and compare: the one-user
+    MAC (H1, G1, mac) the dual loop ran on, and the auxiliary MAC."""
+    q1 = solve_states(case, H1, G1, point.lam, point.mu, mac, tdma_mode=True)[:, 0]
+    lam, mu = _bc_prices(point, G1.shape[2])
+    q2, _ = solve_states_bc_via_mac(ensemble.H, ensemble.F, case, lam, mu, budget)
     worst = float(np.max(np.abs(q1 - q2) / (1.0 + np.abs(q1))))
     if worst > BC_STATE_AGREE_TOL:
         raise SolverFailureError(
             f"BC one-user and auxiliary-MAC paths disagree per state "
             f"({worst:.3e})", residual=worst)
-    hstar = Hb.max(axis=1)
+    hstar = H1[:, 0]
     r1 = float(np.mean(np.log1p(hstar * q1)))
     r2 = float(np.mean(np.log1p(hstar * q2)))
     rel = abs(r1 - r2) / max(abs(r1), 1e-12)
@@ -168,7 +170,7 @@ def ergodic_capacity_bc(states, case: ConstraintCase, budget: PowerBudget,
             return solve_states_bc_via_mac(Hb, F, case, lam, mu, budget)[0][:, None]
         dual_opts["per_state_solver"] = via_mac
     res = _capacity(Ensemble("mac", H1, G1), case, mac, "tdma", **dual_opts)
-    _bc_agreement_check(ensemble, case, budget, res.dual_point)
+    _bc_agreement_check(ensemble, H1, G1, mac, case, budget, res.dual_point)
     return _as_bc(res, Hb.shape[1], "full")
 
 

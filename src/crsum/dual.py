@@ -34,16 +34,16 @@ master; the next evaluation is then at x_master itself, so the loop
 converges as Kelley's does. One rule holds for every problem: alpha
 follows that automatic rule while the master tolerance is the stop
 tolerance, and is 0 once it tightens. Only a problem rounded to one
-user per state (case I, and TDMA mode with K > 1) tightens, when the
-rounding reopens a closed gap; from then on every evaluation is at
-x_master, as in Kelley's method. A problem that never rounds never
-tightens, and case I follows one trajectory in both modes.
+user per state by `perstate_mac.lone_user` (case I, and TDMA mode)
+tightens, when the rounding reopens a closed gap; from then on every
+evaluation is at x_master, as in Kelley's method. A problem that never
+rounds never tightens, and case I follows one trajectory in both modes.
 
 Each evaluation sums one user or cap column at a time over all states.
 With zero dualized constraints (case 4) the loop is a single exact
 evaluation. There is one problem adapter, the MAC's: a BC ensemble is
 solved as the one-user TDMA MAC of `perstate_bc.as_one_user_mac`. With
-one user there is nothing to round, so BC points are smoothed.
+one user the rounding returns the mixture, so BC points never tighten.
 """
 from __future__ import annotations
 
@@ -57,6 +57,7 @@ from .errors import (ConvergenceFailureError, SolverFailureError,
                      UnboundedSubproblemError, UsageError)
 from .fading import Ensemble, as_ensemble
 from . import perstate_bc, tdma
+from .perstate_mac import lone_user
 
 GAP_TOL = 1e-3
 # An unbounded evaluation adds the floor a.x >= PRICE_FLOOR * a.x0 on
@@ -375,16 +376,6 @@ class _Master:
                          if self.pool_index[j] >= 0))
 
 
-def _one_user(H, Q):
-    """Each state's user with the largest h_k q_k keeps its power; the
-    others fall silent (ties to the lowest index)."""
-    user = np.argmax(H * Q, axis=1)
-    rows = np.arange(H.shape[0])
-    out = np.zeros_like(Q)
-    out[rows, user] = Q[rows, user]
-    return out
-
-
 def _lt_violation(problem, usage) -> float:
     if usage.size == 0:
         return 0.0
@@ -429,11 +420,13 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     tightened.
 
     A policy whose per-state optimum is single-user (TDMA mode, and case
-    I in either mode) keeps only each mixed state's strongest user. That
-    lowers every usage, so the policy stays feasible, but it can open
-    the gap again: the master tolerance then tightens tenfold at a time
-    down to gap_tol * TIGHTEN_FLOOR, or until the master stops moving,
-    and alpha stays 0.
+    I in either mode) is rounded by the lone-user rule at price 0 with
+    the mixed powers as caps: each state's user of largest log(1 + h q)
+    keeps its power (with one user, the mixture itself). That lowers
+    every usage, so the policy stays feasible, but it can open the gap
+    again: the master tolerance then tightens tenfold at a time down to
+    gap_tol * TIGHTEN_FLOOR, or until the master stops moving, and alpha
+    stays 0.
     If the gap is still open then, TDMA mode reports the one-user policy
     with stop reason "rounding" (`report.certified` is false), and case
     I in full mode returns the mixture, which is within the gap.
@@ -452,7 +445,7 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
                             tdma_mode=tdma_mode)
     d = problem.n_lam + problem.n_mu
     n, K = problem.H.shape
-    one_user = K > 1 and (problem.tdma_mode or case is ConstraintCase.I)
+    one_user = problem.tdma_mode or case is ConstraintCase.I
     if max_iter is None:
         max_iter = 100 * (d + 1)
     pool = ColumnPool() if pool is None else pool
@@ -501,7 +494,7 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
                     xi, _, _, owner = cols[i]
                     kept[i] = owner.allocation(xi)
                 mixed = mixed + w * kept[i]
-            policy = _one_user(problem.H, mixed) if one_user else mixed
+            policy = lone_user(problem.H, 0.0, mixed) if one_user else mixed
             report.best_primal = problem.primal_value(policy)
             if report.certified_at(gap_tol):
                 report.stop_reason = "gap"

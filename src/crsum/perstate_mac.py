@@ -8,8 +8,8 @@ into a small concave program in the per-state power vector p >= 0:
   case 3:  max log(1+h.p) - sum_m mu_m (g_m.p)  s.t. p <= p_st
   case 4:  max log(1+h.p)  s.t. p <= p_st, g_m.p <= gamma_m
 
-Cases 1 and 3 have closed forms (a single best-ratio user, found by a
-running best over the user columns; a sorted-ratio cap-filling sweep).
+Cases 1 and 3 have closed forms (`lone_user`, one user alone, which
+the TDMA solvers share; a sorted-ratio cap-filling sweep).
 Case 4 is the linear program max h.p over the power polytope: a
 fractional knapsack in decreasing h_k/g_k with one interference cap
 (M = 1), the lockstep bounded-variable simplex `bounded_simplex` with
@@ -117,6 +117,14 @@ def _vec(x, size, name) -> np.ndarray:
     return v
 
 
+def _cap(x, size, name) -> np.ndarray:
+    """A per-state cap vector: `_vec`, and strictly positive."""
+    v = _vec(x, size, name)
+    if np.any(v <= 0):
+        raise UsageError(f"{name} must be strictly positive")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # the per-state KKT system of every case
 
@@ -175,7 +183,7 @@ def _certify(what, H, G, P, LAM, MU, GAM, caps=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# case 1: single-user water-filling against fixed prices
+# case 1 and TDMA: the lone-user rule
 
 
 def _interference_price(G: np.ndarray, mu) -> np.ndarray:
@@ -189,37 +197,50 @@ def _interference_price(G: np.ndarray, mu) -> np.ndarray:
     return W
 
 
-def solve_states_case1(H: np.ndarray, G: np.ndarray, lam, mu) -> np.ndarray:
-    """Vectorized case-1 solver. lam is (K,) or (n,K); mu is (M,).
-
-    A running best over the K user columns picks each state's
-    highest-ratio user; the strict comparison keeps ties at the lowest
-    index.
+def lone_user(H: np.ndarray, price, cap=None) -> np.ndarray:
+    """D-TDMA: each state's best user transmits alone. Each user with
+    gain gets min((1/price - 1/h)^+, cap), and the largest
+    log(1 + h p) - price p wins by one argmax over the user axis (ties
+    to the lowest index); price and cap broadcast against H (n, K). With
+    one user this is the one-user closed form. The first (state, user)
+    in row order with positive gain, zero price and no cap raises
+    UnboundedSubproblemError.
     """
     n, K = H.shape
-    W = np.broadcast_to(np.asarray(lam, dtype=float), H.shape) \
-        + _interference_price(G, mu)
-    sel = np.zeros(n, dtype=np.intp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rsel = np.where(H[:, 0] > 0.0, H[:, 0] / W[:, 0], 0.0)
-        wsel, hsel = W[:, 0].copy(), H[:, 0].copy()
-        for k in range(1, K):
-            h, w = H[:, k], W[:, k]
-            r = np.where(h > 0.0, h / w, 0.0)
-            better = r > rsel
-            for dst, src in ((rsel, r), (sel, k), (wsel, w), (hsel, h)):
-                np.copyto(dst, src, where=better)
-    if np.any(np.isinf(rsel)):
-        t = int(np.flatnonzero(np.isinf(rsel))[0])
+    price = np.asarray(price, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):     # NaN: no gain, no price
+        P = np.divide(1.0, price, out=np.full(H.shape, np.inf), where=price > 0.0)
+        P -= 1.0 / H
+    np.maximum(P, 0.0, out=P)
+    if cap is not None:
+        np.minimum(P, cap, out=P)
+    np.copyto(P, 0.0, where=~(H > 0.0))
+    if np.isinf(P).any():
+        t, k = np.argwhere(np.isinf(P))[0]
         raise UnboundedSubproblemError(
             "zero effective price for a user with positive gain",
-            state_index=t, user_index=int(sel[t]))
-    with np.errstate(divide="ignore"):
-        psel = np.where(rsel > 1.0, 1.0 / wsel - 1.0 / hsel, 0.0)
-    P = np.empty((n, K))
-    for k in range(K):
-        P[:, k] = np.where(sel == k, psel, 0.0)
+            state_index=int(t), user_index=int(k))
+    if K == 1:
+        return P
+    cost = price * P
+    del price       # a price array built for this call is freed before val
+    val = np.multiply(H, P)
+    with np.errstate(invalid="ignore"):
+        np.log1p(val, out=val)
+    val -= cost
+    del cost
+    np.copyto(val, -np.inf, where=~np.isfinite(val))
+    at = np.argmax(val, axis=1) + np.arange(0, n * K, K)
+    won = P.reshape(-1).take(at)
+    P.fill(0.0)
+    P.reshape(-1)[at] = won
     return P
+
+
+def solve_states_case1(H: np.ndarray, G: np.ndarray, lam, mu) -> np.ndarray:
+    """Vectorized case-1 solver, lam (K,) or (n,K), mu (M,): `lone_user`
+    at the prices lam + mu.g, uncapped, so the best ratio h / price wins."""
+    return lone_user(H, _interference_price(G, mu) + lam)
 
 
 def kkt_report_case1(h, g, lam, mu, p) -> KktReport:
@@ -351,9 +372,7 @@ def kkt_report_case2(h, g, lam, gamma, p, mu_state) -> KktReport:
 def solve_state_case2(state: ChannelStateMac, lam, gamma_st):
     """Case-2 subproblem: at most M+1 users transmit."""
     lam = _vec(lam, state.K, "lam")
-    gamma_st = _vec(gamma_st, state.M, "gamma_st")
-    if np.any(gamma_st <= 0):
-        raise UsageError("gamma_st must be strictly positive")
+    gamma_st = _cap(gamma_st, state.M, "gamma_st")
     H, G = _as_state_arrays(state)
     P, MU = solve_states_case2(H, G, lam, gamma_st, want_multipliers=True)
     p, mu_state = P[0], MU[0]
@@ -465,9 +484,7 @@ def solve_state_case3(state: ChannelStateMac, mu, p_st):
     """Case-3 subproblem: caps fill in ratio order, at most one user
     sits strictly inside its cap."""
     mu = _vec(mu, state.M, "mu")
-    p_st = _vec(p_st, state.K, "p_st")
-    if np.any(p_st <= 0):
-        raise UsageError("p_st must be strictly positive")
+    p_st = _cap(p_st, state.K, "p_st")
     H, G = _as_state_arrays(state)
     p = solve_states_case3(H, G, mu, p_st)[0]
     w = state.g @ mu
@@ -728,10 +745,8 @@ def kkt_report_case4(h, g, p_st, gamma, p, lam_state, mu_state) -> KktReport:
 def solve_state_case4(state: ChannelStateMac, p_st, gamma_st):
     """Case-4 subproblem: maximize the state's sum rate inside the box
     intersected with the interference caps."""
-    p_st = _vec(p_st, state.K, "p_st")
-    gamma_st = _vec(gamma_st, state.M, "gamma_st")
-    if np.any(p_st <= 0) or np.any(gamma_st <= 0):
-        raise UsageError("p_st and gamma_st must be strictly positive")
+    p_st = _cap(p_st, state.K, "p_st")
+    gamma_st = _cap(gamma_st, state.M, "gamma_st")
     H, G = _as_state_arrays(state)
     P, LAM, MU = solve_states_case4(H, G, p_st, gamma_st, want_multipliers=True)
     p, lam_state, mu_state = P[0], LAM[0], MU[0]

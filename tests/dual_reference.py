@@ -1,9 +1,10 @@
 """The case-1 solver and the dual evaluation as they were before they
 ran column by column, kept as the reference that
 `perstate_mac.solve_states_case1` and `dual._MacProblem.evaluate` must
-match.
+match, and the dual loop's one-user rounding as it was before
+`perstate_mac.lone_user` took it over.
 
-Both reduce along the short last axis of (n, K) and (n, K, M) arrays:
+All reduce along the short last axis of (n, K) and (n, K, M) arrays:
 `np.argmax(..., axis=1)` with fancy-index gathers and a scatter for the
 winner, `G @ mu` as a matmul, and einsums for the rate and the
 interference.
@@ -36,6 +37,16 @@ def solve_states_case1(H: np.ndarray, G: np.ndarray, lam, mu) -> np.ndarray:
     P = np.zeros_like(H)
     P[rows, sel] = psel
     return P
+
+
+def one_user(H, Q):
+    """Each state's user with the largest h_k q_k keeps its power; the
+    others fall silent (ties to the lowest index)."""
+    user = np.argmax(H * Q, axis=1)
+    rows = np.arange(H.shape[0])
+    out = np.zeros_like(Q)
+    out[rows, user] = Q[rows, user]
+    return out
 
 
 def evaluate(problem, x: np.ndarray):

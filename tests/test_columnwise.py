@@ -14,7 +14,7 @@ from crsum import (ConstraintCase, FadingModel, PowerBudget,
                    UnboundedSubproblemError, ellipsoid_solve, sample_bc_states)
 from crsum.dual import _make_problem
 from crsum.fading import Ensemble
-from crsum.perstate_mac import solve_states_case1, solve_states_case3
+from crsum.perstate_mac import lone_user, solve_states_case1, solve_states_case3
 
 
 def _instance(seed, n, K, M, idle=0.2):
@@ -99,6 +99,29 @@ def test_case1_zero_price_raises_like_reference():
     ref, new = errors
     assert str(new) == str(ref)
     assert (new.state_index, new.user_index) == (ref.state_index, ref.user_index) == (7, 1)
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 20])
+def test_rounding_equals_reference(K):
+    """The dual loop's rounding, the lone-user rule at price 0 capped by
+    the mixed powers, keeps the user of largest h q bit for bit as
+    `dual_reference.one_user` does, on mixtures that leave gainless
+    users silent as every column does: with exact ties in h q, all-zero
+    rows and gainless users."""
+    n = 3000
+    H, _, _, _ = _instance(K, n, K, 0)
+    rng = np.random.default_rng(K + 50)
+    Q = rng.uniform(0.0, 2.0, (n, K)) * (rng.random((n, K)) < 0.7)
+    if K > 1:
+        H[1::4, 1], Q[1::4, 1] = Q[1::4, 0], H[1::4, 0]      # swapped: h q ties
+        H[2::4, -1], Q[2::4, -1] = H[2::4, 0], Q[2::4, 0]    # identical users
+    Q[3::8], H[5::8] = 0.0, 0.0             # no power, no gain
+    Q[H == 0.0] = 0.0
+    HQ = H * Q
+    if K > 1:
+        assert np.any((HQ[:, 0] == HQ[:, 1]) & (HQ[:, 0] > 0.0))
+    assert np.any(H == 0.0) and np.any(~HQ.any(axis=1))
+    assert np.array_equal(lone_user(H, 0.0, Q), dual_reference.one_user(H, Q))
 
 
 def _case3_instances(n, K, M, seed):

@@ -296,7 +296,7 @@ def test_rounded_problems_smooth_until_the_tolerance_tightens(monkeypatch):
     at the master's own point. Both modes follow one trajectory."""
     log = []
     evaluate, solve = dual._MacProblem.evaluate, _Master.solve
-    smoothing, one_user = dual._smoothing, dual._one_user
+    smoothing, lone_user = dual._smoothing, dual.lone_user
 
     def recorded_evaluate(self, x):
         log.append(("eval", x.copy()))
@@ -310,14 +310,14 @@ def test_rounded_problems_smooth_until_the_tolerance_tightens(monkeypatch):
         log.append(("smoothing", alpha))
         return smoothing(alpha, slope)
 
-    def recorded_one_user(H, Q):
+    def recorded_lone_user(H, price, cap):
         log.append(("close", None))
-        return one_user(H, Q)
+        return lone_user(H, price, cap)
 
     monkeypatch.setattr(dual._MacProblem, "evaluate", recorded_evaluate)
     monkeypatch.setattr(_Master, "solve", recorded_solve)
     monkeypatch.setattr(dual, "_smoothing", recorded_smoothing)
-    monkeypatch.setattr(dual, "_one_user", recorded_one_user)
+    monkeypatch.setattr(dual, "lone_user", recorded_lone_user)
     states = sample_mac_states(FadingModel(K=2, M=1, n_states=200, seed=3))
     budget = PowerBudget.symmetric(2, 1, db_to_linear(-5.0), 1.0)
     trajectories = []

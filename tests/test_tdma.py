@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crsum import (ConstraintCase, FadingModel, PowerBudget,
-                   UnboundedSubproblemError, sample_mac_states, mac_arrays)
+                   UnboundedSubproblemError, UsageError, sample_mac_states,
+                   mac_arrays)
 from crsum.fading import ChannelStateBc, ChannelStateMac
 from crsum.perstate_bc import solve_state_bc, solve_states_bc
 from crsum.perstate_mac import (solve_states_case1, solve_states_case2,
@@ -123,6 +124,13 @@ def test_scalar_wrappers():
         assert (a.p >= 0).all()
         assert (a.p > 0).sum() <= 1
         assert len(a.active_set) <= 1
+    # a zero per-state cap is refused, as by the unrestricted solvers
+    for call in (lambda: tdma_state_case2(s, np.array([0.5, 0.5]), np.zeros(1)),
+                 lambda: tdma_state_case3(s, np.array([0.5]), np.zeros(2)),
+                 lambda: tdma_state_case4(s, np.zeros(2), np.ones(1)),
+                 lambda: tdma_state_case4(s, np.ones(2), np.zeros(1))):
+        with pytest.raises(UsageError, match="must be strictly positive"):
+            call()
 
 
 @settings(deadline=None, max_examples=40, derandomize=True)
@@ -172,6 +180,21 @@ def test_ties_go_to_user_zero(case):
     assert not user.any()
     assert solve_state_bc(ChannelStateBc(h=H[0], f=G[0, 0]), case, 0.3, mu,
                           budget).user == 0
+
+
+@pytest.mark.parametrize("case", list(ConstraintCase))
+def test_gainless_state_stays_silent(case):
+    """A state without gain sends nothing, restricted or not, even at a
+    zero price with positive caps (case IV), where every user ties."""
+    H, G = _ensemble(n=6, seed=82)
+    H = H.copy()
+    H[[1, 4]] = 0.0
+    H[2, 0] = 0.0
+    budget = PowerBudget.symmetric(3, 2, p=1.0, gamma=0.8)
+    lam, mu = np.full(3, 0.3), np.array([0.2, 0.1])
+    for tdma_mode in (False, True):
+        P = solve_states(case, H, G, lam, mu, budget, tdma_mode=tdma_mode)
+        assert not P[[1, 4]].any() and P[2, 0] == 0.0
 
 
 def test_zero_price_without_caps_is_unbounded():
