@@ -23,7 +23,7 @@ from .constraints import (ConstraintCase, ConstraintReport, PowerBudget,
 from .dual import ConvergenceReport, DualPoint, cutting_plane_solve
 from .errors import SolverFailureError, UsageError
 from .fading import Ensemble, as_ensemble
-from .perstate_bc import as_one_user_mac, solve_states_bc_via_mac
+from .perstate_bc import as_one_user_mac, powers_via_mac
 from .perstate_mac import ACTIVE_TOL, _ipc_caps
 from .tdma import solve_states
 
@@ -137,15 +137,13 @@ def _bc_agreement_check(ensemble, H1, G1, mac, case, budget, point: DualPoint):
     MAC (H1, G1, mac) the dual loop ran on, and the auxiliary MAC."""
     q1 = solve_states(case, H1, G1, point.lam, point.mu, mac, tdma_mode=True)[:, 0]
     lam, mu = _bc_prices(point, G1.shape[2])
-    q2, _ = solve_states_bc_via_mac(ensemble.H, ensemble.F, case, lam, mu, budget)
+    q2 = powers_via_mac(ensemble.H, ensemble.F, case, lam, mu, budget)
     worst = float(np.max(np.abs(q1 - q2) / (1.0 + np.abs(q1))))
     if worst > BC_STATE_AGREE_TOL:
         raise SolverFailureError(
             f"BC one-user and auxiliary-MAC paths disagree per state "
             f"({worst:.3e})", residual=worst)
-    hstar = H1[:, 0]
-    r1 = float(np.mean(np.log1p(hstar * q1)))
-    r2 = float(np.mean(np.log1p(hstar * q2)))
+    r1, r2 = (float(np.mean(np.log1p(H1[:, 0] * q))) for q in (q1, q2))
     rel = abs(r1 - r2) / max(abs(r1), 1e-12)
     if rel > BC_RATE_AGREE_TOL:
         raise SolverFailureError(
@@ -167,7 +165,7 @@ def ergodic_capacity_bc(states, case: ConstraintCase, budget: PowerBudget,
     if bc_via_mac:
         def via_mac(H, G, point):
             lam, mu = _bc_prices(point, F.shape[1])
-            return solve_states_bc_via_mac(Hb, F, case, lam, mu, budget)[0][:, None]
+            return powers_via_mac(Hb, F, case, lam, mu, budget)[:, None]
         dual_opts["per_state_solver"] = via_mac
     res = _capacity(Ensemble("mac", H1, G1), case, mac, "tdma", **dual_opts)
     _bc_agreement_check(ensemble, H1, G1, mac, case, budget, res.dual_point)

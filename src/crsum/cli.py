@@ -176,9 +176,7 @@ def _custom_curves(args):
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
+    return "" if x is None else repr(float(x))
 
 
 def _run_curves(curves, samples, seed, out_dir, dump_convergence=False,
@@ -199,17 +197,14 @@ def _run_curves(curves, samples, seed, out_dir, dump_convergence=False,
         pool = ColumnPool()     # one per curve: each point starts from the last's
         for pt in curve.points:
             budget = pt["budget"]
-            if curve.channel == "mac":
-                if curve.mode == "fra":
-                    res = fra_baseline_mac(states, budget)
-                else:
-                    res = ergodic_capacity_mac(states, curve.case, budget,
-                                               mode=curve.mode, pool=pool)
+            mac = curve.channel == "mac"
+            if curve.mode == "fra":
+                res = (fra_baseline_mac if mac else fra_baseline_bc)(states, budget)
+            elif mac:
+                res = ergodic_capacity_mac(states, curve.case, budget,
+                                           mode=curve.mode, pool=pool)
             else:
-                if curve.mode == "fra":
-                    res = fra_baseline_bc(states, budget)
-                else:
-                    res = ergodic_capacity_bc(states, curve.case, budget, pool=pool)
+                res = ergodic_capacity_bc(states, curve.case, budget, pool=pool)
             if strict and not res.certified:
                 raise ConvergenceFailureError(f"{curve.stem} point {len(rows) + 1} is not "
                                               f"certified (gap {res.gap!r})", report=res.convergence)

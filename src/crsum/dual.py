@@ -39,7 +39,6 @@ tightens, when the rounding reopens a closed gap; from then on every
 evaluation is at x_master, as in Kelley's method. A problem that never
 rounds never tightens, and case I follows one trajectory in both modes.
 
-Each evaluation sums one user or cap column at a time over all states.
 With zero dualized constraints (case 4) the loop is a single exact
 evaluation. There is one problem adapter, the MAC's: a BC ensemble is
 solved as the one-user TDMA MAC of `perstate_bc.as_one_user_mac`. With
@@ -151,9 +150,7 @@ class _MacProblem:
         self.H, self.G = ensemble.H, ensemble.G
         n, K, M = self.G.shape
         _check_dims(budget, K, M)
-        self.case = case
-        self.budget = budget
-        self.tdma_mode = tdma_mode
+        self.case, self.tdma_mode = case, tdma_mode
         self.n_lam = K if case.tpc_is_lt else 0
         self.n_mu = M if case.ipc_is_lt else 0
         self.thresholds = np.concatenate([
@@ -164,9 +161,6 @@ class _MacProblem:
             np.zeros(0) if case.ipc_is_lt else budget.ipc])
         self._solve = solver or (lambda H, G, pt: tdma.solve_states(
             case, H, G, pt.lam, pt.mu, budget, tdma_mode=tdma_mode))
-
-    def initial_center(self) -> np.ndarray:
-        return 1.0 / self.thresholds
 
     def extends(self, old) -> bool:
         """Whether old has these states and every per-state ST set here
@@ -183,38 +177,42 @@ class _MacProblem:
         return self._solve(self.H, self.G, DualPoint.from_vector(x, self.n_lam))
 
     def _rates(self, P: np.ndarray) -> np.ndarray:
-        return np.log1p(sum(self.H[:, k] * P[:, k] for k in range(P.shape[1])))
+        out = self.H[:, 0] * P[:, 0]
+        for k in range(1, P.shape[1]):
+            out += self.H[:, k] * P[:, k]
+        return np.log1p(out, out=out)
 
     def evaluate(self, x: np.ndarray):
         """Dual value, subgradient, allocation, LT usages and mean rate at x.
 
-        Every sum runs one user or cap column at a time over all states:
-        the einsums and matmuls over a short last axis run state by state.
+        Every sum runs one user or cap column at a time over all states,
+        in place from the first (einsums and matmuls over a short last
+        axis run state by state); a mean is sum() / n, as .mean() rounds.
         """
         point = DualPoint.from_vector(x, self.n_lam)
-        P = self.allocation(x)
-        K, M = self.G.shape[1:]
+        P = self._solve(self.H, self.G, point)
+        n, K, M = self.G.shape
         terms = self._rates(P)
-        rate = float(terms.mean())
+        rate = float(terms.sum() / n)
         usage = []
         if self.case.tpc_is_lt:
             for k in range(K):
-                usage.append(P[:, k].mean())
+                usage.append(P[:, k].sum() / n)
                 terms -= P[:, k] * point.lam[k]
         if self.case.ipc_is_lt:
             for m in range(M):
-                I = sum(P[:, k] * self.G[:, k, m] for k in range(K))
-                usage.append(I.mean())
+                I = P[:, 0] * self.G[:, 0, m]
+                for k in range(1, K):
+                    I += P[:, k] * self.G[:, k, m]
+                usage.append(I.sum() / n)
                 terms -= I * point.mu[m]
         usage = np.array(usage, dtype=float)
-        value = float(terms.mean() + x @ self.thresholds)
-        subgrad = self.thresholds - usage
-        return value, subgrad, P, usage, rate
+        value = float(terms.sum() / n + x @ self.thresholds)
+        return value, self.thresholds - usage, P, usage, rate
 
     def unbounded_cut(self, exc: UnboundedSubproblemError) -> np.ndarray:
         """Coefficients of the affine price w(x) that hit zero."""
-        k = exc.user_index
-        t = exc.state_index
+        k, t = exc.user_index, exc.state_index
         coef = np.zeros(self.n_lam + self.n_mu)
         if self.case.tpc_is_lt:
             coef[k] = 1.0
@@ -223,7 +221,7 @@ class _MacProblem:
         return coef
 
     def primal_value(self, alloc: np.ndarray) -> float:
-        return float(self._rates(alloc).mean())
+        return float(self._rates(alloc).sum() / alloc.shape[0])
 
 
 def _make_problem(states, case, budget, per_state_solver=None, tdma_mode=False):
@@ -247,8 +245,7 @@ def dual_value_and_subgradient(states, case: ConstraintCase, budget: PowerBudget
         raise UsageError("dual point dimension does not match the case")
     if np.any(point.vector() < 0):
         raise UsageError("dual multipliers must be nonnegative")
-    value, subgrad, _, _, _ = problem.evaluate(point.vector())
-    return value, subgrad
+    return problem.evaluate(point.vector())[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +280,10 @@ class _Master:
     policy's weight, and the slack basis starts the simplex. The basis
     and its inverse carry over from one solve to the next, and a solve
     pivots only while some column prices in (Dantzig's rule, Bland's
-    after a run of degenerate pivots). The row prices y scale back to
-    the multipliers x = y / thresholds: the minimizer over x >= 0 of
-    the cutting-plane model b.x + max(0, max_j R_j - u_j.x) of the dual.
+    after a run of degenerate pivots), pricing once per pivot, with its
+    columns in storage that doubles when full. The row prices y scale
+    back to the multipliers x = y / thresholds: the minimizer over x >= 0
+    of the cutting-plane model b.x + max(0, max_j R_j - u_j.x) of the dual.
     """
 
     def __init__(self, thresholds, rates=(), usages=(), floors=()):
@@ -294,31 +292,44 @@ class _Master:
         self.b = thresholds
         U = np.reshape(usages, (len(rates), m - 1)) / thresholds
         F = np.reshape(floors, (len(floors), m - 1)) / thresholds
-        self.A = np.hstack([np.eye(m), np.vstack([U.T, np.ones(len(U))]),
-                            np.vstack([F.T, np.zeros(len(F))])])
+        self._A = np.hstack([np.eye(m), np.vstack([U.T, np.ones(len(U))]),
+                             np.vstack([F.T, np.zeros(len(F))])])
         self.c = np.concatenate([np.zeros(m), rates, PRICE_FLOOR * F.sum(axis=1)])
+        self._c, self._tol = self.c, _RC_TOL * (1.0 + np.abs(self.c))
         # a visited policy's index in the pool, -1 on a slack or floor
         self.pool_index = np.concatenate([np.full(m, -1), np.arange(len(U)),
                                           np.full(len(F), -1)])
         self.basis = np.arange(m)
         self.Binv = np.eye(m)
+        self._priced()
+        self.value = 0.0        # the mixture's guaranteed rate, set by each solve
+
+    def _priced(self) -> None:
+        """Prices and weights of the current basis."""
+        self.y = self.c[self.basis] @ self.Binv
+        self.weights = np.maximum(self.Binv.sum(axis=1), 0.0)
+        self._rc = None
 
     def _add(self, cost, col, pool_index) -> None:
-        self.A = np.column_stack([self.A, col])
-        self.c = np.append(self.c, cost)
-        self.pool_index = np.append(self.pool_index, pool_index)
+        j = self.c.size
+        if j == self._c.size:       # full: double the storage (unused past c.size)
+            self._A, self._c, self._tol, self.pool_index = (
+                np.concatenate([a, np.zeros_like(a)], axis=-1)
+                for a in (self._A, self._c, self._tol, self.pool_index))
+        self._A[:, j], self._c[j], self.pool_index[j] = col, cost, pool_index
+        self._tol[j], self.c, self._rc = _RC_TOL * (1.0 + abs(cost)), self._c[:j + 1], None
 
     def add_column(self, rate, usage) -> int:
         """A visited policy: mean rate, LT usage. Returns its pool index,
         that of an equal column already here if there is one: once the
         basis inverse drifts, two equal columns can swap on every pivot."""
         col = np.append(usage / self.b, 1.0)
-        real = self.pool_index >= 0
-        twin = np.flatnonzero(real & (self.c == rate) & (self.A == col[:, None]).all(axis=0))
-        if twin.size:
-            return int(self.pool_index[twin[0]])
+        real = self.pool_index[:self.c.size] >= 0
+        for j in np.flatnonzero(real & (self.c == rate)).tolist():
+            if (self._A[:, j] == col).all():
+                return int(self.pool_index[j])
         self._add(rate, col, np.count_nonzero(real))
-        return int(self.pool_index[-1])
+        return int(self.pool_index[self.c.size - 1])
 
     def add_floor(self, a) -> None:
         """The cut a.x >= PRICE_FLOOR * a.x0 on a zero price a.x."""
@@ -326,18 +337,16 @@ class _Master:
         self._add(PRICE_FLOOR * col.sum(), col, -1)
 
     def prices(self) -> np.ndarray:
-        return self.c[self.basis] @ self.Binv
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.maximum(self.Binv.sum(axis=1), 0.0)
+        return self.y
 
     def _reduced_costs(self):
-        """Reduced costs at the current prices (zero on the basis), and
-        which columns price in."""
-        rc = self.c - self.prices() @ self.A
-        rc[self.basis] = 0.0
-        return rc, rc > _RC_TOL * (1.0 + np.abs(self.c))
+        """Reduced costs (zero on the basis) and which columns price in,
+        computed once per basis and column set."""
+        if self._rc is None:
+            rc = self.c - self.y @ self._A[:, :self.c.size]
+            rc[self.basis] = 0.0
+            self._rc = rc, rc > self._tol[:self.c.size]
+        return self._rc
 
     def prices_in(self, j) -> bool:
         """Whether column j would enter the current basis."""
@@ -349,37 +358,28 @@ class _Master:
         degenerate = 0
         for _ in range(1000 * m):
             rc, enter = self._reduced_costs()
-            if not enter.any():
+            if not enter.any():     # value: sum_j w_j R_j over visited policies
+                real = self.pool_index[self.basis] >= 0
+                self.value = float(sum((self.weights * self.c[self.basis])[real].tolist()))
                 return
             q = int(np.argmax(enter) if degenerate > m else np.argmax(rc))
-            d = self.Binv @ self.A[:, q]
-            ok = d > _PIV_TOL
-            ratio = np.where(ok, self.weights / np.where(ok, d, 1.0), np.inf)
-            ties = np.flatnonzero(ratio == ratio.min())
-            r = int(ties[np.argmin(self.basis[ties])])
-            degenerate = degenerate + 1 if ratio[r] <= 0.0 else 0
+            d = self.Binv @ self._A[:, q]
+            ratio = [w / di if di > _PIV_TOL else np.inf
+                     for w, di in zip(self.weights.tolist(), d.tolist())]
+            low, basis = min(ratio), self.basis.tolist()
+            r = min((i for i in range(m) if ratio[i] == low), key=basis.__getitem__)
+            degenerate = degenerate + 1 if low <= 0.0 else 0
             row = self.Binv[r] / d[r]
-            self.Binv -= np.outer(d, row)
+            self.Binv -= d[:, None] * row
             self.Binv[r] = row
             self.basis[r] = q
+            self._priced()
         raise SolverFailureError("master LP did not reach an optimal basis")
 
     def mixture(self):
         """(pool index, weight) of every visited policy in the basis."""
-        return [(int(self.pool_index[j]), float(w)) for j, w in zip(self.basis, self.weights)
-                if self.pool_index[j] >= 0 and w > 0.0]
-
-    @property
-    def value(self) -> float:
-        """The mixture's guaranteed rate, sum_j w_j R_j over visited policies."""
-        return float(sum(w * self.c[j] for j, w in zip(self.basis, self.weights)
-                         if self.pool_index[j] >= 0))
-
-
-def _lt_violation(problem, usage) -> float:
-    if usage.size == 0:
-        return 0.0
-    return float(np.max((usage - problem.thresholds) / problem.thresholds, initial=0.0))
+        return [(i, w) for i, w in zip(self.pool_index[self.basis].tolist(),
+                                       self.weights.tolist()) if i >= 0 and w > 0.0]
 
 
 @dataclass
@@ -414,22 +414,17 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     once the best dual value is within gap_tol of the master value and
     raises ConvergenceFailureError if max_iter evaluations pass first
     (or the master stops moving first, which no instance has shown).
-    Evaluations are at the smoothed points of the module docstring
-    (at the master's own point after a mis-price) while the master
-    tolerance is gap_tol, and at the master's own point once it has
-    tightened.
 
     A policy whose per-state optimum is single-user (TDMA mode, and case
     I in either mode) is rounded by the lone-user rule at price 0 with
-    the mixed powers as caps: each state's user of largest log(1 + h q)
-    keeps its power (with one user, the mixture itself). That lowers
+    the mixed powers as caps: each state's user of largest h q keeps
+    its power (with one user, the mixture itself). That lowers
     every usage, so the policy stays feasible, but it can open the gap
     again: the master tolerance then tightens tenfold at a time down to
     gap_tol * TIGHTEN_FLOOR, or until the master stops moving, and alpha
-    stays 0.
-    If the gap is still open then, TDMA mode reports the one-user policy
-    with stop reason "rounding" (`report.certified` is false), and case
-    I in full mode returns the mixture, which is within the gap.
+    stays 0. If the gap is still open then, TDMA mode reports the
+    one-user policy with stop reason "rounding" (`report.certified` is
+    false), and case I in full mode returns the mixture, within the gap.
 
     A `ColumnPool` carries one curve's columns from point to point. The
     first evaluation is at the last point's best multipliers, the centre
@@ -446,12 +441,11 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     d = problem.n_lam + problem.n_mu
     n, K = problem.H.shape
     one_user = problem.tdma_mode or case is ConstraintCase.I
-    if max_iter is None:
-        max_iter = 100 * (d + 1)
+    max_iter = 100 * (d + 1) if max_iter is None else max_iter
     pool = ColumnPool() if pool is None else pool
     if not problem.extends(pool.problem):
         pool.columns, pool.kept, pool.floors = [], {}, []
-    x = pool.x if pool.x is not None and pool.x.size == d else problem.initial_center()
+    x = pool.x if pool.x is not None and pool.x.size == d else 1.0 / problem.thresholds
     pool.problem = problem
     report = ConvergenceReport(params={
         "dimension": d, "start": x.tolist(),
@@ -485,8 +479,9 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
         for i in kept.keys() - set(master.pool_index[master.basis].tolist()):
             del kept[i]
         gap = report.best_dual - master.value
-        if usage is not None:
-            report.rows.append((it, value, _lt_violation(problem, usage), gap))
+        if usage is not None:       # with the worst relative LT violation
+            viol = np.max((usage - problem.thresholds) / problem.thresholds, initial=0.0)
+            report.rows.append((it, value, float(viol), gap))
         if gap <= tol * max(report.best_dual, 1e-9):
             mixed = np.zeros((n, K))
             for i, w in master.mixture():

@@ -43,6 +43,11 @@ def _served(Hb: np.ndarray) -> np.ndarray:
     return np.argmax(Hb, axis=1)
 
 
+def _one_state(state: ChannelStateBc, q, user) -> BcStateAllocation:
+    return BcStateAllocation(q=float(q[0]), user=int(user[0]),
+                             sum_rate_term=float(np.log1p(state.h[user[0]] * q[0])))
+
+
 def _require(cond: bool, msg: str):
     if not cond:
         raise UsageError(msg)
@@ -78,20 +83,14 @@ def solve_state_bc(state: ChannelStateBc, case: ConstraintCase,
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     _require(mu.shape == (state.M,), "mu must have shape (M,)")
     _require(lam >= 0.0 and np.all(mu >= 0.0), "prices must be nonnegative")
-    q, user = solve_states_bc(state.h[None], state.f[None], case, lam, mu, budget)
-    return BcStateAllocation(q=float(q[0]), user=int(user[0]),
-                             sum_rate_term=float(np.log1p(state.h[user[0]] * q[0])))
+    return _one_state(state, *solve_states_bc(state.h[None], state.f[None], case,
+                                              lam, mu, budget))
 
 
-def solve_states_bc_via_mac(Hb: np.ndarray, F: np.ndarray, case: ConstraintCase,
-                            lam: float, mu, budget: PowerBudget):
-    """Solve the same per-state problems through an auxiliary MAC.
-
-    The auxiliary MAC gives every "user" k the BC gain h_k and lets the
-    appropriate MAC case solver allocate; the BC power is the sum over
-    users (at most one is active). This exercises entirely different
-    code than the one-user path.
-    """
+def powers_via_mac(Hb: np.ndarray, F: np.ndarray, case: ConstraintCase,
+                   lam: float, mu, budget: PowerBudget) -> np.ndarray:
+    """The BC powers q (n,) through the auxiliary MAC of the module
+    docstring: the sum of its users' powers, at most one of them active."""
     n, K = Hb.shape
     M = F.shape[1]
     mu = np.asarray(mu, dtype=float)
@@ -116,8 +115,13 @@ def solve_states_bc_via_mac(Hb: np.ndarray, F: np.ndarray, case: ConstraintCase,
         G = np.broadcast_to(capped[:, None, None].astype(float), (n, K, 1))
         GAM = np.where(capped, cap, 1.0)[:, None]
         P = solve_states_case2(Hb, G, np.full(K, lam), GAM)
-    q = P.sum(axis=1)
-    return q, _served(Hb)
+    return P.sum(axis=1)
+
+
+def solve_states_bc_via_mac(Hb: np.ndarray, F: np.ndarray, case: ConstraintCase,
+                            lam: float, mu, budget: PowerBudget):
+    """`powers_via_mac` and each state's served user: (q, user)."""
+    return powers_via_mac(Hb, F, case, lam, mu, budget), _served(Hb)
 
 
 def bc_via_dual_mac(state: ChannelStateBc, case: ConstraintCase,
@@ -125,7 +129,5 @@ def bc_via_dual_mac(state: ChannelStateBc, case: ConstraintCase,
     """Scalar wrapper for the auxiliary-MAC path."""
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     _require(mu.shape == (state.M,), "mu must have shape (M,)")
-    q, user = solve_states_bc_via_mac(state.h[None], state.f[None], case,
-                                      lam, mu, budget)
-    return BcStateAllocation(q=float(q[0]), user=int(user[0]),
-                             sum_rate_term=float(np.log1p(state.h[user[0]] * q[0])))
+    return _one_state(state, *solve_states_bc_via_mac(state.h[None], state.f[None], case,
+                                                      lam, mu, budget))

@@ -104,10 +104,6 @@ def _allocation(h: np.ndarray, p: np.ndarray) -> StateAllocation:
                            sum_rate_term=float(np.log1p(h @ p)))
 
 
-def _as_state_arrays(state: ChannelStateMac):
-    return state.h[None, :], state.g[None, :, :]
-
-
 def _vec(x, size, name) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.shape != (size,):
@@ -188,11 +184,11 @@ def _certify(what, H, G, P, LAM, MU, GAM, caps=None) -> None:
 
 def _interference_price(G: np.ndarray, mu) -> np.ndarray:
     """Each user's interference price sum_m mu_m g_km, (n, K), summed
-    one cap column at a time (a matmul over the short M axis runs state
-    by state)."""
+    one cap column at a time from the first (a matmul over the short M
+    axis runs state by state)."""
     mu = np.asarray(mu, dtype=float)
-    W = np.zeros(G.shape[:2])
-    for m in range(G.shape[2]):
+    W = G[:, :, 0] * mu[0] if G.shape[2] else np.zeros(G.shape[:2])
+    for m in range(1, G.shape[2]):
         W += G[:, :, m] * mu[m]
     return W
 
@@ -204,10 +200,24 @@ def lone_user(H: np.ndarray, price, cap=None) -> np.ndarray:
     to the lowest index); price and cap broadcast against H (n, K). With
     one user this is the one-user closed form. The first (state, user)
     in row order with positive gain, zero price and no cap raises
-    UnboundedSubproblemError.
-    """
+    UnboundedSubproblemError. Without a cap the largest h / price wins,
+    at price 0 the largest h * cap: no log1p pass, and powers for the
+    winners only. A price <= 0 or NaN or an infinite gain there falls
+    back to the values."""
     n, K = H.shape
     price = np.asarray(price, dtype=float)
+    if K > 1 and (cap is None or not price.any()):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            key = H / price if cap is None else H * np.where(H > 0.0, cap, 0.0)
+            at = key.argmax(axis=1) + np.arange(0, n * K, K)
+            if key.min() >= 0.0 and np.isfinite(key.reshape(-1).take(at)).all():
+                h = H.reshape(-1).take(at)
+                won = np.broadcast_to(price if cap is None else cap, H.shape).reshape(-1).take(at)
+                won = np.maximum(1.0 / won - 1.0 / h, 0.0) if cap is None else won
+                del key         # freed before P: the peak is price and P
+                P = np.zeros(n * K)
+                P[at] = np.where(h > 0.0, won, 0.0)
+                return P.reshape(n, K)
     with np.errstate(divide="ignore", invalid="ignore"):     # NaN: no gain, no price
         P = np.divide(1.0, price, out=np.full(H.shape, np.inf), where=price > 0.0)
         P -= 1.0 / H
@@ -240,7 +250,9 @@ def lone_user(H: np.ndarray, price, cap=None) -> np.ndarray:
 def solve_states_case1(H: np.ndarray, G: np.ndarray, lam, mu) -> np.ndarray:
     """Vectorized case-1 solver, lam (K,) or (n,K), mu (M,): `lone_user`
     at the prices lam + mu.g, uncapped, so the best ratio h / price wins."""
-    return lone_user(H, _interference_price(G, mu) + lam)
+    W = _interference_price(G, mu)
+    W += lam
+    return lone_user(H, W)
 
 
 def kkt_report_case1(h, g, lam, mu, p) -> KktReport:
@@ -256,7 +268,7 @@ def solve_state_case1(state: ChannelStateMac, lam, mu):
     """
     lam = _vec(lam, state.K, "lam")
     mu = _vec(mu, state.M, "mu")
-    H, G = _as_state_arrays(state)
+    H, G = state.h[None], state.g[None]
     p = solve_states_case1(H, G, lam, mu)[0]
     return _allocation(state.h, p), kkt_report_case1(state.h, state.g, lam, mu, p)
 
@@ -373,7 +385,7 @@ def solve_state_case2(state: ChannelStateMac, lam, gamma_st):
     """Case-2 subproblem: at most M+1 users transmit."""
     lam = _vec(lam, state.K, "lam")
     gamma_st = _cap(gamma_st, state.M, "gamma_st")
-    H, G = _as_state_arrays(state)
+    H, G = state.h[None], state.g[None]
     P, MU = solve_states_case2(H, G, lam, gamma_st, want_multipliers=True)
     p, mu_state = P[0], MU[0]
     return (_allocation(state.h, p),
@@ -485,7 +497,7 @@ def solve_state_case3(state: ChannelStateMac, mu, p_st):
     sits strictly inside its cap."""
     mu = _vec(mu, state.M, "mu")
     p_st = _cap(p_st, state.K, "p_st")
-    H, G = _as_state_arrays(state)
+    H, G = state.h[None], state.g[None]
     p = solve_states_case3(H, G, mu, p_st)[0]
     w = state.g @ mu
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -747,7 +759,7 @@ def solve_state_case4(state: ChannelStateMac, p_st, gamma_st):
     intersected with the interference caps."""
     p_st = _cap(p_st, state.K, "p_st")
     gamma_st = _cap(gamma_st, state.M, "gamma_st")
-    H, G = _as_state_arrays(state)
+    H, G = state.h[None], state.g[None]
     P, LAM, MU = solve_states_case4(H, G, p_st, gamma_st, want_multipliers=True)
     p, lam_state, mu_state = P[0], LAM[0], MU[0]
     return (_allocation(state.h, p),

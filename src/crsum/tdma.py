@@ -17,6 +17,10 @@ from .perstate_mac import (StateAllocation, _allocation, _cap, _interference_pri
                            solve_states_case2, solve_states_case3, solve_states_case4)
 
 
+def _one_state(solve, state: ChannelStateMac, *args) -> StateAllocation:
+    return _allocation(state.h, solve(state.h[None], state.g[None], *args)[0])
+
+
 def tdma_states_case2(H, G, lam, gamma) -> np.ndarray:
     """Best single user under per-state interference caps and transmit
     prices lam; lam broadcasts from (K,), gamma from (M,)."""
@@ -24,10 +28,8 @@ def tdma_states_case2(H, G, lam, gamma) -> np.ndarray:
 
 
 def tdma_state_case2(state: ChannelStateMac, lam, gamma_st) -> StateAllocation:
-    lam = _vec(lam, state.K, "lam")
-    gamma_st = _cap(gamma_st, state.M, "gamma_st")
-    P = tdma_states_case2(state.h[None], state.g[None], lam, gamma_st)
-    return _allocation(state.h, P[0])
+    return _one_state(tdma_states_case2, state, _vec(lam, state.K, "lam"),
+                      _cap(gamma_st, state.M, "gamma_st"))
 
 
 def tdma_states_case3(H, G, mu, p_st) -> np.ndarray:
@@ -36,10 +38,8 @@ def tdma_states_case3(H, G, mu, p_st) -> np.ndarray:
 
 
 def tdma_state_case3(state: ChannelStateMac, mu, p_st) -> StateAllocation:
-    mu = _vec(mu, state.M, "mu")
-    p_st = _cap(p_st, state.K, "p_st")
-    P = tdma_states_case3(state.h[None], state.g[None], mu, p_st)
-    return _allocation(state.h, P[0])
+    return _one_state(tdma_states_case3, state, _vec(mu, state.M, "mu"),
+                      _cap(p_st, state.K, "p_st"))
 
 
 def tdma_states_case4(H, G, p_st, gamma) -> np.ndarray:
@@ -49,10 +49,8 @@ def tdma_states_case4(H, G, p_st, gamma) -> np.ndarray:
 
 
 def tdma_state_case4(state: ChannelStateMac, p_st, gamma_st) -> StateAllocation:
-    p_st = _cap(p_st, state.K, "p_st")
-    gamma_st = _cap(gamma_st, state.M, "gamma_st")
-    P = tdma_states_case4(state.h[None], state.g[None], p_st, gamma_st)
-    return _allocation(state.h, P[0])
+    return _one_state(tdma_states_case4, state, _cap(p_st, state.K, "p_st"),
+                      _cap(gamma_st, state.M, "gamma_st"))
 
 
 def solve_states(case: ConstraintCase, H, G, lam, mu, budget,

@@ -1,18 +1,20 @@
 """The case-1 solver and the dual evaluation as they were before they
 ran column by column, kept as the reference that
 `perstate_mac.solve_states_case1` and `dual._MacProblem.evaluate` must
-match, and the dual loop's one-user rounding as it was before
-`perstate_mac.lone_user` took it over.
+match, the dual loop's one-user rounding as it was before
+`perstate_mac.lone_user` took it over, and the Dantzig-Wolfe master as
+it was before it kept its columns in doubling storage and its prices
+per pivot: `dual._Master` must match `Master` bit for bit.
 
-All reduce along the short last axis of (n, K) and (n, K, M) arrays:
-`np.argmax(..., axis=1)` with fancy-index gathers and a scatter for the
-winner, `G @ mu` as a matmul, and einsums for the rate and the
+The first three reduce along the short last axis of (n, K) and (n, K, M)
+arrays: `np.argmax(..., axis=1)` with fancy-index gathers and a scatter
+for the winner, `G @ mu` as a matmul, and einsums for the rate and the
 interference.
 """
 import numpy as np
 
-from crsum import UnboundedSubproblemError
-from crsum.dual import DualPoint
+from crsum import SolverFailureError, UnboundedSubproblemError
+from crsum.dual import _PIV_TOL, _RC_TOL, PRICE_FLOOR, DualPoint
 
 
 def solve_states_case1(H: np.ndarray, G: np.ndarray, lam, mu) -> np.ndarray:
@@ -69,3 +71,105 @@ def evaluate(problem, x: np.ndarray):
     value = float(terms.mean() + x @ self.thresholds)
     subgrad = self.thresholds - usage
     return value, subgrad, P, usage
+
+
+class Master:
+    """The Dantzig-Wolfe master over the visited columns, warm-started.
+
+    Rows are the LT budgets scaled to 1 and the convexity row, so the
+    right-hand side is all ones and the basic weights are the row sums
+    of the basis inverse. The slack of the last row is the zero
+    policy's weight, and the slack basis starts the simplex. The basis
+    and its inverse carry over from one solve to the next, and a solve
+    pivots only while some column prices in (Dantzig's rule, Bland's
+    after a run of degenerate pivots). The row prices y scale back to
+    the multipliers x = y / thresholds: the minimizer over x >= 0 of
+    the cutting-plane model b.x + max(0, max_j R_j - u_j.x) of the dual.
+    """
+
+    def __init__(self, thresholds, rates=(), usages=(), floors=()):
+        """m slacks, then pooled columns and floors in one block."""
+        m = thresholds.size + 1
+        self.b = thresholds
+        U = np.reshape(usages, (len(rates), m - 1)) / thresholds
+        F = np.reshape(floors, (len(floors), m - 1)) / thresholds
+        self.A = np.hstack([np.eye(m), np.vstack([U.T, np.ones(len(U))]),
+                            np.vstack([F.T, np.zeros(len(F))])])
+        self.c = np.concatenate([np.zeros(m), rates, PRICE_FLOOR * F.sum(axis=1)])
+        # a visited policy's index in the pool, -1 on a slack or floor
+        self.pool_index = np.concatenate([np.full(m, -1), np.arange(len(U)),
+                                          np.full(len(F), -1)])
+        self.basis = np.arange(m)
+        self.Binv = np.eye(m)
+
+    def _add(self, cost, col, pool_index) -> None:
+        self.A = np.column_stack([self.A, col])
+        self.c = np.append(self.c, cost)
+        self.pool_index = np.append(self.pool_index, pool_index)
+
+    def add_column(self, rate, usage) -> int:
+        """A visited policy: mean rate, LT usage. Returns its pool index,
+        that of an equal column already here if there is one: once the
+        basis inverse drifts, two equal columns can swap on every pivot."""
+        col = np.append(usage / self.b, 1.0)
+        real = self.pool_index >= 0
+        twin = np.flatnonzero(real & (self.c == rate) & (self.A == col[:, None]).all(axis=0))
+        if twin.size:
+            return int(self.pool_index[twin[0]])
+        self._add(rate, col, np.count_nonzero(real))
+        return int(self.pool_index[-1])
+
+    def add_floor(self, a) -> None:
+        """The cut a.x >= PRICE_FLOOR * a.x0 on a zero price a.x."""
+        col = np.append(a / self.b, 0.0)
+        self._add(PRICE_FLOOR * col.sum(), col, -1)
+
+    def prices(self) -> np.ndarray:
+        return self.c[self.basis] @ self.Binv
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.maximum(self.Binv.sum(axis=1), 0.0)
+
+    def _reduced_costs(self):
+        """Reduced costs at the current prices (zero on the basis), and
+        which columns price in."""
+        rc = self.c - self.prices() @ self.A
+        rc[self.basis] = 0.0
+        return rc, rc > _RC_TOL * (1.0 + np.abs(self.c))
+
+    def prices_in(self, j) -> bool:
+        """Whether column j would enter the current basis."""
+        return bool(self._reduced_costs()[1][j])
+
+    def solve(self) -> None:
+        """Pivot until no column prices in."""
+        m = self.basis.size
+        degenerate = 0
+        for _ in range(1000 * m):
+            rc, enter = self._reduced_costs()
+            if not enter.any():
+                return
+            q = int(np.argmax(enter) if degenerate > m else np.argmax(rc))
+            d = self.Binv @ self.A[:, q]
+            ok = d > _PIV_TOL
+            ratio = np.where(ok, self.weights / np.where(ok, d, 1.0), np.inf)
+            ties = np.flatnonzero(ratio == ratio.min())
+            r = int(ties[np.argmin(self.basis[ties])])
+            degenerate = degenerate + 1 if ratio[r] <= 0.0 else 0
+            row = self.Binv[r] / d[r]
+            self.Binv -= np.outer(d, row)
+            self.Binv[r] = row
+            self.basis[r] = q
+        raise SolverFailureError("master LP did not reach an optimal basis")
+
+    def mixture(self):
+        """(pool index, weight) of every visited policy in the basis."""
+        return [(int(self.pool_index[j]), float(w)) for j, w in zip(self.basis, self.weights)
+                if self.pool_index[j] >= 0 and w > 0.0]
+
+    @property
+    def value(self) -> float:
+        """The mixture's guaranteed rate, sum_j w_j R_j over visited policies."""
+        return float(sum(w * self.c[j] for j, w in zip(self.basis, self.weights)
+                         if self.pool_index[j] >= 0))

@@ -1,9 +1,12 @@
-"""The case-1 solver and the dual evaluation work one user or cap column
-at a time; they are held against their row-wise forms in
-`dual_reference`: bit for bit where the arithmetic is unchanged (one
-cap, one user), within a rounding tolerance where a sum over several
-columns changed its order. The case-3 closed form sweeps one sorted
-position at a time and matches `case3_reference` bit for bit."""
+"""The case-1 solver picks each state's user by one argmax of h / price
+over the user axis, and the dual loop's rounding by one argmax of h q
+(both `lone_user`); each matches its row-wise form in `dual_reference`
+bit for bit. The dual evaluation sums one user or cap column at a time:
+it is held against its row-wise form bit for bit where the arithmetic
+is unchanged (one cap, one user), within a rounding tolerance where a
+sum over several columns changed its order. The case-3 closed form
+sweeps one sorted position at a time and matches `case3_reference` bit
+for bit."""
 
 import numpy as np
 import pytest

@@ -14,6 +14,8 @@ from crsum.dual import (GAP_TOL, ColumnPool, DualPoint, _Master, _make_problem,
                         cutting_plane_solve, dual_value_and_subgradient)
 from crsum.oracle import saa_primal_oracle
 
+import dual_reference
+
 WF_VALUE = 0.8109302162163288  # two-state water-filling, h=(2,0.5), avg P<=1
 
 
@@ -155,6 +157,60 @@ def test_master_keeps_one_copy_of_equal_columns():
     assert master.add_column(0.5, np.array([0.3, 0.4])) == 0
     assert master.add_column(0.5, np.array([0.3, 0.5])) == 1
     assert master.c.size == 3 + 2
+
+
+def _same_master(new, ref):
+    assert new.basis.tobytes() == ref.basis.tobytes()
+    assert new.prices().tobytes() == ref.prices().tobytes()
+    assert new.weights.tobytes() == ref.weights.tobytes()
+    assert new.value.hex() == ref.value.hex()
+    assert repr(new.mixture()) == repr(ref.mixture())
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_master_replays_reference(d):
+    """Random add_column, add_floor and solve sequences, from an empty
+    or a pooled start, through the master and `dual_reference.Master`:
+    the same basis, prices, weights, value and mixture bit for bit.
+    Usages and rates on a coarse grid, repeated columns and zero
+    weights make equal columns and tied ratio tests common."""
+    rng = np.random.default_rng(40 + d)
+    degenerate = 0
+    for trial in range(25):
+        b = rng.choice([0.5, 1.0, 2.0], d) if trial % 2 else rng.uniform(0.5, 3.0, d)
+
+        def column():
+            return 0.25 * rng.integers(0, 8), 0.5 * rng.integers(0, 6, d)
+
+        def floor():
+            a = rng.integers(0, 3, d).astype(float)
+            a[rng.integers(d)] = 1.0
+            return a
+
+        pooled = [column() for _ in range(rng.integers(0, 3 * d) if trial % 3 else 0)]
+        floors = [floor() for _ in range(rng.integers(0, 2) if trial % 3 else 0)]
+        args = (b, [r for r, _ in pooled], [u for _, u in pooled], floors)
+        new, ref = _Master(*args), dual_reference.Master(*args)
+        _same_master(new, ref)
+        seen = list(pooled)
+        for _ in range(8 * d):
+            if rng.random() < 0.1:
+                a = floor()
+                new.add_floor(a)
+                ref.add_floor(a)
+            else:
+                rate, usage = seen[rng.integers(len(seen))] if seen and rng.random() < 0.2 \
+                    else column()
+                seen.append((rate, usage))
+                assert new.add_column(rate, usage) == ref.add_column(rate, usage)
+            j = ref.c.size - 1
+            assert new.c.tobytes() == ref.c.tobytes()
+            assert new.prices_in(j) == ref.prices_in(j)
+            new.solve()
+            ref.solve()
+            _same_master(new, ref)
+            degenerate += bool((ref.weights == 0.0).any())
+    assert degenerate > 0
 
 
 def test_saturated_curve_reaches_an_optimal_master():
