@@ -50,19 +50,28 @@ class CurveSpec:
     points: list = field(default_factory=list)
 
 
-def _grid(expr: str) -> list[float]:
+def _number(text, key, kind=float):
+    """text as a kind; anything else is a usage error that names key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{key} = {text!r} is not "
+                         f"{'an integer' if kind is int else 'a number'}") from None
+
+
+def _grid(expr: str, key="grid") -> list[float]:
     """Parse 'start:stop:step' (inclusive, stop >= start) or a nonempty
-    comma list."""
+    comma list, the value of key."""
     expr = expr.strip()
     if ":" in expr:
-        parts = [float(x) for x in expr.split(":")]
+        parts = [_number(x, key) for x in expr.split(":")]
         if len(parts) != 3 or parts[2] <= 0 or parts[1] < parts[0]:
             raise UsageError(f"bad grid {expr!r}, want start:stop:step "
                              "with stop >= start and step > 0")
         start, stop, step = parts
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(n)]
-    values = [float(x) for x in expr.split(",") if x.strip()]
+    values = [_number(x, key) for x in expr.split(",") if x.strip()]
     if not values:
         raise UsageError(f"empty grid {expr!r}")
     return values
@@ -89,16 +98,16 @@ def _bc_curve(stem, case, mode, K, M, gamma, q_dbs):
 
 def _preset_fig3(cfg):
     """MAC, K=2, M=1: the four constraint cases across transmit power."""
-    p_dbs = _grid(cfg.get("p_db", "-5:25:5"))
-    gamma = float(cfg.get("gamma", 1.0))
+    p_dbs = _grid(cfg.get("p_db", "-5:25:5"), "p_db")
+    gamma = _number(cfg.get("gamma", 1.0), "gamma")
     return [_mac_curve(f"fig3_{case.value}_full", case, "full", 2, 1, gamma, p_dbs)
             for case in ConstraintCase]
 
 
 def _preset_fig4(cfg):
     """BC, K=5, M=2: the four constraint cases across base-station power."""
-    q_dbs = _grid(cfg.get("q_db", "-5:25:5"))
-    gamma = float(cfg.get("gamma", 1.0))
+    q_dbs = _grid(cfg.get("q_db", "-5:25:5"), "q_db")
+    gamma = _number(cfg.get("gamma", 1.0), "gamma")
     return [_bc_curve(f"fig4_{case.value}_full", case, "full", 5, 2, gamma, q_dbs)
             for case in ConstraintCase]
 
@@ -107,8 +116,8 @@ def _preset_tdma(fig, K, M):
     """The preset of `fig`: MAC with K users and M primary receivers,
     TDMA restriction vs full transmission in cases II-IV."""
     def preset(cfg):
-        p_dbs = _grid(cfg.get("p_db", "-5:25:5"))
-        gamma = float(cfg.get("gamma", 1.0))
+        p_dbs = _grid(cfg.get("p_db", "-5:25:5"), "p_db")
+        gamma = _number(cfg.get("gamma", 1.0), "gamma")
         return [_mac_curve(f"{fig}_{case.value}_{mode}", case, mode, K, M, gamma, p_dbs)
                 for case in (ConstraintCase.II, ConstraintCase.III, ConstraintCase.IV)
                 for mode in ("full", "tdma")]
@@ -122,8 +131,8 @@ def _preset_fig7(cfg):
     sum power; the FRA transmitter gets a K-times larger cap since it
     transmits a 1/K fraction of the time.
     """
-    p_dbs = _grid(cfg.get("p_db", "-5:25:5"))
-    gamma = float(cfg.get("gamma", 1.0))
+    p_dbs = _grid(cfg.get("p_db", "-5:25:5"), "p_db")
+    gamma = _number(cfg.get("gamma", 1.0), "gamma")
     out = []
     for K, scale in ((2, 1.0), (4, 0.5)):
         out.append(_mac_curve(f"fig7K{K}_I_full", ConstraintCase.I, "full",
@@ -135,9 +144,10 @@ def _preset_fig7(cfg):
 
 def _preset_fig8(cfg):
     """BC DRA vs FRA across the user count, Q fixed at 3 dB."""
-    q_db = float(cfg.get("q_db", 3.0))
-    gamma = float(cfg.get("gamma", 1.0))
-    ks = [int(k) for k in cfg.get("k_sweep", "4,8,12,16,20").split(",")]
+    q_db = _number(cfg.get("q_db", 3.0), "q_db")
+    gamma = _number(cfg.get("gamma", 1.0), "gamma")
+    ks = [_number(k, "k_sweep", int)
+          for k in cfg.get("k_sweep", "4,8,12,16,20").split(",")]
     out = []
     for M in (1, 4):
         for K in ks:
@@ -167,10 +177,10 @@ def _custom_curves(args):
     mode = args.mode or "full"
     K, M = args.K, args.M
     if args.channel == "mac":
-        p_dbs = _grid(args.p_db or "0:20:5")
+        p_dbs = _grid(args.p_db or "0:20:5", "--P-dB")
         return [_mac_curve(f"custom_{case.value}_{mode}", case, mode,
                            K, M, gamma, p_dbs)]
-    q_dbs = _grid(args.q_db or "0:20:5")
+    q_dbs = _grid(args.q_db or "0:20:5", "--Q-dB")
     return [_bc_curve(f"custom_{case.value}_{mode}", case, mode,
                       K, M, gamma, q_dbs)]
 
@@ -183,21 +193,18 @@ def _run_curves(curves, samples, seed, out_dir, dump_convergence=False,
                 strict=False):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ensembles = {}
-    written = []
+    ensembles, starts, written = {}, {}, []    # starts: each curve family's last x
     for curve in curves:
         key = (curve.channel, curve.K, curve.M, samples, seed)
         if key not in ensembles:
             model = FadingModel(K=curve.K, M=curve.M, n_states=samples, seed=seed)
             ensembles[key] = (sample_mac_states(model) if curve.channel == "mac"
                               else sample_bc_states(model))
-        states = ensembles[key]
-        rows = []
-        last_result = None
-        pool = ColumnPool()     # one per curve: each point starts from the last's
+        states, rows, last_result = ensembles[key], [], None
+        family = (curve.channel, curve.case, curve.mode, curve.M)
+        pool = ColumnPool(x=starts.get(family))     # where the family's last curve stopped
         for pt in curve.points:
-            budget = pt["budget"]
-            mac = curve.channel == "mac"
+            budget, mac = pt["budget"], curve.channel == "mac"
             if curve.mode == "fra":
                 res = (fra_baseline_mac if mac else fra_baseline_bc)(states, budget)
             elif mac:
@@ -216,6 +223,7 @@ def _run_curves(curves, samples, seed, out_dir, dump_convergence=False,
                          repr(res.max_lt_violation)] + hist
                         + [str(res.certified).lower(), str(res.n_evals),
                            res.convergence.stop_reason if res.convergence else ""])
+        starts[family] = pool.x
         path = out_dir / f"{curve.stem}.csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -244,13 +252,9 @@ def _cmd_run(args) -> int:
         if parser.has_section("run"):
             base = dict(parser.items("run"))
             if args.samples is None and "samples" in base:
-                try:
-                    args.samples = int(base["samples"])
-                except ValueError:
-                    raise UsageError(f"[run] samples = {base['samples']!r} "
-                                     "is not an integer") from None
-            args.seed = args.seed if args.seed is not None else (
-                int(base["seed"]) if "seed" in base else None)
+                args.samples = _number(base["samples"], "[run] samples", int)
+            if args.seed is None and "seed" in base:
+                args.seed = _number(base["seed"], "[run] seed", int)
             args.out = args.out or base.get("out")
     samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     if samples < 1:

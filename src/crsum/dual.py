@@ -145,6 +145,14 @@ class ConvergenceReport:
 # problem adapters
 
 
+def _dot(A, P):
+    """Each state's a.p, one user column at a time (an einsum runs per state)."""
+    out = A[:, 0] * P[:, 0]
+    for k in range(1, P.shape[1]):
+        out += A[:, k] * P[:, k]
+    return out
+
+
 class _MacProblem:
     def __init__(self, ensemble, case, budget, solver=None, tdma_mode=False):
         self.H, self.G = ensemble.H, ensemble.G
@@ -167,7 +175,7 @@ class _MacProblem:
         contains old's, so old's columns are valid cuts and feasible
         columns of this problem. The states compare by value: a BC
         point builds its one-user arrays afresh."""
-        return (old is not None and old.case is self.case
+        return (old is not None and old.case is self.case and old.G.shape == self.G.shape
                 and old.tdma_mode == self.tdma_mode and self.thresholds.size > 0
                 and bool(np.all(self.st_caps >= old.st_caps))
                 and np.array_equal(old.H, self.H) and np.array_equal(old.G, self.G))
@@ -177,13 +185,10 @@ class _MacProblem:
         return self._solve(self.H, self.G, DualPoint.from_vector(x, self.n_lam))
 
     def _rates(self, P: np.ndarray) -> np.ndarray:
-        out = self.H[:, 0] * P[:, 0]
-        for k in range(1, P.shape[1]):
-            out += self.H[:, k] * P[:, k]
-        return np.log1p(out, out=out)
+        return np.log1p(out := _dot(self.H, P), out=out)
 
     def evaluate(self, x: np.ndarray):
-        """Dual value, subgradient, allocation, LT usages and mean rate at x.
+        """Dual value, subgradient, allocation, usages, rate and Lagrangian mean at x.
 
         Every sum runs one user or cap column at a time over all states,
         in place from the first (einsums and matmuls over a short last
@@ -192,23 +197,19 @@ class _MacProblem:
         point = DualPoint.from_vector(x, self.n_lam)
         P = self._solve(self.H, self.G, point)
         n, K, M = self.G.shape
-        terms = self._rates(P)
+        terms, usage = self._rates(P), []
         rate = float(terms.sum() / n)
-        usage = []
         if self.case.tpc_is_lt:
             for k in range(K):
                 usage.append(P[:, k].sum() / n)
                 terms -= P[:, k] * point.lam[k]
         if self.case.ipc_is_lt:
             for m in range(M):
-                I = P[:, 0] * self.G[:, 0, m]
-                for k in range(1, K):
-                    I += P[:, k] * self.G[:, k, m]
+                I = _dot(self.G[:, :, m], P)
                 usage.append(I.sum() / n)
                 terms -= I * point.mu[m]
-        usage = np.array(usage, dtype=float)
-        value = float(terms.sum() / n + x @ self.thresholds)
-        return value, self.thresholds - usage, P, usage, rate
+        usage, mean = np.array(usage, dtype=float), terms.sum() / n
+        return float(mean + x @ self.thresholds), self.thresholds - usage, P, usage, rate, mean
 
     def unbounded_cut(self, exc: UnboundedSubproblemError) -> np.ndarray:
         """Coefficients of the affine price w(x) that hit zero."""
@@ -388,18 +389,28 @@ class ColumnPool:
 
     columns holds (x_j, R_j, u_j, problem) per bounded evaluation: its
     multipliers, mean rate, LT usage and the problem it was solved
-    under. kept maps a column's index in columns to its allocation P_j
-    while the column is basic in the master, so at most d+1 are alive;
-    a column that left the basis is re-solved under its own ST caps if
-    it is mixed again. floors holds the a of each price floor, x the
-    last point's best multipliers and problem the last point's problem.
+    under; means its Lagrangian mean, at maps x_j.tobytes() to j. kept
+    maps a column's index in columns to its allocation P_j while the
+    column is basic in the master, so at most d+1 are alive; a column
+    that left the basis is re-solved under its own ST caps if it is
+    mixed again. floors holds the a of each price floor, x the last
+    point's best multipliers (a new pool may take another curve's) and
+    problem the last point's problem.
     """
 
     columns: list = field(default_factory=list)
+    means: list = field(default_factory=list)
+    at: dict = field(default_factory=dict)
     kept: dict = field(default_factory=dict)
     floors: list = field(default_factory=list)
     x: np.ndarray | None = None
     problem: _MacProblem | None = None
+
+    def lookup(self, x, problem):
+        """The column solved at exactly x under problem's ST sets, or None."""
+        j = self.at.get(x.tobytes())
+        same = j is not None and np.array_equal(self.columns[j][3].st_caps, problem.st_caps)
+        return j if same else None
 
 
 def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
@@ -427,13 +438,15 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     false), and case I in full mode returns the mixture, within the gap.
 
     A `ColumnPool` carries one curve's columns from point to point. The
-    first evaluation is at the last point's best multipliers, the centre
-    of the smoothing until a better point is found, and when
-    every per-state ST set contains the last point's (`extends`) the
-    master starts from all pooled columns and floors, and each column
-    still basic after a master solve keeps its allocation for the
-    mixture. Either way this point's columns join the pool; the dual
-    value, and n_evals, come from this point's own evaluations only.
+    first evaluation is at its x (the last point's best multipliers) if
+    it has d entries, the smoothing's centre until a better point is
+    found; when every per-state ST set contains the last point's
+    (`extends`) the master starts from all pooled columns and floors,
+    and each column still basic after a master solve keeps its
+    allocation for the mixture. An evaluation at a pooled column's x
+    under equal ST sets (`lookup`) reads the column with no per-state
+    solve, bit for bit. This point's columns join the pool; the dual
+    value and n_evals (pooled answers too) come from its own evaluations.
     """
     problem = _make_problem(states, case, budget,
                             per_state_solver=per_state_solver,
@@ -444,7 +457,7 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     max_iter = 100 * (d + 1) if max_iter is None else max_iter
     pool = ColumnPool() if pool is None else pool
     if not problem.extends(pool.problem):
-        pool.columns, pool.kept, pool.floors = [], {}, []
+        pool.columns, pool.means, pool.at, pool.kept, pool.floors = [], [], {}, {}, []
     x = pool.x if pool.x is not None and pool.x.size == d else 1.0 / problem.thresholds
     pool.problem = problem
     report = ConvergenceReport(params={
@@ -458,8 +471,13 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     for it in range(max_iter):
         report.n_evals += 1
         new = master.c.size         # the index of this evaluation's column, if added
+        i = pool.lookup(x, problem)
         try:
-            value, subgrad, P, usage, rate = problem.evaluate(x)
+            if i is None:
+                value, subgrad, P, usage, rate, mean = problem.evaluate(x)
+            else:                   # solved here before: no per-state solve
+                (_, rate, usage, _), mean, P = cols[i], pool.means[i], kept.get(i)
+                value, subgrad = float(mean + x @ problem.thresholds), problem.thresholds - usage
         except UnboundedSubproblemError as exc:
             pool.floors.append(problem.unbounded_cut(exc))
             master.add_floor(pool.floors[-1])
@@ -472,7 +490,10 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
             i = master.add_column(rate, usage)
             if i == len(cols):
                 cols.append((x, rate, usage, problem))
-            kept[i] = P
+                pool.means.append(mean)
+                pool.at[x.tobytes()] = i
+            if P is not None:
+                kept[i] = P
         mispriced = centred and not (master.c.size > new and master.prices_in(new))
         report.mispriced += mispriced
         master.solve()

@@ -133,19 +133,24 @@ def _kkt(H, G, P, LAM, MU, GAM=None, caps=None):
     multipliers; caps adds the power caps p <= caps, with LAM theirs.
     Returns need = LAM + G MU - h / (1+h.p), whose positive part is the
     inactivity multiplier delta, the |multiplier * slack| arrays and the
-    constraint violation arrays.
+    constraint violation arrays. Products run states-last, (K, n) or
+    (K, M, n), summed over the leading axis: nothing steps per state.
     """
-    need = LAM + np.einsum("nkm,nm->nk", G, MU) \
-        - H / (1.0 + np.einsum("nk,nk->n", H, P))[:, None]
-    cs, primal = [np.abs(np.maximum(need, 0.0) * P)], [-P]
+    PT, GT = P.T, G.transpose(1, 2, 0)
+    S = np.multiply(H.T, PT, order="C").sum(axis=0) + 1.0
+    need = np.divide(-H.T, S, order="C")
+    need += LAM.T
+    need += np.multiply(GT, MU.T, order="C").sum(axis=1)
+    cs, primal = [np.abs(np.maximum(need, 0.0) * PT)], [-P]
     if GAM is not None:
-        slack = np.einsum("nk,nkm->nm", P, G) - GAM
-        cs.append(np.abs(MU * slack))
+        slack = np.multiply(PT[:, None], GT, order="C").sum(axis=0) - GAM.T
+        cs.append(np.abs(MU.T * slack))
         primal.append(slack)
     if caps is not None:
-        cs.append(np.abs(LAM * (P - caps)))
-        primal.append(P - caps)
-    return need, cs, primal
+        over = np.subtract(PT, caps.T, order="C")
+        cs.append(np.abs(LAM.T * over))
+        primal.append(over)
+    return need.T, cs, primal
 
 
 def _worst(parts) -> float:

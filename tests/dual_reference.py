@@ -4,12 +4,14 @@ ran column by column, kept as the reference that
 match, the dual loop's one-user rounding as it was before
 `perstate_mac.lone_user` took it over, and the Dantzig-Wolfe master as
 it was before it kept its columns in doubling storage and its prices
-per pivot: `dual._Master` must match `Master` bit for bit.
+per pivot: `dual._Master` must match `Master` bit for bit. Last, the
+per-state KKT system as it was before it ran states-last:
+`perstate_mac._kkt` must match `kkt` to rounding.
 
-The first three reduce along the short last axis of (n, K) and (n, K, M)
-arrays: `np.argmax(..., axis=1)` with fancy-index gathers and a scatter
-for the winner, `G @ mu` as a matmul, and einsums for the rate and the
-interference.
+All but the master reduce along the short last axis of (n, K) and
+(n, K, M) arrays: `np.argmax(..., axis=1)` with fancy-index gathers and
+a scatter for the winner, `G @ mu` as a matmul, and einsums for the
+rate, the interference and the KKT sums.
 """
 import numpy as np
 
@@ -173,3 +175,21 @@ class Master:
         """The mixture's guaranteed rate, sum_j w_j R_j over visited policies."""
         return float(sum(w * self.c[j] for j, w in zip(self.basis, self.weights)
                          if self.pool_index[j] >= 0))
+
+
+def kkt(H, G, P, LAM, MU, GAM=None, caps=None):
+    """The per-state KKT system of max log(1+h.p) - LAM.p - MU.(G^T p)
+    over p >= 0 by einsums: need, the |multiplier * slack| arrays and the
+    constraint violation arrays, the interference caps as one (n, M)
+    array."""
+    need = LAM + np.einsum("nkm,nm->nk", G, MU) \
+        - H / (1.0 + np.einsum("nk,nk->n", H, P))[:, None]
+    cs, primal = [np.abs(np.maximum(need, 0.0) * P)], [-P]
+    if GAM is not None:
+        slack = np.einsum("nk,nkm->nm", P, G) - GAM
+        cs.append(np.abs(MU * slack))
+        primal.append(slack)
+    if caps is not None:
+        cs.append(np.abs(LAM * (P - caps)))
+        primal.append(P - caps)
+    return need, cs, primal

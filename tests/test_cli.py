@@ -176,6 +176,33 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("flag,section,line,key", [
+    ("--P-dB=abc", None, None, "--P-dB"),
+    ("--Q-dB=abc", None, None, "--Q-dB"),
+    (None, "run", "seed = abc", "[run] seed"),
+    (None, "fig3", "p_db = 0,abc", "p_db"),
+    (None, "fig4", "q_db = 1:x:2", "q_db"),
+    (None, "fig3", "gamma = abc", "gamma"),
+    (None, "fig8", "q_db = abc", "q_db"),
+    (None, "fig8", "k_sweep = 4,x", "k_sweep"),
+])
+def test_non_numeric_values_exit_2(flag, section, line, key, tmp_path, capsys):
+    """A value that is not a number is a usage error that names its key,
+    not a ValueError traceback."""
+    if flag:
+        channel = "bc" if "Q" in flag else "mac"
+        argv = ["run", "--channel", channel, "--case", "I", "--K", "2", flag]
+    else:
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(f"[{section}]\n{line}\n")
+        argv = ["run", "--preset", "fig3" if section == "run" else section,
+                "--config", str(cfgfile)]
+    assert main(argv + ["--samples", "10", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_configuration_error_exits_2(tmp_path, capsys):
     assert main(["run", "--channel", "mac", "--case", "I", "--K", "2",
                  "--P-dB", "0", "--gamma", "-1", "--samples", "10",

@@ -6,7 +6,8 @@ it is held against its row-wise form bit for bit where the arithmetic
 is unchanged (one cap, one user), within a rounding tolerance where a
 sum over several columns changed its order. The case-3 closed form
 sweeps one sorted position at a time and matches `case3_reference` bit
-for bit."""
+for bit. The KKT system of every case runs states-last, within a
+rounding tolerance of its einsum form."""
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from crsum import (ConstraintCase, FadingModel, PowerBudget,
                    UnboundedSubproblemError, ellipsoid_solve, sample_bc_states)
 from crsum.dual import _make_problem
 from crsum.fading import Ensemble
-from crsum.perstate_mac import lone_user, solve_states_case1, solve_states_case3
+from crsum.perstate_mac import (_kkt, lone_user, solve_states_case1,
+                                solve_states_case3)
 
 
 def _instance(seed, n, K, M, idle=0.2):
@@ -174,7 +176,7 @@ def test_evaluate_matches_reference(case, K, M, tdma_mode):
     rng = np.random.default_rng(K * 10 + M)
     for _ in range(3):
         x = rng.uniform(0.2, 2.0, problem.n_lam + problem.n_mu)
-        value, sg, P, usage, rate = problem.evaluate(x)
+        value, sg, P, usage, rate = problem.evaluate(x)[:5]
         r_value, r_sg, r_P, r_usage = dual_reference.evaluate(problem, x)
         assert np.array_equal(P, r_P)
         want_rate = problem.primal_value(P)
@@ -197,7 +199,7 @@ def test_case1_evaluation_matches_reference_end_to_end():
             ConstraintCase.I, K, M, seed=K,
             solver=lambda H, G, pt: dual_reference.solve_states_case1(H, G, pt.lam, pt.mu))
         x = np.random.default_rng(K).uniform(0.2, 2.0, K + M)
-        value, sg, P, usage, _ = problem.evaluate(x)
+        value, sg, P, usage, _ = problem.evaluate(x)[:5]
         r_value, r_sg, r_P, r_usage = dual_reference.evaluate(reference, x)
         if M <= 1:
             assert np.array_equal(P, r_P)
@@ -214,3 +216,37 @@ def test_unscaled_policy_reports_its_own_rate():
         _, report, policy, _ = ellipsoid_solve(states, case, budget)
         problem = _make_problem(states, case, budget)
         assert report.best_primal == problem.primal_value(policy)
+
+
+@pytest.mark.parametrize("n,K,M", [(1, 1, 0), (1, 3, 2), (7, 2, 1), (300, 4, 2), (50, 5, 3)])
+@pytest.mark.parametrize("system", ["case1", "case2", "case4"])
+def test_kkt_matches_einsum_reference(n, K, M, system):
+    """`_kkt` against the einsum form, on allocations and multipliers
+    near a KKT point (so need cancels) and off it, with broadcast prices
+    and caps as `_certify` passes them. Each entry agrees within 1e-14
+    of the magnitudes summed into it, about 45 float64 epsilons."""
+    H, G, lam, mu = _instance(n * 10 + K, n, K, M)
+    rng = np.random.default_rng(M)
+    P = rng.exponential(0.5, (n, K)) * (rng.random((n, K)) < 0.6)
+    LAM = np.broadcast_to(lam, (n, K))
+    MU = rng.uniform(0.0, 1.0, (n, M))
+    LAM = LAM + (H / (1.0 + (H * P).sum(axis=1))[:, None]
+                 - np.einsum("nkm,nm->nk", G, MU)) * (rng.random((n, K)) < 0.5)
+    GAM = np.broadcast_to(rng.uniform(0.5, 2.0, M), (n, M)) if system != "case1" else None
+    caps = np.broadcast_to(rng.uniform(0.5, 2.0, K), (n, K)) if system == "case4" else None
+    need, cs, primal = _kkt(H, G, P, LAM, MU, GAM, caps)
+    r_need, r_cs, r_primal = dual_reference.kkt(H, G, P, LAM, MU, GAM, caps)
+    gmu = np.einsum("nkm,nm->nk", G, np.abs(MU))
+    scale = np.abs(LAM) + gmu + H / (1.0 + np.einsum("nk,nk->n", H, P))[:, None]
+    assert need.shape == (n, K)
+    assert np.all(np.abs(need - r_need) <= 1e-14 * scale)
+    assert np.all(np.abs(cs[0].T - r_cs[0]) <= 1e-14 * scale * P)     # (K, n)
+    assert np.array_equal(primal[0], r_primal[0])
+    if GAM is not None:       # (M, n) here, (n, M) in the einsum form
+        load = np.einsum("nk,nkm->nm", P, G) + GAM
+        assert np.all(np.abs(primal[1].T - r_primal[1]) <= 1e-14 * load)
+        assert np.all(np.abs(cs[1].T - r_cs[1]) <= 1e-14 * load * MU)
+    if caps is not None:
+        assert np.array_equal(primal[-1].T, r_primal[-1])
+        assert np.array_equal(cs[-1].T, r_cs[-1])
+    assert len(cs) == len(primal) == 1 + (GAM is not None) + (caps is not None)

@@ -485,8 +485,16 @@ def test_descending_case3_sweep_resets_the_pool(channel):
 def _counted_curve(case, states, dbs):
     """One pooled full-mode curve (K = 2, M = 1) whose per-state solver
     records each call as an evaluation or as the re-solve of a pooled
-    column, and asserts that at most d+1 allocations are kept."""
-    pool, calls = ColumnPool(), []
+    column, and asserts that at most d+1 allocations are kept. Also
+    returns the evaluations the pool answered without a solver call."""
+    pool, calls, pooled = ColumnPool(), [], []
+    lookup = pool.lookup
+
+    def counted_lookup(x, problem):
+        pooled.append(lookup(x, problem))
+        return pooled[-1]
+
+    pool.lookup = counted_lookup
 
     def solver_for(budget):
         def solve(H, G, pt):
@@ -505,23 +513,119 @@ def _counted_curve(case, states, dbs):
         results.append(ergodic_capacity_mac(states, case, budget, pool=pool,
                                             per_state_solver=solver_for(budget)))
         assert len(pool.kept) <= results[-1].convergence.params["dimension"] + 1
-    return results, calls
+    return results, calls, sum(i is not None for i in pooled)
 
 
-# re-solves of columns mixed after they left the basis, and evaluations,
-# on the curve P = -5..25 dB in steps of 5 at n = 300 (seed 3)
-KEPT_CURVE = {ConstraintCase.I: (1, 68), ConstraintCase.II: (0, 37),
-              ConstraintCase.III: (0, 24)}
+# re-solves of columns mixed after they left the basis, evaluations, and
+# evaluations answered from the pool, on the curve P = -5..25 dB in
+# steps of 5 at n = 300 (seed 3)
+KEPT_CURVE = {ConstraintCase.I: (1, 68, 6), ConstraintCase.II: (1, 37, 7),
+              ConstraintCase.III: (0, 24, 0)}
 
 
 @pytest.mark.parametrize("case", list(KEPT_CURVE))
 def test_pooled_curve_keeps_basic_allocations(case):
-    """A mixed column is re-solved only if it left the basis: every
-    solver call is one of the curve's evaluations or such a re-solve."""
+    """A mixed column is re-solved only if it left the basis, and an
+    evaluation at a pooled column's multipliers under equal per-state
+    sets costs no solve: every solver call is one of the curve's other
+    evaluations or such a re-solve."""
     states = sample_mac_states(FadingModel(K=2, M=1, n_states=300, seed=3))
-    results, calls = _counted_curve(case, states, [-5.0 + 5.0 * i for i in range(7)])
+    results, calls, pooled = _counted_curve(case, states,
+                                            [-5.0 + 5.0 * i for i in range(7)])
     assert all(r.certified for r in results)
-    resolves, evals = KEPT_CURVE[case]
+    resolves, evals, from_pool = KEPT_CURVE[case]
     assert sum(r.n_evals for r in results) == evals
+    assert pooled == from_pool
     assert sum(calls) == resolves
-    assert len(calls) == evals + resolves
+    assert len(calls) == evals - from_pool + resolves
+
+
+@pytest.mark.parametrize("case", [ConstraintCase.I, ConstraintCase.II])
+def test_pooled_evaluations_change_no_bit(case, monkeypatch):
+    """Each point of a P sweep makes its first evaluation at the last
+    point's best multipliers, under the same per-state sets, so the pool
+    answers it without a solve: every solver call is an evaluation the
+    pool did not answer or a re-solve. With the lookup off the curve is
+    the same bit for bit."""
+    states = sample_mac_states(FadingModel(K=2, M=1, n_states=300, seed=5))
+    dbs = [-5.0 + 5.0 * i for i in range(7)]
+    on, calls, pooled = _counted_curve(case, states, dbs)
+    evals = sum(r.n_evals for r in on)
+    assert pooled >= len(dbs) - 1
+    assert len(calls) == evals - pooled + sum(calls)
+    monkeypatch.setattr(ColumnPool, "lookup", lambda self, x, problem: None)
+    off, calls, pooled = _counted_curve(case, states, dbs)
+    assert pooled == 0 and len(calls) == evals + sum(calls)
+    for a, b in zip(on, off):
+        assert a.certified and a.n_evals == b.n_evals
+        assert (a.ergodic_sum_rate, a.gap, a.dual_value) == (b.ergodic_sum_rate, b.gap,
+                                                            b.dual_value)
+        assert np.array_equal(a.dual_point.vector(), b.dual_point.vector())
+        assert np.array_equal(a.alloc, b.alloc)
+
+
+@pytest.mark.parametrize("channel", ["mac", "bc"])
+def test_case3_sweep_never_answers_from_the_pool(channel, monkeypatch):
+    """A rising case-III sweep grows each point's ST caps: the last
+    point's best multipliers are pooled, but solved under smaller
+    per-state sets, so each evaluation there is solved afresh."""
+    repeats, hits = [], []
+    lookup = ColumnPool.lookup
+
+    def counted_lookup(self, x, problem):
+        repeats.append(x.tobytes() in self.at)
+        hits.append(lookup(self, x, problem))
+        return hits[-1]
+
+    monkeypatch.setattr(ColumnPool, "lookup", counted_lookup)
+    if channel == "bc":
+        states = sample_bc_states(FadingModel(K=3, M=2, n_states=300, seed=4))
+    else:
+        states = sample_mac_states(FadingModel(K=2, M=1, n_states=300, seed=4))
+    results = _sweep(states, ConstraintCase.III, [-5.0, 5.0, 15.0, 25.0], ColumnPool())
+    assert all(r.certified for r in results)
+    assert sum(repeats) >= 3 and hits.count(None) == len(hits)
+
+
+def test_pool_handed_to_another_user_count_starts_afresh():
+    """A case-III pool handed from K = 2 to K = 3 states: the ST caps
+    have K entries each, so the pool drops its columns on the ensemble's
+    shape before it compares caps (at K = 3 they do not broadcast)."""
+    pool = ColumnPool()
+    for K in (2, 3):
+        states = sample_mac_states(FadingModel(K=K, M=1, n_states=100, seed=1))
+        budget = PowerBudget.symmetric(K, 1, 1.0, 1.0)
+        res = ergodic_capacity_mac(states, ConstraintCase.III, budget, pool=pool)
+        assert res.certified
+        assert all(owner is pool.problem for _, _, _, owner in pool.columns)
+
+
+def test_bc_k_sweep_starts_each_curve_where_the_last_stopped(tmp_path, monkeypatch):
+    """`crsum run` starts each curve at the best multipliers of the last
+    curve of its family. Along a BC K sweep (M = 4, case I) every curve
+    has d = 5, on other states; it stays certified, within the larger
+    gap of a run of each curve alone, in fewer evaluations."""
+    from crsum import cli
+    results = []
+
+    def recorded(states, case, budget, **opts):
+        results.append(ergodic_capacity_bc(states, case, budget, **opts))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "ergodic_capacity_bc", recorded)
+
+    def curves():
+        return [cli._bc_curve(f"K{K}", ConstraintCase.I, "full", K, 4, 1.0, [3.0])
+                for K in (4, 8, 12)]
+
+    cli._run_curves(curves(), 2000, 1, tmp_path / "family")
+    family = results[:]
+    for curve in curves():
+        cli._run_curves([curve], 2000, 1, tmp_path / "alone")
+    alone = results[len(family):]
+    for last, res in zip(family, family[1:]):
+        assert res.convergence.params["start"] == last.dual_point.vector().tolist()
+    for a, b in zip(family, alone):
+        assert a.certified and b.certified
+        assert abs(a.ergodic_sum_rate - b.ergodic_sum_rate) <= max(a.gap, b.gap)
+    assert sum(r.n_evals for r in family) < sum(r.n_evals for r in alone)
