@@ -14,6 +14,7 @@ import configparser
 import csv
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .constraints import ConstraintCase, PowerBudget, db_to_linear
 from .dual import ColumnPool, cutting_plane_solve
 from .errors import (ConfigurationError, ConvergenceFailureError, CrsumError,
                      UsageError)
-from .fading import FadingModel, sample_bc_states, sample_mac_states
+from .fading import FadingModel, check_ensemble_size, sample_bc_states, sample_mac_states
 from .oracle import (case1_problem, case2_problem, case3_problem,
                      case4_problem, grid_state_oracles, saa_primal_oracle)
 from . import perstate_bc, perstate_mac, tdma
@@ -191,6 +192,8 @@ def _fmt(x) -> str:
 
 def _run_curves(curves, samples, seed, out_dir, dump_convergence=False,
                 strict=False):
+    for curve in curves:                # every ensemble, before any is drawn
+        check_ensemble_size(curve.channel, curve.K, curve.M, samples)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ensembles, starts, written = {}, {}, []    # starts: each curve family's last x
@@ -302,9 +305,8 @@ def _power_factors(perturb):
 
 
 def _random_cases(rng, k_min):
-    """A random MAC state with K in [k_min, 3], M in [1, 2], and per case
-    its (solver key, solver, solver arguments, oracle problem, single-user
-    check, KKT report, multipliers the report takes from the solver's)."""
+    """A random MAC state, K in [k_min, 3], M in [1, 2], and per case its (solver
+    key, batched solver, solver arguments, oracle problem, single-user check, KKT report)."""
     from .fading import ChannelStateMac
     K = int(rng.integers(k_min, 4))
     M = int(rng.integers(1, 3))
@@ -316,32 +318,50 @@ def _random_cases(rng, k_min):
     gam = rng.uniform(0.5, 2.0, M)
     pm = perstate_mac
     return state, [
-        ("case1", pm.solve_state_case1, (lam, mu), case1_problem, None,
-         pm.kkt_report_case1, ()),
-        ("case2", pm.solve_state_case2, (lam, gam), case2_problem,
-         pm.check_tdma_case2, pm.kkt_report_case2, ("mu",)),
-        ("case3", pm.solve_state_case3, (mu, caps), case3_problem,
-         pm.check_tdma_case3, pm.kkt_report_case3, ()),
-        ("case4", pm.solve_state_case4, (caps, gam), case4_problem,
-         pm.check_tdma_case4, pm.kkt_report_case4, ("lambda", "mu")),
+        ("case1", pm.solve_states_case1, (lam, mu), case1_problem, None,
+         pm.kkt_report_case1),
+        ("case2", partial(pm.solve_states_case2, want_multipliers=True), (lam, gam),
+         case2_problem, pm.check_tdma_case2, pm.kkt_report_case2),
+        ("case3", pm.solve_states_case3, (mu, caps), case3_problem,
+         pm.check_tdma_case3, pm.kkt_report_case3),
+        ("case4", partial(pm.solve_states_case4, want_multipliers=True), (caps, gam),
+         case4_problem, pm.check_tdma_case4, pm.kkt_report_case4),
     ]
+
+
+def _batches(draws, wanted):
+    """The (draw, case) pairs `wanted` of the `_random_cases` draws, solved
+    once per case and (K, M) in first-seen order: per group its draw
+    indices, case index and case tuple, the stacked gains and arguments,
+    the powers and the multipliers the case's KKT report takes."""
+    groups = {}
+    for i, c in wanted:
+        groups.setdefault((*draws[i][0].g.shape, c), []).append(i)
+    for (*_, c), ids in groups.items():
+        H, G = (np.stack(a) for a in zip(*((draws[i][0].h, draws[i][0].g) for i in ids)))
+        args = [np.stack(a) for a in zip(*(draws[i][1][c][2] for i in ids))]
+        out = draws[ids[0]][1][c][1](H, G, *args)
+        P, *multipliers = (out,) if isinstance(out, np.ndarray) else out
+        yield ids, c, draws[ids[0]][1][c], H, G, args, P, multipliers
 
 
 def _suite_perstate(scale, rng, n_checks):
     """Closed forms and simplex solvers vs the grid oracle, with KKT audits
-    recomputed from the returned powers."""
-    problems, values = [], []   # the oracle's problems, the solvers' objective values
-    worst_obj = worst_kkt = 0.0
-    for _ in range(n_checks):
-        state, cases = _random_cases(rng, 1)
-        for key, solver, args, problem, _, report, names in cases:
-            out = solver(state, *args)
-            p = scale[key] * out[0].p
-            problems.append(problem(state, *args))
-            values.append(float(problems[-1][0](p[None])[0]))
-            worst_kkt = max(worst_kkt, report(
-                state.h, state.g, *args, p,
-                *(out[1].multipliers[m] for m in names)).max_residual)
+    recomputed from the returned powers. Each case runs once per (K, M)
+    of the draws."""
+    draws = [_random_cases(rng, 1) for _ in range(n_checks)]
+    # the oracle's problems, (draw i, case c) at 4 i + c, and the solvers' values
+    problems = [problem(state, *args) for state, cases in draws
+                for _, _, args, problem, _, _ in cases]
+    values, worst_kkt = [0.0] * len(problems), 0.0
+    for ids, c, (key, *_, report), H, G, args, P, multipliers in _batches(
+            draws, [(i, c) for i in range(n_checks) for c in range(4)]):
+        P = scale[key] * P
+        worst_kkt = max(worst_kkt, report(H, G, *args, P, *multipliers).max_residual)
+        for i, p in zip(ids, P):
+            values[4 * i + c] = float(problems[4 * i + c][0](p[None])[0])
+    del draws       # freed before the oracle's meshes
+    worst_obj = 0.0
     for value, (_, ov) in zip(values, grid_state_oracles(problems, grid_step=1e-4)):
         worst_obj = max(worst_obj, abs(value - ov))
     return [("perstate objective vs grid oracle", worst_obj <= 2e-4,
@@ -378,21 +398,21 @@ def _suite_sparsity(scale, rng, n_checks):
 
 
 def _suite_tdma(scale, rng, n_checks):
-    """Single-user tests agree with the unrestricted solvers."""
-    bad = 0
-    checked = 0
-    for _ in range(n_checks):
-        state, cases = _random_cases(rng, 2)
-        for key, solver, args, _, check, _, _ in cases[1:]:
+    """Single-user tests agree with the unrestricted solvers, which run
+    once per case and (K, M) on the positives."""
+    draws = [_random_cases(rng, 2) for _ in range(n_checks)]
+    hits = {}       # (draw, case) of each positive: the powers it wants
+    for i, (state, cases) in enumerate(draws):
+        for c, (_, _, args, _, check, _) in enumerate(cases[1:], 1):
             hit = check(state, *args)
-            if hit is None:
-                continue
-            want = np.zeros(state.K)
-            want[hit[0]] = hit[1]
-            checked += 1
-            bad += not np.allclose(scale[key] * solver(state, *args)[0].p, want, atol=1e-8)
+            if hit is not None:
+                hits[i, c] = np.where(np.arange(state.K) == hit[0], hit[1], 0.0)
+    bad = 0
+    for ids, c, (key, *_), *_, P, _ in _batches(draws, hits):
+        want = np.stack([hits[i, c] for i in ids])
+        bad += int((~np.isclose(scale[key] * P, want, atol=1e-8).all(axis=1)).sum())
     return [("tdma checks consistent with solvers", bad == 0,
-             f"{checked} positives checked, {bad} mismatches")]
+             f"{len(hits)} positives checked, {bad} mismatches")]
 
 
 def _suite_bc(scale, rng, n_checks):

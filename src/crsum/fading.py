@@ -18,6 +18,16 @@ import numpy as np
 from .errors import ConfigurationError, UsageError
 
 _KINDS = ("rayleigh-unit-mean",)
+MAX_ENSEMBLE_BYTES = 1 << 30    # the largest ensemble a sampler draws: 1 GiB of gains
+
+
+def check_ensemble_size(channel: str, K: int, M: int, n: int) -> None:
+    """Refuse, before anything is allocated, an ensemble whose float64
+    gains, H (n, K) and G (n, K, M) or F (n, M), exceed MAX_ENSEMBLE_BYTES."""
+    size = 8 * n * (K + (K * M if channel == "mac" else M))
+    if size > MAX_ENSEMBLE_BYTES:
+        raise UsageError(f"a {channel.upper()} ensemble of {n} states with K = {K}, M = {M} takes "
+                         f"{size:,} bytes of gains, above the {MAX_ENSEMBLE_BYTES:,}-byte limit")
 
 
 @dataclass(frozen=True)
@@ -195,6 +205,7 @@ def _rng(seed: int) -> np.random.Generator:
 
 def sample_mac_states(model: FadingModel) -> Ensemble:
     """Draw the MAC ensemble for `model`. Same model => same states."""
+    check_ensemble_size("mac", model.K, model.M, model.n_states)
     rng = _rng(model.seed)
     H = rng.exponential(1.0, size=(model.n_states, model.K))
     G = rng.exponential(1.0, size=(model.n_states, model.K, model.M))
@@ -203,6 +214,7 @@ def sample_mac_states(model: FadingModel) -> Ensemble:
 
 def sample_bc_states(model: FadingModel) -> Ensemble:
     """Draw the BC ensemble for `model`. Same model => same states."""
+    check_ensemble_size("bc", model.K, model.M, model.n_states)
     rng = _rng(model.seed)
     H = rng.exponential(1.0, size=(model.n_states, model.K))
     F = rng.exponential(1.0, size=(model.n_states, model.M))

@@ -154,20 +154,24 @@ def _kkt(H, G, P, LAM, MU, GAM=None, caps=None):
 
 
 def _worst(parts) -> float:
-    """The largest entry of the arrays `parts`, at least 0; NaN propagates."""
-    return float(np.max([x.max(initial=0.0) for x in parts]))
+    """The largest entry of the arrays `parts`, at least 0; NaN propagates.
+    Up to 4096 entries the parts go end to end into one reduction, cheaper
+    than one reduction per part; past that, copying them costs more."""
+    if sum(x.size for x in parts) > 4096:
+        return float(np.max([x.max(initial=0.0) for x in parts]))
+    return float(np.concatenate([x.reshape(-1) for x in parts]).max(initial=0.0))
 
 
 def _kkt_report(named, h, g, p, lam, mu, gamma=None, p_st=None) -> KktReport:
-    """The KktReport of one state, `_kkt` at n = 1; `named` holds the
-    multipliers it reports besides delta."""
-    one = [None if x is None else np.asarray(x, dtype=float)[None]
-           for x in (h, g, p, lam, mu, gamma, p_st)]
-    need, cs, primal = _kkt(*one)
+    """The KktReport of one state (h (K,)), or the worst of a batch (each
+    argument with a leading state axis); `named`: multipliers besides delta."""
+    lead = (None,) * (np.ndim(h) == 1)          # one state: `_kkt` at n = 1
+    need, cs, primal = _kkt(*(None if x is None else np.asarray(x, dtype=float)[lead]
+                              for x in (h, g, p, lam, mu, gamma, p_st)))
     return KktReport(stationarity_residual=_worst([-need]),
                      complementary_slackness_residual=_worst(cs),
                      primal_infeasibility=_worst(primal),
-                     multipliers={"delta": np.maximum(need[0], 0.0), **named})
+                     multipliers={"delta": np.maximum(need[0] if lead else need, 0.0), **named})
 
 
 def _certify(what, H, G, P, LAM, MU, GAM, caps=None) -> None:
@@ -188,10 +192,11 @@ def _certify(what, H, G, P, LAM, MU, GAM, caps=None) -> None:
 
 
 def _interference_price(G: np.ndarray, mu) -> np.ndarray:
-    """Each user's interference price sum_m mu_m g_km, (n, K), summed
-    one cap column at a time from the first (a matmul over the short M
-    axis runs state by state)."""
+    """Each user's interference price sum_m mu_m g_km, (n, K), for mu
+    (M,) or (n, M), summed one cap column at a time from the first (a
+    matmul over the short M axis runs state by state)."""
     mu = np.asarray(mu, dtype=float)
+    mu = mu.T[:, :, None] if mu.ndim == 2 else mu     # rows: mu[m] is a column (n, 1)
     W = G[:, :, 0] * mu[0] if G.shape[2] else np.zeros(G.shape[:2])
     for m in range(1, G.shape[2]):
         W += G[:, :, m] * mu[m]
@@ -253,7 +258,7 @@ def lone_user(H: np.ndarray, price, cap=None) -> np.ndarray:
 
 
 def solve_states_case1(H: np.ndarray, G: np.ndarray, lam, mu) -> np.ndarray:
-    """Vectorized case-1 solver, lam (K,) or (n,K), mu (M,): `lone_user`
+    """Vectorized case-1 solver, lam (K,) or (n,K), mu (M,) or (n,M): `lone_user`
     at the prices lam + mu.g, uncapped, so the best ratio h / price wins."""
     W = _interference_price(G, mu)
     W += lam
@@ -456,7 +461,7 @@ def check_tdma_case2(state: ChannelStateMac, lam, gamma_st):
 
 
 def solve_states_case3(H: np.ndarray, G: np.ndarray, mu, p_st) -> np.ndarray:
-    """Vectorized case-3 closed form; mu is (M,), p_st is (K,).
+    """Vectorized case-3 closed form; mu is (M,) or (n, M), p_st (K,) or (n, K).
 
     Users fill their caps in each state's stable order of falling ratio
     h_k / mu.g_k while the ratio beats 1 plus the fill so far; the last
@@ -471,11 +476,12 @@ def solve_states_case3(H: np.ndarray, G: np.ndarray, mu, p_st) -> np.ndarray:
     order = np.argsort(-ratio, axis=1, kind="stable")
     flat = (order + np.arange(0, n * K, K)[:, None]).T     # (K, n)
     R, Hf, caps = ratio.reshape(-1), H.reshape(-1), np.asarray(p_st, dtype=float)
+    at = flat if caps.ndim == 2 else order.T        # each cap's (flat) index by its user
     Ps = np.zeros((K, n))
     fill, run = np.zeros(n), np.ones(n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(K):
-            r, h, c = R.take(flat[j]), Hf.take(flat[j]), caps.take(order[:, j])
+            r, h, c = R.take(flat[j]), Hf.take(flat[j]), caps.take(at[j])
             run &= r > 1.0 + fill
             if j:                   # the one before is full
                 np.copyto(Ps[j - 1], c_prev, where=run)
@@ -490,10 +496,11 @@ def solve_states_case3(H: np.ndarray, G: np.ndarray, mu, p_st) -> np.ndarray:
 
 def kkt_report_case3(h, g, mu, p_st, p) -> KktReport:
     """The power-cap multipliers are derived: a capped user's rate slope
-    above its interference price, zero for the others."""
-    w = g @ mu
+    above its interference price, else zero; per-state matmuls, as at n = 1."""
+    w = np.matmul(g, np.asarray(mu, dtype=float)[..., None])[..., 0]
     capped = p >= p_st - 1e-12 * (1.0 + p_st)
-    lam_state = np.where(capped, np.maximum(h / (1.0 + h @ p) - w, 0.0), 0.0)
+    slope = h / (1.0 + np.matmul(h[..., None, :], p[..., :, None])[..., 0])
+    lam_state = np.where(capped, np.maximum(slope - w, 0.0), 0.0)
     return _kkt_report({"lambda": lam_state}, h, g, p, lam_state, mu, p_st=p_st)
 
 
@@ -673,7 +680,8 @@ def bounded_simplex(c, A, b, u):
         bf[rs] = np.where(piv, np.where(sign > 0.0, 0.0, uj) + sign * step, bf.take(rs))
         _pivot(T, d[None], basis, col, r, j, s, piv)
     at, *out = (np.concatenate(a, axis=-1) for a in zip(*done))
-    order = np.argsort(at)
+    order = np.empty(n, dtype=np.intp)
+    order[at] = np.arange(n)            # `at` is a permutation: no sort inverts it
     basis_out, d_out, upper_out = (a.take(order, axis=-1) for a in out)
     x = np.where(upper_out.T, ub, 0.0)
     full = np.concatenate([A, np.broadcast_to(np.eye(M), (n, M, M))], axis=2)  # [A I]

@@ -2,16 +2,22 @@
 config handling, and the verify suites (including their ability to
 catch a deliberately broken solver)."""
 
+import builtins
 import csv
+import os
+import resource
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import verify_reference
 from crsum import ConvergenceFailureError, SolverFailureError, UsageError
 from crsum import cli
 from crsum.cli import main
+from crsum.fading import MAX_ENSEMBLE_BYTES
 
 HEADER_PREFIX = ["case", "P_dB", "Q_dB", "Gamma", "rate_nats",
                  "rate_stderr", "gap", "max_lt_viol"]
@@ -220,6 +226,109 @@ def test_solver_failures_exit_1(exc, tmp_path, monkeypatch, capsys):
                  "--P-dB", "0", "--samples", "10",
                  "--out", str(tmp_path)]) == 1
     assert str(exc) in capsys.readouterr().err
+
+
+ADDRESS_LIMIT = 1 << 30     # bytes of address space for an oversize-run subprocess
+
+
+def _capped_run(argv):
+    """`python argv` in a fresh interpreter whose address space is capped,
+    so a guard that lets an oversize ensemble through fails at once with a
+    MemoryError (exit 1) instead of allocating it."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_LIMIT, ADDRESS_LIMIT))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          preexec_fn=cap, timeout=60,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+
+
+OVERSIZE = ["run", "--channel", "mac", "--case", "II", "--K", "20", "--M", "4"]
+
+
+@pytest.mark.parametrize("how", ["flag", "config", "mac sampler", "bc sampler"])
+def test_oversize_ensemble_refused_before_drawing(how, tmp_path):
+    """10^7 states at K = 20, M = 4 take 8e9 bytes of MAC gains (1.92e9 at
+    the BC): refused by estimate with exit 2 and the bytes named, from the
+    command line, from a config file and in the library samplers."""
+    assert 8 * 10**7 * (20 + 20 * 4) > 8 * 10**7 * (20 + 4) > MAX_ENSEMBLE_BYTES
+    cfgfile = tmp_path / "big.ini"
+    cfgfile.write_text("[run]\nsamples = 10000000\n")
+    model = "FadingModel(K=20, M=4, n_states=10**7, seed=1)"
+    argv = {
+        "flag": ["-m", "crsum.cli", *OVERSIZE, "--samples", "10000000"],
+        "config": ["-m", "crsum.cli", *OVERSIZE, "--config", str(cfgfile)],
+        "mac sampler": ["-c", f"from crsum import *; sample_mac_states({model})"],
+        "bc sampler": ["-c", f"from crsum import *; sample_bc_states({model})"],
+    }[how]
+    sampler = how.endswith("sampler")
+    proc = _capped_run(argv if sampler else argv + ["--out", str(tmp_path / "out")])
+    bytes_named = "1,920,000,000 bytes" if how == "bc sampler" else "8,000,000,000 bytes"
+    assert bytes_named in proc.stderr, proc.stderr
+    if sampler:
+        assert "crsum.errors.UsageError" in proc.stderr
+    else:
+        assert proc.returncode == 2
+        assert not (tmp_path / "out").exists()
+
+
+def test_a_preset_is_refused_before_its_first_curve(tmp_path, monkeypatch, capsys):
+    """fig8's largest ensemble (K = 20, M = 4) over the limit: nothing is
+    drawn and no CSV written, though its first curves would fit."""
+    monkeypatch.setattr(cli, "sample_bc_states", None)      # drawing would fail
+    samples = MAX_ENSEMBLE_BYTES // (8 * 24) + 1
+    rc = main(["run", "--preset", "fig8", "--samples", str(samples),
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "K = 20, M = 4" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+SUITE_CHECKS = 40
+
+
+def _corner_values(problems, grid_step):
+    """Each problem's objective at its upper corner: a quick stand-in for
+    the grid oracle, which both suites call alike, that still reads every
+    problem the suite built."""
+    return [(None, float(obj(np.asarray(upper, dtype=float)[None])[0]))
+            for obj, upper, _ in problems]
+
+
+def _suite_run(module, suite, seed, perturb, monkeypatch):
+    """One run of `module`'s suite, its (label, ok, detail) lines and the
+    running maxima of its `max` calls, recorded in order."""
+    maxima = []
+
+    def recorded(a, b):
+        maxima.append(builtins.max(a, b))
+        return maxima[-1]
+    monkeypatch.setattr(module, "max", recorded, raising=False)
+    monkeypatch.setattr(module, "grid_state_oracles", _corner_values)
+    lines = getattr(module, f"_suite_{suite}")(
+        cli._power_factors(perturb), np.random.Generator(np.random.Philox(key=seed)),
+        SUITE_CHECKS)
+    monkeypatch.undo()
+    return lines, maxima
+
+
+@pytest.mark.parametrize("perturb", [None, "case1_power", "case2_power",
+                                     "case3_power", "case4_power"])
+@pytest.mark.parametrize("seed", [0, 3, 5])
+@pytest.mark.parametrize("suite", ["perstate", "tdma"])
+def test_batched_suites_match_the_scalar_reference(suite, seed, perturb, monkeypatch):
+    """The perstate and tdma suites, which solve each (K, M) of their draws
+    in one call, print what the scalar suites of `verify_reference` print,
+    against the same stand-in oracle. The perstate suite's worst values
+    agree as floats: both suites end with one `max` per oracle problem (4
+    per check), after the KKT maxima."""
+    got, got_max = _suite_run(cli, suite, seed, perturb, monkeypatch)
+    want, want_max = _suite_run(verify_reference, suite, seed, perturb, monkeypatch)
+    assert got == want
+    if suite == "perstate":
+        tail = 4 * SUITE_CHECKS
+        assert len(got_max) > tail and len(want_max) == 2 * tail
+        assert (got_max[-tail - 1], got_max[-1]) == (want_max[-tail - 1], want_max[-1])
+        assert want_max[-1] > 0.0 and want_max[-tail - 1] > 0.0
 
 
 def test_verify_clean(capsys):

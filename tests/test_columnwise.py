@@ -53,6 +53,30 @@ def test_case1_equals_reference(K, M):
         assert np.array_equal(solve_states_case1(H, G, LAM, mu), want)
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 5])
+@pytest.mark.parametrize("M", [0, 1, 2])
+def test_per_state_price_rows_equal_row_by_row_solves(K, M):
+    """Case 1 with mu (n, M) and case 3 with mu (n, M) and p_st (n, K)
+    equal one solve per state at that state's row, bit for bit: with
+    zero gains (a whole state of them too), and on states whose caps
+    all bind, at tiny caps and interference prices."""
+    n = 60
+    H, G, lam, _ = _instance(K * 10 + M, n, K, M)
+    H[1] = 0.0
+    rng = np.random.default_rng(K * 10 + M)
+    MU = rng.uniform(0.1, 1.5, (n, M))
+    caps = rng.uniform(0.1, 2.0, (n, K))
+    MU[::3], caps[::3] = 1e-6, 1e-3
+    P1 = solve_states_case1(H, G, lam, MU)
+    P3 = solve_states_case3(H, G, MU, caps)
+    for t in range(n):
+        one = H[t:t + 1], G[t:t + 1]
+        assert np.array_equal(P1[t], solve_states_case1(*one, lam, MU[t])[0])
+        assert np.array_equal(P3[t], solve_states_case3(*one, MU[t], caps[t])[0])
+    assert np.array_equal(P3[::3], np.where(H[::3] > 0.0, caps[::3], 0.0))
+    assert not P1[1].any() and not P3[1].any()
+
+
 @pytest.mark.parametrize("K", [1, 2, 5, 20])
 @pytest.mark.parametrize("M", [2, 4])
 def test_case1_lagrangian_matches_reference(K, M):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crsum import UnboundedSubproblemError
+from crsum import SolverFailureError, UnboundedSubproblemError, perstate_mac
 from crsum.fading import ChannelStateMac
 from crsum.perstate_mac import (ACTIVE_TOL, check_tdma_case2, check_tdma_case3,
                                 check_tdma_case4, kkt_report_case1,
@@ -355,3 +355,23 @@ def test_tdma_check_case2_warns_on_multiple_satisfiers(caplog):
     assert any("satisfy" in rec.message for rec in caplog.records)
     alloc, _ = solve_state_case2(s, lam, np.array([1.0]))
     np.testing.assert_allclose(alloc.p, [1.0, 0.0], atol=1e-10)
+
+
+@pytest.mark.parametrize("part", range(7))
+def test_a_nan_in_any_kkt_part_fails_certify(part, monkeypatch):
+    """`_certify` reduces the case-4 KKT parts (need, three |multiplier *
+    slack| arrays, three violations) in one pass; a NaN in any of them
+    fails the audit."""
+    rng = np.random.default_rng(part)
+    H, G = rng.exponential(1.0, (5, 3)), rng.exponential(1.0, (5, 3, 2))
+    solve_states_case4(H, G, np.ones(3), np.ones(2))      # clean: certified
+    kkt = perstate_mac._kkt
+
+    def poisoned(*args):
+        need, cs, primal = kkt(*args)
+        [need, *cs, *primal][part].flat[-1] = np.nan
+        return need, cs, primal
+    monkeypatch.setattr(perstate_mac, "_kkt", poisoned)
+    with pytest.raises(SolverFailureError, match="KKT residual nan"):
+        solve_states_case4(H, G, np.ones(3), np.ones(2))
+
