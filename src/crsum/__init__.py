@@ -15,11 +15,10 @@ from .fading import (ChannelStateBc, ChannelStateMac, Ensemble, FadingModel,
                      sample_bc_states, sample_mac_states)
 from .oracle import grid_state_oracle, grid_state_oracles, saa_primal_oracle
 from .perstate_bc import BcStateAllocation, bc_via_dual_mac, solve_state_bc
-from .perstate_mac import (KktReport, StateAllocation, UserOrdering,
-                           check_tdma_case2, check_tdma_case3,
-                           check_tdma_case4, solve_state_case1,
-                           solve_state_case2, solve_state_case3,
-                           solve_state_case4)
+from .perstate_mac import (KktReport, StateAllocation, check_tdma_case2,
+                           check_tdma_case3, check_tdma_case4,
+                           solve_state_case1, solve_state_case2,
+                           solve_state_case3, solve_state_case4)
 from .tdma import tdma_state_case2, tdma_state_case3, tdma_state_case4
 
 __version__ = "0.1.0"
@@ -30,7 +29,7 @@ __all__ = [
     "ConvergenceFailureError", "ConvergenceReport", "CrsumError", "DualPoint",
     "Ensemble", "FadingModel", "KktReport", "PolicyResult", "PowerBudget",
     "SolverFailureError", "StateAllocation", "UnboundedSubproblemError",
-    "UsageError", "UserOrdering", "as_ensemble", "bc_arrays", "bc_via_dual_mac",
+    "UsageError", "as_ensemble", "bc_arrays", "bc_via_dual_mac",
     "check_tdma_case2", "check_tdma_case3", "check_tdma_case4",
     "cutting_plane_solve", "db_to_linear", "dual_value_and_subgradient",
     "ellipsoid_solve", "ergodic_capacity_bc",

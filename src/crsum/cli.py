@@ -4,8 +4,8 @@ r"""Command-line front end.
 single custom sweep) and writes one CSV per curve; identical inputs
 produce byte-identical files. `crsum verify` runs self-check suites
 (closed forms vs. grid oracle, KKT certificates, structural sparsity,
-TDMA consistency, BC path agreement, a small duality sandwich) and
-exits nonzero on any failure.
+TDMA consistency, BC path agreement at the optima of dual solves, a
+small duality sandwich) and exits nonzero on any failure.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import (ergodic_capacity_bc, ergodic_capacity_mac,
+from .capacity import (_bc_prices, ergodic_capacity_bc, ergodic_capacity_mac,
                        fra_baseline_bc, fra_baseline_mac)
 from .constraints import ConstraintCase, PowerBudget, db_to_linear
 from .dual import ColumnPool, cutting_plane_solve
@@ -416,24 +416,36 @@ def _suite_tdma(scale, rng, n_checks):
 
 
 def _suite_bc(scale, rng, n_checks):
-    """Closed-form BC powers match the auxiliary-MAC route."""
-    from .fading import ChannelStateBc
-    worst = 0.0
-    for _ in range(n_checks):
+    """The one-user BC path against the K-user auxiliary MAC at the final
+    multipliers of real dual solves: three random (K, M), each with one
+    ensemble and one budget, every case. Per state the powers and the
+    served users must agree, and so must the ergodic rates."""
+    n = max(200, 10 * n_checks)
+    worst_q = worst_rate = 0.0
+    users_differ = 0
+    for _ in range(3):
         K = int(rng.integers(1, 6))
         M = int(rng.integers(1, 3))
-        state = ChannelStateBc(h=rng.exponential(1.0, K),
-                               f=rng.exponential(1.0, M))
+        states = sample_bc_states(FadingModel(K=K, M=M, n_states=n,
+                                              seed=int(rng.integers(1 << 31))))
+        Hb, F = states.H, states.F
         budget = PowerBudget(tpc=np.zeros(0), ipc=rng.uniform(0.5, 2.0, M),
                              bs_tpc=float(rng.uniform(0.5, 3.0)))
-        lam = float(rng.uniform(0.1, 2.0))
-        mu = rng.uniform(0.1, 2.0, M)
         for case in ConstraintCase:
-            a = scale["bc"] * perstate_bc.solve_state_bc(state, case, lam, mu, budget).q
-            b = perstate_bc.bc_via_dual_mac(state, case, lam, mu, budget)
-            worst = max(worst, abs(a - b.q))
-    return [("bc closed form matches auxiliary MAC", worst <= 1e-8,
-             f"worst |dq| = {worst:.2e}")]
+            lam, mu = _bc_prices(ergodic_capacity_bc(states, case, budget).dual_point, M)
+            qa, ua = perstate_bc.solve_states_bc(Hb, F, case, lam, mu, budget)
+            qb, ub = perstate_bc.solve_states_bc_via_mac(Hb, F, case, lam, mu, budget)
+            qa = scale["bc"] * qa
+            h = Hb[np.arange(n), ua]
+            ra, rb = (float(np.mean(np.log1p(h * q))) for q in (qa, qb))
+            worst_q = max(worst_q, float(np.max(np.abs(qa - qb))))
+            worst_rate = max(worst_rate, abs(ra - rb) / max(abs(ra), 1e-12))
+            users_differ += int(np.count_nonzero(ua != ub))
+    ok = worst_q <= 1e-8 and worst_rate <= 1e-6 and users_differ == 0
+    return [("bc one-user path matches auxiliary MAC at dual optima", ok,
+             f"12 dual solves of {n} states, worst |dq| = {worst_q:.2e}, "
+             f"worst ergodic rel diff = {worst_rate:.2e}, "
+             f"{users_differ} served users differ")]
 
 
 def _suite_dual(scale, rng, n_checks):

@@ -528,7 +528,8 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     if policy is None:
         report.stop_reason = "max_iter" if report.n_evals == max_iter else "stall"
         raise ConvergenceFailureError(
-            f"dual loop stopped ({report.stop_reason}) with relative gap "
+            f"dual loop stopped ({report.stop_reason}) after {report.n_evals} "
+            f"evaluations at d = {d} with relative gap "
             f"{gap / max(report.best_dual, 1e-9):.3e} above {gap_tol:.1e}",
             report=report)
     if report.stop_reason == "rounding" and not problem.tdma_mode:

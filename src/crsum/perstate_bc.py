@@ -13,8 +13,10 @@ case 1.
 
 As an independent check, every case can also be solved through an
 auxiliary MAC whose K "users" share the BC's direct gains, mapping the
-BC constraint mix onto one of the full MAC per-state solvers; both
-paths must agree state by state.
+BC constraint mix onto one of the full MAC per-state solvers
+(`powers_via_mac`). The pipeline does not run it: `crsum verify
+--suite bc` and the acceptance gate compare both paths state by state
+at the final multipliers of real dual solves.
 """
 from __future__ import annotations
 

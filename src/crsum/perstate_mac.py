@@ -89,14 +89,6 @@ class KktReport:
                    self.primal_infeasibility)
 
 
-@dataclass(frozen=True)
-class UserOrdering:
-    """Users sorted by decreasing h_k / (mu.g_k), and how many transmit."""
-
-    pi: np.ndarray
-    cardinality: int
-
-
 def _allocation(h: np.ndarray, p: np.ndarray) -> StateAllocation:
     p = np.asarray(p, dtype=float)
     active = tuple(int(k) for k in np.flatnonzero(p > ACTIVE_TOL))
@@ -511,14 +503,7 @@ def solve_state_case3(state: ChannelStateMac, mu, p_st):
     p_st = _cap(p_st, state.K, "p_st")
     H, G = state.h[None], state.g[None]
     p = solve_states_case3(H, G, mu, p_st)[0]
-    w = state.g @ mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(state.h > 0.0, np.where(w > 0.0, state.h / w, np.inf), 0.0)
-    pi = np.argsort(-ratio, kind="stable")
-    cardinality = int(np.sum(p > ACTIVE_TOL))
-    return (_allocation(state.h, p),
-            kkt_report_case3(state.h, state.g, mu, p_st, p),
-            UserOrdering(pi=pi, cardinality=cardinality))
+    return _allocation(state.h, p), kkt_report_case3(state.h, state.g, mu, p_st, p)
 
 
 def check_tdma_case3(state: ChannelStateMac, mu, p_st):

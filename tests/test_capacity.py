@@ -5,6 +5,7 @@ fields carried on every result."""
 import numpy as np
 import pytest
 
+from crsum import capacity, perstate_bc
 from crsum import (ConstraintCase, Ensemble, FadingModel, PowerBudget,
                    ergodic_capacity_bc, ergodic_capacity_mac,
                    ergodic_capacity_mac_tdma, fra_baseline_bc,
@@ -180,6 +181,27 @@ def test_bc_is_the_one_user_mac():
     assert bc.mode == "fra" and bc.alloc.shape == (n,)
     assert bc.active_count_histogram.shape == (K + 1,)
     assert abs(bc.ergodic_sum_rate - mac.ergodic_sum_rate) <= 1e-12
+
+
+@pytest.mark.parametrize("bc_via_mac", [False, True])
+def test_bc_solves_through_the_auxiliary_mac_only_on_request(bc_via_mac, monkeypatch,
+                                                             small_bc_ensemble):
+    """By default a BC point makes no auxiliary-MAC solve: that path is
+    compared with the one-user path by `crsum verify --suite bc`."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2])
+        return powers_via_mac(*args)
+    powers_via_mac = perstate_bc.powers_via_mac
+    for module in (capacity, perstate_bc):
+        monkeypatch.setattr(module, "powers_via_mac", spy)
+    budget = PowerBudget(tpc=np.zeros(0), ipc=[0.8, 1.2], bs_tpc=1.5)
+    for case in CASES:
+        ergodic_capacity_bc(small_bc_ensemble, case, budget, bc_via_mac=bc_via_mac)
+    assert bool(calls) is bc_via_mac
+    if bc_via_mac:
+        assert set(calls) == set(CASES)
 
 
 def _two_pass_audit(P, G, case, budget):

@@ -15,7 +15,7 @@ import pytest
 
 import verify_reference
 from crsum import ConvergenceFailureError, SolverFailureError, UsageError
-from crsum import cli
+from crsum import cli, perstate_bc
 from crsum.cli import main
 from crsum.fading import MAX_ENSEMBLE_BYTES
 
@@ -356,6 +356,19 @@ def test_verify_catches_broken_solver(perturb, suite, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "FAIL" in out
+
+
+def test_verify_bc_catches_an_auxiliary_mac_off_by_1e7(monkeypatch, capsys):
+    """The bc suite compares the one-user path with the auxiliary MAC at
+    the optima of real dual solves; a relative error of 1e-7 in the
+    auxiliary MAC's powers fails it."""
+    powers_via_mac = perstate_bc.powers_via_mac
+    monkeypatch.setattr(perstate_bc, "powers_via_mac",
+                        lambda *args: powers_via_mac(*args) * (1.0 + 1e-7))
+    rc = main(["verify", "--suite", "bc", "--checks", "4", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("FAIL [bc]") and out.count("[bc]") == 1
 
 
 def test_verify_rejects_zero_checks(capsys):

@@ -98,6 +98,7 @@ def test_failure_on_iteration_cap():
                         gap_tol=1e-12, max_iter=4)
     assert exc.value.report is not None
     assert exc.value.report.stop_reason == "max_iter"
+    assert "stopped (max_iter) after 4 evaluations at d = 3 " in str(exc.value)
 
 
 def test_case_without_averaged_constraints_is_direct():

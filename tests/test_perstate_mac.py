@@ -32,6 +32,15 @@ def _state(h, g):
     return ChannelStateMac(h=np.asarray(h, float), g=np.asarray(g, float))
 
 
+def _case3_order(s, mu):
+    """Users in the stable order of falling ratio h_k / mu.g_k, the order
+    in which case 3 fills their caps."""
+    w = s.g @ mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(s.h > 0.0, np.where(w > 0.0, s.h / w, np.inf), 0.0)
+    return np.argsort(-ratio, kind="stable")
+
+
 # ---------------------------------------------------------------------------
 # Group 1: frozen instances
 
@@ -89,16 +98,16 @@ def test_case2_slack_ipc_reduces_to_water_fill():
 def test_case3_frozen_partial_last_user():
     """Users enter in ratio order; the last one gets the leftover."""
     s = _state([4.0, 2.0], [[1.0], [1.0]])
-    alloc, rep, order = solve_state_case3(s, np.array([0.5]), np.array([0.3, 1.0]))
+    alloc, rep = solve_state_case3(s, np.array([0.5]), np.array([0.3, 1.0]))
     np.testing.assert_allclose(alloc.p, [0.3, 0.9], atol=1e-12)
-    assert list(order.pi) == [0, 1]
-    assert order.cardinality == 2
+    assert list(_case3_order(s, np.array([0.5]))) == [0, 1]
+    assert alloc.active_set == (0, 1)
     assert rep.max_residual <= 1e-12
 
 
 def test_case3_zero_price_fills_every_cap():
     s = _state([4.0, 2.0], [[1.0], [1.0]])
-    alloc, _, _ = solve_state_case3(s, np.array([0.0]), np.array([0.7, 0.9]))
+    alloc, _ = solve_state_case3(s, np.array([0.0]), np.array([0.7, 0.9]))
     np.testing.assert_allclose(alloc.p, [0.7, 0.9], atol=1e-15)
 
 
@@ -140,7 +149,7 @@ def test_kkt_reports_cover_all_cases():
     a2, r2 = solve_state_case2(s, lam, gam)
     assert kkt_report_case2(s.h, s.g, lam, gam, a2.p,
                             r2.multipliers["mu"]).max_residual <= 1e-10
-    a3, _, _ = solve_state_case3(s, mu, caps)
+    a3, _ = solve_state_case3(s, mu, caps)
     assert kkt_report_case3(s.h, s.g, mu, caps, a3.p).max_residual <= 1e-10
     a4, r4 = solve_state_case4(s, caps, gam)
     assert kkt_report_case4(s.h, s.g, caps, gam, a4.p,
@@ -192,13 +201,13 @@ def test_case3_at_most_one_interior(data, K, M):
     s = _random_instance(data.draw, K, M)
     mu = np.array([data.draw(finite_pos) for _ in range(M)])
     caps = np.array([data.draw(finite_pos) for _ in range(K)])
-    alloc, rep, order = solve_state_case3(s, mu, caps)
+    alloc, rep = solve_state_case3(s, mu, caps)
     interior = (alloc.p > ACTIVE_TOL) & (alloc.p < caps - ACTIVE_TOL)
     assert interior.sum() <= 1
     assert (alloc.p <= caps * (1 + 1e-12)).all()
     assert rep.max_residual <= 1e-10
     # the included users must form a prefix of the ordering
-    included = alloc.p[order.pi] > ACTIVE_TOL
+    included = alloc.p[_case3_order(s, mu)] > ACTIVE_TOL
     if included.any():
         last = int(np.max(np.nonzero(included)[0]))
         assert included[:last + 1].all()
@@ -257,8 +266,8 @@ def test_case1_tie_breaks_to_lowest_index():
 
 def test_case3_tie_breaks_to_lowest_index():
     s = _state([2.0, 2.0], [[1.0], [1.0]])
-    alloc, _, order = solve_state_case3(s, np.array([0.8]), np.array([10.0, 10.0]))
-    assert list(order.pi) == [0, 1]
+    alloc, _ = solve_state_case3(s, np.array([0.8]), np.array([10.0, 10.0]))
+    assert list(_case3_order(s, np.array([0.8]))) == [0, 1]
     assert alloc.p[0] > 0
 
 
@@ -280,7 +289,7 @@ def test_case3_infinite_ratio_user_still_capped():
     """A zero interference price cannot unbound the problem because the
     per-user caps always bind."""
     s = _state([3.0, 1.0], [[0.0], [1.0]])
-    alloc, _, _ = solve_state_case3(s, np.array([0.7]), np.array([2.0, 2.0]))
+    alloc, _ = solve_state_case3(s, np.array([0.7]), np.array([2.0, 2.0]))
     assert alloc.p[0] == 2.0
 
 
@@ -323,7 +332,7 @@ def test_tdma_check_case3():
     hit = check_tdma_case3(s, np.array([0.5]), np.array([10.0, 1.0]))
     assert hit is not None
     i, p = hit
-    alloc, _, _ = solve_state_case3(s, np.array([0.5]), np.array([10.0, 1.0]))
+    alloc, _ = solve_state_case3(s, np.array([0.5]), np.array([10.0, 1.0]))
     want = np.zeros(2)
     want[i] = p
     np.testing.assert_allclose(alloc.p, want, atol=1e-10)
