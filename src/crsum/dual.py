@@ -425,6 +425,7 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     once the best dual value is within gap_tol of the master value and
     raises ConvergenceFailureError if max_iter evaluations pass first
     (or the master stops moving first, which no instance has shown).
+    Raises UsageError, before any evaluation, for max_iter < 1.
 
     A policy whose per-state optimum is single-user (TDMA mode, and case
     I in either mode) is rounded by the lone-user rule at price 0 with
@@ -448,6 +449,8 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     solve, bit for bit. This point's columns join the pool; the dual
     value and n_evals (pooled answers too) come from its own evaluations.
     """
+    if max_iter is not None and max_iter < 1:
+        raise UsageError(f"max_iter must be at least 1, got {max_iter}")
     problem = _make_problem(states, case, budget,
                             per_state_solver=per_state_solver,
                             tdma_mode=tdma_mode)

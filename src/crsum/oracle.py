@@ -13,9 +13,12 @@ in those coordinates, where the constrained optimum is interior again.
 `grid_state_oracles` refines many problems in lockstep: boxes, and faces
 (each listed once), of equal shape share each round's mesh, which spans
 only axes of positive width (no copies along a dead user's zero bound);
-each problem keeps its own objective calls. Points are C-contiguous (N, K)
-arrays worked on column by column (numpy reduces and gathers along a
-short last axis row by row).
+each problem keeps its own objective calls. A box round evaluates a
+problem's feasible mesh points, ray points and clipped points where they
+lie, up to three calls, and the first maximum in that order wins; a
+one-row block joins the others, since numpy takes a lone row's product
+as a dot. Points are C-contiguous (N, K) arrays worked on column by
+column (numpy reduces and gathers along a short last axis row by row).
 
 `saa_primal_oracle` maximizes the sample-average sum rate directly over
 the stacked per-state powers with an augmented-Lagrangian scheme: the
@@ -68,6 +71,11 @@ def _clip_toward(pts, anchor, A, b):
         np.multiply(x - a, t, out=col)
         col += a
     return out
+
+
+def _rows(X, mask):
+    """The rows of X that mask marks, X itself when it marks all."""
+    return X if mask.all() else X.take(np.flatnonzero(mask), axis=0)
 
 
 def _span(width):
@@ -126,7 +134,10 @@ def _refine_boxes(probs, grid_step, n, max_rounds):
     """Best points and values on the boxes [0, upper] of problems (objective,
     upper, A, b) of one shape and `_span`, gridded in lockstep from the origin;
     grid points are also pushed along their ray to the first binding
-    constraint, and infeasible ones clipped toward the incumbent."""
+    constraint, and infeasible ones clipped toward the incumbent. A round
+    calls each objective on up to three blocks (feasible, ray, clipped
+    points), the first maximum in that order winning, as in one concatenation;
+    a block of one row joins the others in one call."""
     upper, A, bound = (np.array([z[k] for z in probs]) for k in (1, 2, 3))
     (P, K), best_p, span = upper.shape, np.zeros(upper.shape), _span(upper[0])
     best_v = np.array([objective(best_p[:1])[0] for objective, *_ in probs])
@@ -142,26 +153,26 @@ def _refine_boxes(probs, grid_step, n, max_rounds):
                                         for k, col in enumerate(box))).reshape(L, N)
             sigma = np.minimum(sigma, np.where(dots > 0.0, b / dots, np.inf).min(
                 axis=0, initial=np.inf))
-        ok = np.flatnonzero(np.isfinite(sigma) & (sigma > 0.0))
-        ext, sigma = pts.reshape(L * N, K).take(ok, axis=0), sigma.take(ok)
-        for col in ext.T:
-            col *= sigma
+            ext = np.empty_like(pts)   # each point on its ray, kept where sigma is
+            for col, x in zip(ext.transpose(2, 0, 1), pts.transpose(2, 0, 1)):
+                np.multiply(x, sigma, out=col)
         ext *= 1.0 - 1e-13
-        ext = np.split(ext, np.searchsorted(ok, np.arange(N, L * N, N)))
-        del ok, sigma, dots   # only the candidates stay alive
+        ok = np.isfinite(sigma) & (sigma > 0.0)
+        del sigma, dots   # only the candidates stay alive
         for i, q in enumerate(live):
             objective, _, Aq, bq = probs[q]
             # the reference clips n ** K // N copies of each row: a lone row goes twice
-            clip = pts[i].take(np.flatnonzero(~feas[i]), axis=0)
+            clip = _rows(pts[i], ~feas[i])
             clip = _clip_toward(clip.repeat(2, axis=0) if len(clip) == 1 < n ** K // N else clip,
                                 best_p[q], Aq, bq)[:len(clip)]
-            cand = np.concatenate([
-                pts[i] if feas[i].all() else pts[i].take(np.flatnonzero(feas[i]), axis=0),
-                ext[i], clip])
-            vals = objective(cand)
-            k = int(np.argmax(vals))
-            if vals[k] > best_v[q]:
-                best_v[q], best_p[q] = vals[k], cand[k]
+            blocks = [X for X in (_rows(pts[i], feas[i]), _rows(ext[i], ok[i]), clip) if len(X)]
+            if any(len(X) == 1 for X in blocks):   # a lone row would be a dot: it joins
+                blocks = [np.concatenate(blocks)]
+            for X in blocks:   # the first maximum of the blocks in order wins
+                vals = objective(X)
+                k = int(np.argmax(vals))
+                if vals[k] > best_v[q]:
+                    best_v[q], best_p[q] = vals[k], X[k]
         cell = (hi - lo) / (n - 1)
         go = ~(cell <= grid_step).all(axis=1)   # a problem leaves once its cell is fine
         if not go.any():

@@ -358,6 +358,19 @@ def test_verify_catches_broken_solver(perturb, suite, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("perturb", ["case1_power", "case2_power", "case3_power",
+                                     "case4_power"])
+def test_grid_oracle_line_catches_a_5_percent_error(perturb, capsys):
+    """The grid-oracle comparison fails on its own, not only the KKT line:
+    each solver's powers off by 5% move some objective by more than the
+    2e-4 bound at these settings."""
+    rc = main(["verify", "--suite", "perstate", "--checks", "25", "--seed", "5",
+               "--perturb", perturb])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "FAIL [perstate] perstate objective vs grid oracle: worst |diff|" in out
+
+
 def test_verify_bc_catches_an_auxiliary_mac_off_by_1e7(monkeypatch, capsys):
     """The bc suite compares the one-user path with the auxiliary MAC at
     the optima of real dual solves; a relative error of 1e-7 in the

@@ -101,6 +101,22 @@ def test_failure_on_iteration_cap():
     assert "stopped (max_iter) after 4 evaluations at d = 3 " in str(exc.value)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_iteration_cap_below_one_is_refused_before_any_evaluation(monkeypatch, max_iter):
+    """The loop's cap is checked before the problem is built, directly and
+    through the public capacity call."""
+    states = sample_mac_states(FadingModel(K=2, M=1, n_states=60, seed=14))
+    budget = PowerBudget.symmetric(2, 1, 1.0, 0.5)
+
+    def never(*args, **kwargs):
+        raise AssertionError("problem built")
+
+    monkeypatch.setattr(dual, "_make_problem", never)
+    for solve in (cutting_plane_solve, ergodic_capacity_mac):
+        with pytest.raises(UsageError, match=f"max_iter must be at least 1, got {max_iter}"):
+            solve(states, ConstraintCase.I, budget, max_iter=max_iter)
+
+
 def test_case_without_averaged_constraints_is_direct():
     """ST-TPC + ST-IPC has no multipliers: a single exact evaluation."""
     states = sample_mac_states(FadingModel(K=2, M=1, n_states=25, seed=15))

@@ -7,7 +7,7 @@ batched call against its one-problem call."""
 import numpy as np
 import pytest
 
-from crsum import (ConstraintCase, FadingModel, PowerBudget, UsageError,
+from crsum import (ConstraintCase, FadingModel, PowerBudget, UsageError, cli,
                    grid_state_oracle, grid_state_oracles, oracle, saa_primal_oracle,
                    sample_mac_states)
 from crsum.fading import ChannelStateMac
@@ -236,7 +236,46 @@ def test_box_phase_matches_reference(monkeypatch):
         _assert_calls_match(obj, up, hs)
 
 
-@pytest.mark.parametrize("caps, n_faces", [((0.0, 1.2, 0.9), 34), ((0.0, 0.0, 1.7), 25),
+def test_perstate_suite_problems_match_reference():
+    """The perstate suite's own mix at its grid_step: 40 draws of
+    `cli._random_cases`, cases I-IV, among them 68 3-user boxes with 0-2
+    halfspaces, 33 of them with a dead user; every point and value
+    equals the reference's bit for bit."""
+    rng = np.random.Generator(np.random.Philox(key=1))
+    problems = [problem(state, *args) for state, cases in
+                (cli._random_cases(rng, 1) for _ in range(40))
+                for _, _, args, problem, _, _ in cases]
+    assert sum(len(up) == 3 for _, up, _ in problems) == 68
+    for (obj, up, hs), (p, v) in zip(problems, grid_state_oracles(problems, grid_step=1e-4)):
+        p_ref, v_ref = grid_reference.grid_state_oracle(obj, up, hs, grid_step=1e-4)
+        assert v == v_ref
+        np.testing.assert_array_equal(p, p_ref)
+
+
+@pytest.mark.parametrize("plateau, mesh_reaches", [(1.5, True), (2.211, False)])
+@pytest.mark.parametrize("h, upper", [((1.0, 2.0), (1.0, 1.0)),
+                                      ((1.0, 0.5, 2.0), (1.0, 0.0, 1.0)),
+                                      ((1.0, 0.5, 2.0), (1.0, 0.4, 1.0))])
+def test_plateau_ties_go_to_the_first_candidate(h, upper, plateau, mesh_reaches):
+    """min(p.h, plateau) under p.1 <= 1.23: in the first round the points
+    pushed along their ray and the infeasible points clipped toward the
+    origin reach the plateau, and so do the feasible mesh points at 1.5
+    (at 2.211 they stop at 2.2 or 2.21). The reference's first maximum
+    (mesh, then ray, then clipped points) must win every round."""
+    h, upper, hs = np.array(h), np.array(upper), [(np.ones(len(h)), 1.23)]
+
+    def obj(X):
+        return np.minimum(X @ h, plateau)
+
+    pts = grid_reference._mesh(np.zeros(len(h)), upper, 21)
+    feas = pts.sum(axis=1) <= 1.23 * (1.0 + 1e-12)
+    blocks = (pts[feas], grid_reference._ray_extend(pts, upper, hs),
+              grid_reference._clip_toward(pts[~feas], np.zeros(len(h)), hs))
+    assert [obj(X).max() == plateau for X in blocks] == [mesh_reaches, True, True]
+    _assert_oracle_matches(obj, upper, hs)
+
+
+@pytest.mark.parametrize("caps, n_faces",[((0.0, 1.2, 0.9), 34), ((0.0, 0.0, 1.7), 25),
                                            ((0.0, 0.0, 0.0), 18), ((0.5, 1.2, 0.9), 45)])
 def test_faces_are_listed_once(caps, n_faces):
     """K = 3, M = 2: 45 faces when no bound is zero. A coordinate fixed at
@@ -344,19 +383,20 @@ def test_grid_oracle_batch_guards(upper):
 
 
 @pytest.mark.parametrize("max_rounds", [1, 3])
-def test_grid_oracle_face_refinement_honours_max_rounds(max_rounds):
-    """K = 2, one halfspace, a grid_step never reached: max_rounds
-    batches on the box and as many on the one face with a free
-    coordinate; the vertex faces send their lone points one by one."""
-    batches = []
+def test_grid_oracle_face_refinement_honours_max_rounds(monkeypatch, max_rounds):
+    """K = 2, one halfspace, a grid_step never reached: max_rounds meshes
+    of the 2-axis box and as many of the one face with a free coordinate
+    (one axis); the vertex faces (no axis) stop after their one round."""
+    widths, mesh = [], oracle._mesh
 
-    def obj(X):
-        batches.append(len(X))
-        return np.log1p(X @ np.array([1.0, 2.0]))
+    def mesh_spy(lo, *args):
+        widths.append(lo.shape[1])   # the axes of a round's boxes or faces
+        return mesh(lo, *args)
 
-    grid_state_oracle(obj, np.ones(2), [(np.array([1.0, 1.0]), 1.5)],
-                      grid_step=1e-12, max_rounds=max_rounds)
-    assert sum(n > 1 for n in batches) == 2 * max_rounds
+    monkeypatch.setattr(oracle, "_mesh", mesh_spy)
+    grid_state_oracle(lambda X: np.log1p(X @ np.array([1.0, 2.0])), np.ones(2),
+                      [(np.array([1.0, 1.0]), 1.5)], grid_step=1e-12, max_rounds=max_rounds)
+    assert widths.count(2) == max_rounds and widths.count(1) == max_rounds
 
 
 def test_problem_builders_bound_the_feasible_set():
