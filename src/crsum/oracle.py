@@ -21,12 +21,13 @@ as a dot. Points are C-contiguous (N, K) arrays worked on column by
 column (numpy reduces and gathers along a short last axis row by row).
 
 `saa_primal_oracle` maximizes the sample-average sum rate directly over
-the stacked per-state powers with an augmented-Lagrangian scheme: the
-averaged halfspace constraints are priced into the objective, the inner
-accelerated projected-gradient loop only ever projects onto the box,
-and the final iterate is shrunk onto the worst constraint so the
-returned value is evaluated at a certified-feasible point and
-lower-bounds the true SAA optimum.
+the stacked per-state powers by a primal log-barrier method: Newton
+steps on tau times the rate plus the log of every slack (powers above
+0, the averaged or per-state halfspaces, the ST-TPC box), tau growing
+50-fold a stage until the barrier's gap is 1e-11 of the rate. Every
+iterate is strictly feasible, and the last is shrunk onto its worst
+constraint against rounding, so the returned value is evaluated at a
+certified-feasible point and lower-bounds the true SAA optimum.
 """
 from __future__ import annotations
 
@@ -426,11 +427,26 @@ def _saa_constraints(H, G, case, budget):
 
 
 def saa_primal_oracle(states, case: ConstraintCase, budget: PowerBudget,
-                      max_iter=6000):
+                      max_iter=500):
     """Certified-feasible maximizer of the SAA ergodic sum rate.
 
     Returns (P, value): P is (n, K), value the sample-average sum rate
     at P in nats. Intended for small instances (n*K <= 256).
+
+    A primal log-barrier method (Boyd & Vandenberghe, Convex
+    Optimization, 11.3). From x = eps * 1, strictly inside every
+    constraint, Newton steps maximize tau * rate(x) + sum(log(slack))
+    over the m slacks of x > 0, of the normalized `_saa_constraints`
+    halfspaces and, under an ST-TPC, of the box; each step solves one
+    dense (n*K)-square system. A step is cut so that every slack keeps
+    1% of its value, then halved until it gains 1% of what the squared
+    Newton decrement predicts. A stage ends once that is at most 1e-2;
+    tau then grows 50-fold, up to where the barrier's gap m / tau is
+    1e-11 of the rate, the last stage. max_iter caps the Newton steps
+    (about 60 at n = 8, K = 2); at the cap the current iterate,
+    strictly feasible, is returned. The point is shrunk onto its worst
+    halfspace against rounding, so the value is a certified lower bound
+    on the SAA optimum, about m / tau below it at most.
     """
     H, G = mac_arrays(states)
     n, K = H.shape
@@ -439,76 +455,38 @@ def saa_primal_oracle(states, case: ConstraintCase, budget: PowerBudget,
     _check_dims(budget, K, G.shape[2])
 
     box_hi, halfspaces = _saa_constraints(H, G, case, budget)
-    if halfspaces:
-        A = np.array([a for a, _ in halfspaces])
-        bvec = np.array([b for _, b in halfspaces])
-        norms = np.sqrt((A * A).sum(axis=1))
-        A = A / norms[:, None]
-        bvec = bvec / norms
-    else:
-        A = np.zeros((0, n * K))
-        bvec = np.zeros(0)
-
-    def clip_box(x):
-        return np.clip(x, 0.0, box_hi) if box_hi is not None \
-            else np.maximum(x, 0.0)
+    A = np.array([a for a, _ in halfspaces]).reshape(-1, n * K)
+    norms = np.sqrt((A * A).sum(axis=1))
+    A, bvec = A / norms[:, None], np.array([b for _, b in halfspaces]).reshape(-1) / norms
 
     def value(x):
         return float(np.mean(np.log1p(np.einsum("tk,tk->t", H, x.reshape(n, K)))))
 
-    def grad_f(x):
-        P = x.reshape(n, K)
-        c = 1.0 + np.einsum("tk,tk->t", H, P)
-        return (H / (n * c[:, None])).ravel()
+    # every term is log(q + R x): the n rates, weighted tau / n, then the m
+    # slacks of x > 0, of the halfspaces and, under an ST-TPC, of the box
+    eye, box = np.eye(n * K), [box_hi] if box_hi is not None else []
+    R = np.vstack([np.kron(np.eye(n), np.ones(K)) * H.ravel(), eye, -A] + [-eye] * len(box))
+    q = np.concatenate([np.ones(n), np.zeros(n * K), bvec] + box)
+    x = np.full(n * K, 0.5 * np.min(q[n + n * K:] / -R[n + n * K:].sum(axis=1)))
+    m, w, steps = len(q) - n, np.ones(len(q)), 0
 
-    # multiplier-method ascent: the averaging constraints go into an
-    # augmented Lagrangian, so each inner subproblem only needs the
-    # trivial box projection
-    rho = 4.0
-    y_mul = np.zeros(A.shape[0])
-    L_f = float(np.max((H * H).sum(axis=1))) / n
-    L_in = L_f + rho * (float(np.linalg.norm(A, 2)) ** 2 if A.size else 0.0)
-    step = 1.0 / max(L_in, 1e-12)
-    x = clip_box(np.zeros(n * K))
+    def tau_max(x):   # m / tau is 1e-11 of the rate, a rate below 1e-12 nats as 1e-12
+        return m / (1e-11 * max(value(x), 1e-12))
 
-    def grad_al(z):
-        g = grad_f(z)
-        if A.shape[0]:
-            g = g - A.T @ np.maximum(0.0, y_mul + rho * (A @ z - bvec))
-        return g
+    tau = m / 50.0
+    while steps < max_iter and tau < tau_max(x):
+        tau, lam2 = min(50.0 * tau, tau_max(x)), np.inf
+        w[:n] = tau / n
+        while steps < max_iter and lam2 > 1e-2:
+            Ry = R / (q + R @ x)[:, None]
+            g = w @ Ry
+            dx = np.linalg.solve(Ry.T @ (Ry * w[:, None]), g)
+            lam2, steps, dy = float(g @ dx), steps + 1, Ry @ dx
+            alpha = 0.99 / max(0.99, float(-dy[n:].min()))
+            while w @ np.log1p(alpha * dy) < 0.01 * alpha * lam2:
+                alpha *= 0.5
+            x = x + alpha * dx
 
-    outer = 30
-    inner = max(max_iter // outer, 50)
-    for it_out in range(outer):
-        yv = x.copy()
-        tk = 1.0
-        x_in = x.copy()
-        tol_in = max(1e-10, 1e-4 * (0.1 ** it_out))
-        for _ in range(inner):
-            x_new = clip_box(yv + step * grad_al(yv))
-            if np.max(np.abs(x_new - x_in)) <= tol_in * step:
-                x_in = x_new
-                break
-            tk_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tk * tk))
-            yv = x_new + ((tk - 1.0) / tk_new) * (x_new - x_in)
-            tk = tk_new
-            x_in = x_new
-        x = x_in
-        if A.shape[0]:
-            resid = A @ x - bvec
-            y_mul = np.maximum(0.0, y_mul + rho * resid)
-            if float(np.max(resid)) <= 1e-11 and it_out >= 3:
-                break
-        else:
-            break
-
-    # certify feasibility by shrinking onto the worst constraint
-    xb = np.maximum(x, 0.0)
-    if box_hi is not None:
-        xb = np.minimum(xb, box_hi)
-    shrink = 0.0
-    if A.shape[0]:
-        shrink = max(shrink, float(np.max((A @ xb) / bvec)) - 1.0)
-    if shrink > 0.0:
-        xb = xb / (1.0 + shrink)
+    xb = np.clip(x, 0.0, box_hi)   # shrunk onto the worst halfspace against rounding
+    xb = xb / max(1.0, float(np.max(A @ xb / bvec, initial=1.0)))
     return xb.reshape(n, K), value(xb)

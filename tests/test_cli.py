@@ -349,6 +349,8 @@ def test_verify_clean(capsys):
     ("case4_power", "tdma"),
     ("bc_power", "bc"),
     ("case1_power", "dual"),
+    ("case2_power", "dual"),
+    ("case3_power", "dual"),
 ])
 def test_verify_catches_broken_solver(perturb, suite, capsys):
     rc = main(["verify", "--suite", suite, "--checks", "4", "--seed", "3",

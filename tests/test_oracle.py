@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from crsum import (ConstraintCase, FadingModel, PowerBudget, UsageError, cli,
-                   grid_state_oracle, grid_state_oracles, oracle, saa_primal_oracle,
-                   sample_mac_states)
+                   cutting_plane_solve, grid_state_oracle, grid_state_oracles, oracle,
+                   saa_primal_oracle, sample_mac_states)
 from crsum.fading import ChannelStateMac
 from crsum.oracle import (MAX_MESH_POINTS, case1_problem, case2_problem,
                           case3_problem, case4_problem)
@@ -440,24 +440,92 @@ def test_saa_zero_budget_limit():
     assert 0.0 <= val < 1e-6
 
 
+def _assert_saa_feasible(states, case, budget, P, rel=1e-12):
+    """P is nonnegative and meets every TPC and IPC of `case` to `rel`."""
+    G = np.stack([s.g for s in states])
+    lin = np.einsum("nk,nkm->nm", P, G)
+    assert (P >= 0).all()
+    tpc = P.mean(axis=0) if case.tpc_is_lt else P
+    ipc = lin.mean(axis=0) if case.ipc_is_lt else lin
+    assert (tpc <= budget.tpc * (1.0 + rel)).all()
+    assert (ipc <= budget.ipc * (1.0 + rel)).all()
+
+
 def test_saa_feasibility_certified():
     states = sample_mac_states(FadingModel(K=2, M=1, n_states=12, seed=4))
     budget = PowerBudget.symmetric(2, 1, 0.7, 0.5)
     for case in ConstraintCase:
         P, val = saa_primal_oracle(states, case, budget)
-        assert (P >= 0).all()
-        H = np.array([s.h for s in states])
-        G = np.stack([s.g for s in states])
-        if case.tpc_is_lt:
-            assert (P.mean(axis=0) <= budget.tpc + 1e-9).all()
-        else:
-            assert (P <= budget.tpc[None, :] + 1e-9).all()
-        lin = np.einsum("nk,nkm->nm", P, G)
-        if case.ipc_is_lt:
-            assert (lin.mean(axis=0) <= budget.ipc + 1e-9).all()
-        else:
-            assert (lin <= budget.ipc[None, :] + 1e-9).all()
+        _assert_saa_feasible(states, case, budget, P)
         assert val >= 0.0
+
+
+@pytest.mark.parametrize("h,g,p,gamma", [(2.0, 0.5, 1.0, 0.8), (0.7, 3.0, 1.5, 0.9),
+                                         (5.0, 1.0, 0.3, 0.3), (1e-3, 2.0, 4.0, 1e3)])
+def test_saa_case4_one_state_one_user_is_the_tighter_cap(h, g, p, gamma):
+    """Case IV at one state and one user: the rate grows with power, so the
+    optimum is log1p(h * min(P, gamma / g)), whichever cap binds."""
+    states = [ChannelStateMac(h=np.array([h]), g=np.array([[g]]))]
+    budget = PowerBudget(tpc=np.array([p]), ipc=np.array([gamma]))
+    P, val = saa_primal_oracle(states, ConstraintCase.IV, budget)
+    assert abs(val - np.log1p(h * min(p, gamma / g))) <= 1e-9
+    _assert_saa_feasible(states, ConstraintCase.IV, budget, P)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_saa_case3_lt_ipc_matches_bisection_on_its_price(seed):
+    """Case III, one user: per-state cap P and mean(g p) <= gamma. By the KKT
+    conditions p_t = clip(1/(mu g_t) - 1/h_t, 0, P), with mu found by bisection
+    on the averaged interference."""
+    rng = np.random.default_rng(seed)
+    n, p_max, gamma = 16, 1.0, 0.3
+    h, g = rng.exponential(size=n), rng.exponential(size=n)
+    states = [ChannelStateMac(h=h[t:t + 1], g=g[t:t + 1, None]) for t in range(n)]
+    budget = PowerBudget(tpc=np.array([p_max]), ipc=np.array([gamma]))
+    P, val = saa_primal_oracle(states, ConstraintCase.III, budget)
+
+    def powers(mu):
+        return np.clip(1.0 / (mu * g) - 1.0 / h, 0.0, p_max)
+
+    lo, hi = 1e-9, 1e9
+    for _ in range(200):   # geometric bisection: hi stays on the feasible side
+        mu = np.sqrt(lo * hi)
+        lo, hi = (mu, hi) if np.mean(g * powers(mu)) > gamma else (lo, mu)
+    p = powers(hi)
+    assert (p == 0.0).any() and (p == p_max).any() and abs(np.mean(g * p) - gamma) < 1e-12
+    assert abs(val - float(np.mean(np.log1p(h * p)))) <= 1e-9
+    _assert_saa_feasible(states, ConstraintCase.III, budget, P)
+
+
+@pytest.mark.parametrize("gap_tol,seeds,cases", [
+    (1e-7, (30, 31, 32, 33, 34), "I II III"),   # gate criterion 5's instances
+    (1e-10, (5, 7, 8, 9, 16, 30, 31, 32), "I II III IV"),
+], ids=["gate-c5", "sizing"])
+def test_saa_oracle_meets_the_dual_loop_from_below(gap_tol, seeds, cases):
+    """The oracle's value lower-bounds the SAA optimum and the dual loop's
+    best value upper-bounds it: at the loop's gap_tol the two meet within
+    2 * gap_tol, so the oracle is exact to about 1e-10."""
+    budget = PowerBudget.symmetric(2, 1, 0.9, 0.7)
+    for seed in seeds:
+        states = sample_mac_states(FadingModel(K=2, M=1, n_states=8, seed=seed))
+        for case in map(ConstraintCase, cases.split()):
+            _, report, _, _ = cutting_plane_solve(states, case, budget, gap_tol=gap_tol)
+            P, val = saa_primal_oracle(states, case, budget)
+            assert 0.0 <= report.best_dual - val <= 2.0 * gap_tol * report.best_dual
+            _assert_saa_feasible(states, case, budget, P)
+
+
+def test_saa_max_iter_caps_newton_steps_at_a_feasible_lower_bound():
+    """At the cap the current iterate, strictly feasible, is returned: its
+    value lies below the converged one, and it meets every constraint."""
+    states = sample_mac_states(FadingModel(K=2, M=1, n_states=8, seed=31))
+    budget = PowerBudget.symmetric(2, 1, 0.9, 0.7)
+    for case in ConstraintCase:
+        _, best = saa_primal_oracle(states, case, budget)
+        for cap in (0, 1, 5, 20):
+            P, val = saa_primal_oracle(states, case, budget, max_iter=cap)
+            assert 0.0 < val < best and (P > 0.0).all()
+            _assert_saa_feasible(states, case, budget, P)
 
 
 def test_saa_rejects_large_instances():
