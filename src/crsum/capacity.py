@@ -18,11 +18,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constraints import (ConstraintCase, ConstraintReport, PowerBudget,
-                          _audit, _check_dims)
+                          _audit, _check_dims, _dot)
 from .dual import ConvergenceReport, DualPoint, cutting_plane_solve
 from .errors import SolverFailureError, UsageError
 from .fading import Ensemble, as_ensemble
-from .perstate_bc import as_one_user_mac, powers_via_mac
+from .perstate_bc import as_one_user_mac
 from .perstate_mac import ACTIVE_TOL, _ipc_caps
 
 
@@ -62,7 +62,7 @@ def _assemble_mac(ensemble, case, budget, P, *, mode, dual_point,
                   report) -> PolicyResult:
     H, G = ensemble.H, ensemble.G
     n, K = H.shape
-    rates = np.log1p(np.einsum("tk,tk->t", H, P))
+    rates = np.log1p(_dot(H, P))
     rate, stderr = _rate_stats(rates)
     feas, (avg_p, worst_p, avg_i, worst_i) = _audit(P, G, case, budget)
     if not feas.all_satisfied:
@@ -128,23 +128,17 @@ def _bc_prices(point: DualPoint, M: int):
 
 
 def ergodic_capacity_bc(states, case: ConstraintCase, budget: PowerBudget,
-                        *, bc_via_mac: bool = False, **dual_opts) -> PolicyResult:
+                        **dual_opts) -> PolicyResult:
     """Ergodic capacity of the secondary BC under `case`.
 
-    The dual loop runs on the one-user MAC of each state's best user, or
-    with `bc_via_mac` on the K-user auxiliary MAC, whose per-state
-    powers are the same (`crsum verify --suite bc` compares the two).
+    The dual loop solves the one-user MAC of each state's best user (by
+    `per_state_solver` if given). `crsum verify --suite bc` checks it
+    against the K-user auxiliary MAC, each path reporting its own users.
     """
     ensemble = as_ensemble(states, "bc")
-    Hb, F = ensemble.H, ensemble.F
-    H1, G1, mac = as_one_user_mac(Hb, F, budget)
-    if bc_via_mac:
-        def via_mac(H, G, point):
-            lam, mu = _bc_prices(point, F.shape[1])
-            return powers_via_mac(Hb, F, case, lam, mu, budget)[:, None]
-        dual_opts["per_state_solver"] = via_mac
+    H1, G1, mac = as_one_user_mac(ensemble.H, ensemble.F, budget)
     res = _capacity(Ensemble("mac", H1, G1), case, mac, "tdma", **dual_opts)
-    return _as_bc(res, Hb.shape[1], "full")
+    return _as_bc(res, ensemble.H.shape[1], "full")
 
 
 def _fra(ensemble, budget: PowerBudget) -> PolicyResult:

@@ -419,7 +419,7 @@ def _suite_bc(scale, rng, n_checks):
     """The one-user BC path against the K-user auxiliary MAC at the final
     multipliers of real dual solves: three random (K, M), each with one
     ensemble and one budget, every case. Per state the powers and the
-    served users must agree, and so must the ergodic rates."""
+    served users must agree, and so must the rates, each of its own users."""
     n = max(200, 10 * n_checks)
     worst_q = worst_rate = 0.0
     users_differ = 0
@@ -436,8 +436,8 @@ def _suite_bc(scale, rng, n_checks):
             qa, ua = perstate_bc.solve_states_bc(Hb, F, case, lam, mu, budget)
             qb, ub = perstate_bc.solve_states_bc_via_mac(Hb, F, case, lam, mu, budget)
             qa = scale["bc"] * qa
-            h = Hb[np.arange(n), ua]
-            ra, rb = (float(np.mean(np.log1p(h * q))) for q in (qa, qb))
+            ra, rb = (float(np.mean(np.log1p(Hb[np.arange(n), u] * q)))
+                      for q, u in ((qa, ua), (qb, ub)))
             worst_q = max(worst_q, float(np.max(np.abs(qa - qb))))
             worst_rate = max(worst_rate, abs(ra - rb) / max(abs(ra), 1e-12))
             users_differ += int(np.count_nonzero(ua != ub))

@@ -143,6 +143,14 @@ def _check(constraint_id, kind, achieved, threshold, tol) -> ConstraintRow:
     return ConstraintRow(constraint_id, kind, float(achieved), float(threshold), bool(ok))
 
 
+def _dot(A, P):
+    """Each state's a.p, one user column at a time (an einsum runs per state)."""
+    out = A[:, 0] * P[:, 0]
+    for k in range(1, P.shape[1]):
+        out += A[:, k] * P[:, k]
+    return out
+
+
 def _column_max(X) -> np.ndarray:
     """X.max(axis=0), one column at a time: exact, and a reduction over
     the short axis 1 of an (n, K) array runs state by state."""
@@ -160,7 +168,9 @@ def _audit(P, G, case: ConstraintCase, budget: PowerBudget):
     _check_dims(budget, K, M)
     if np.any(P < -1e-12):
         raise UsageError("negative transmit powers in the policy")
-    I = np.einsum("tk,tkm->tm", P, G)
+    I = np.empty((n, M))
+    for m in range(M):
+        I[:, m] = _dot(G[:, :, m], P)
     stats = (P.mean(axis=0), _column_max(P), I.mean(axis=0), _column_max(I))
     rows = []
     for name, lt, threshold, avg, worst in (("tpc", case.tpc_is_lt, budget.tpc, *stats[:2]),

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ConstraintCase, PowerBudget, _check_dims
+from .constraints import ConstraintCase, PowerBudget, _check_dims, _dot
 from .errors import (ConvergenceFailureError, SolverFailureError,
                      UnboundedSubproblemError, UsageError)
 from .fading import Ensemble, as_ensemble
@@ -145,14 +145,6 @@ class ConvergenceReport:
 # problem adapters
 
 
-def _dot(A, P):
-    """Each state's a.p, one user column at a time (an einsum runs per state)."""
-    out = A[:, 0] * P[:, 0]
-    for k in range(1, P.shape[1]):
-        out += A[:, k] * P[:, k]
-    return out
-
-
 class _MacProblem:
     def __init__(self, ensemble, case, budget, solver=None, tdma_mode=False):
         self.H, self.G = ensemble.H, ensemble.G
@@ -187,6 +179,17 @@ class _MacProblem:
     def _rates(self, P: np.ndarray) -> np.ndarray:
         return np.log1p(out := _dot(self.H, P), out=out)
 
+    def _loads(self, P: np.ndarray) -> list:
+        """Each LT constraint's load in every state, in the order of x."""
+        return [P[:, k] for k in range(self.n_lam)] + [_dot(self.G[:, :, m], P)
+                                                       for m in range(self.n_mu)]
+
+    def onto_budgets(self, P: np.ndarray) -> np.ndarray:
+        """P scaled onto the LT budget it overshoots most, if any: the
+        master meets its budgets only up to the LP's rounding."""
+        usage = np.array([a.sum() / P.shape[0] for a in self._loads(P)])
+        return P / np.max(usage / self.thresholds, initial=1.0)
+
     def evaluate(self, x: np.ndarray):
         """Dual value, subgradient, allocation, usages, rate and Lagrangian mean at x.
 
@@ -194,21 +197,13 @@ class _MacProblem:
         in place from the first (einsums and matmuls over a short last
         axis run state by state); a mean is sum() / n, as .mean() rounds.
         """
-        point = DualPoint.from_vector(x, self.n_lam)
-        P = self._solve(self.H, self.G, point)
-        n, K, M = self.G.shape
-        terms, usage = self._rates(P), []
+        P = self._solve(self.H, self.G, DualPoint.from_vector(x, self.n_lam))
+        n = P.shape[0]
+        terms, loads = self._rates(P), self._loads(P)
         rate = float(terms.sum() / n)
-        if self.case.tpc_is_lt:
-            for k in range(K):
-                usage.append(P[:, k].sum() / n)
-                terms -= P[:, k] * point.lam[k]
-        if self.case.ipc_is_lt:
-            for m in range(M):
-                I = _dot(self.G[:, :, m], P)
-                usage.append(I.sum() / n)
-                terms -= I * point.mu[m]
-        usage, mean = np.array(usage, dtype=float), terms.sum() / n
+        for a, price in zip(loads, x):
+            terms -= a * price
+        usage, mean = np.array([a.sum() / n for a in loads], dtype=float), terms.sum() / n
         return float(mean + x @ self.thresholds), self.thresholds - usage, P, usage, rate, mean
 
     def unbounded_cut(self, exc: UnboundedSubproblemError) -> np.ndarray:
@@ -437,6 +432,8 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     stays 0. If the gap is still open then, TDMA mode reports the
     one-user policy with stop reason "rounding" (`report.certified` is
     false), and case I in full mode returns the mixture, within the gap.
+    The returned policy is scaled onto the LT budget it overshoots most
+    (by the LP's rounding) before best_primal, its rate, is measured.
 
     A `ColumnPool` carries one curve's columns from point to point. The
     first evaluation is at its x (the last point's best multipliers) if
@@ -513,7 +510,7 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
                     xi, _, _, owner = cols[i]
                     kept[i] = owner.allocation(xi)
                 mixed = mixed + w * kept[i]
-            policy = lone_user(problem.H, 0.0, mixed) if one_user else mixed
+            policy = problem.onto_budgets(lone_user(problem.H, 0.0, mixed) if one_user else mixed)
             report.best_primal = problem.primal_value(policy)
             if report.certified_at(gap_tol):
                 report.stop_reason = "gap"
@@ -536,7 +533,7 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
             f"{gap / max(report.best_dual, 1e-9):.3e} above {gap_tol:.1e}",
             report=report)
     if report.stop_reason == "rounding" and not problem.tdma_mode:
-        policy = mixed              # case I in full mode needs no rounding
+        policy = problem.onto_budgets(mixed)    # case I in full mode needs no rounding
         report.best_primal = problem.primal_value(policy)
         if report.certified_at(gap_tol):
             report.stop_reason = "gap"

@@ -15,8 +15,9 @@ As an independent check, every case can also be solved through an
 auxiliary MAC whose K "users" share the BC's direct gains, mapping the
 BC constraint mix onto one of the full MAC per-state solvers
 (`powers_via_mac`). The pipeline does not run it: `crsum verify
---suite bc` and the acceptance gate compare both paths state by state
-at the final multipliers of real dual solves.
+--suite bc` and the acceptance gate compare both paths' powers and
+served users state by state at the final multipliers of real dual
+solves.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 from .constraints import ConstraintCase, PowerBudget
 from .errors import UsageError
 from .fading import ChannelStateBc
-from .perstate_mac import solve_states_case1, solve_states_case2
+from .perstate_mac import _ipc_caps, solve_states_case1, solve_states_case2
 from .tdma import solve_states
 
 
@@ -45,9 +46,13 @@ def _served(Hb: np.ndarray) -> np.ndarray:
     return np.argmax(Hb, axis=1)
 
 
-def _one_state(state: ChannelStateBc, q, user) -> BcStateAllocation:
-    return BcStateAllocation(q=float(q[0]), user=int(user[0]),
-                             sum_rate_term=float(np.log1p(state.h[user[0]] * q[0])))
+def _one_state(solver, state: ChannelStateBc, case, lam, mu, budget) -> BcStateAllocation:
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    _require(mu.shape == (state.M,), "mu must have shape (M,)")
+    _require(lam >= 0.0 and np.all(mu >= 0.0), "prices must be nonnegative")
+    (q,), (user,) = solver(state.h[None], state.f[None], case, lam, mu, budget)
+    return BcStateAllocation(q=float(q), user=int(user),
+                             sum_rate_term=float(np.log1p(state.h[user] * q)))
 
 
 def _require(cond: bool, msg: str):
@@ -73,63 +78,56 @@ def as_one_user_mac(Hb: np.ndarray, F: np.ndarray, budget: PowerBudget,
 def solve_states_bc(Hb: np.ndarray, F: np.ndarray, case: ConstraintCase,
                     lam: float, mu, budget: PowerBudget):
     """Vectorized BC solver through the one-user MAC. Returns (q, user)."""
-    H1, G1, mac = as_one_user_mac(Hb, F, budget)
+    users = _served(Hb)
+    H1, G1, mac = as_one_user_mac(Hb, F, budget, users)
     P = solve_states(case, H1, G1, np.array([lam], dtype=float),
                      np.asarray(mu, dtype=float), mac, tdma_mode=True)
-    return P[:, 0], _served(Hb)
+    return P[:, 0], users
 
 
 def solve_state_bc(state: ChannelStateBc, case: ConstraintCase,
                    lam: float, mu, budget: PowerBudget) -> BcStateAllocation:
     """Closed-form BC subproblem for one state."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    _require(mu.shape == (state.M,), "mu must have shape (M,)")
-    _require(lam >= 0.0 and np.all(mu >= 0.0), "prices must be nonnegative")
-    return _one_state(state, *solve_states_bc(state.h[None], state.f[None], case,
-                                              lam, mu, budget))
+    return _one_state(solve_states_bc, state, case, lam, mu, budget)
 
 
 def powers_via_mac(Hb: np.ndarray, F: np.ndarray, case: ConstraintCase,
                    lam: float, mu, budget: PowerBudget) -> np.ndarray:
-    """The BC powers q (n,) through the auxiliary MAC of the module
-    docstring: the sum of its users' powers, at most one of them active."""
+    """The auxiliary MAC's per-user powers (n, K) for the BC states of
+    the module docstring: at most one user is active in a state."""
     n, K = Hb.shape
     M = F.shape[1]
     mu = np.asarray(mu, dtype=float)
     if case is ConstraintCase.I:
         G = np.broadcast_to(F[:, None, :], (n, K, M))
-        P = solve_states_case1(Hb, G, np.full(K, lam), mu)
-    elif case is ConstraintCase.III:
+        return solve_states_case1(Hb, G, np.full(K, lam), mu)
+    if case is ConstraintCase.III:
         # a single synthetic constraint sum_k p_k <= q_st, with the
         # interference price folded into each user's transmit price
         G = np.ones((n, K, 1))
         LAM = np.broadcast_to((F @ mu)[:, None], (n, K))
         GAM = np.full((n, 1), budget.bs_tpc)
-        P = solve_states_case2(Hb, G, LAM, GAM)
-    else:
-        # every auxiliary user sees the same row f, so the M interference
-        # caps collapse to sum_k p_k <= min_m gamma_m / f_m (none if f = 0)
-        with np.errstate(divide="ignore"):
-            cap = np.where(F > 0.0, budget.ipc / F, np.inf).min(axis=1, initial=np.inf)
-        if case is ConstraintCase.IV:
-            cap, lam = np.minimum(budget.bs_tpc, cap), 0.0
-        capped = np.isfinite(cap)
-        G = np.broadcast_to(capped[:, None, None].astype(float), (n, K, 1))
-        GAM = np.where(capped, cap, 1.0)[:, None]
-        P = solve_states_case2(Hb, G, np.full(K, lam), GAM)
-    return P.sum(axis=1)
+        return solve_states_case2(Hb, G, LAM, GAM)
+    # every auxiliary user sees the same row f, so the M interference
+    # caps collapse to sum_k p_k <= min_m gamma_m / f_m (none if f = 0)
+    cap = _ipc_caps(F[:, None, :], budget.ipc)[:, 0]
+    if case is ConstraintCase.IV:
+        cap, lam = np.minimum(budget.bs_tpc, cap), 0.0
+    capped = np.isfinite(cap)
+    G = np.broadcast_to(capped[:, None, None].astype(float), (n, K, 1))
+    GAM = np.where(capped, cap, 1.0)[:, None]
+    return solve_states_case2(Hb, G, np.full(K, lam), GAM)
 
 
 def solve_states_bc_via_mac(Hb: np.ndarray, F: np.ndarray, case: ConstraintCase,
                             lam: float, mu, budget: PowerBudget):
-    """`powers_via_mac` and each state's served user: (q, user)."""
-    return powers_via_mac(Hb, F, case, lam, mu, budget), _served(Hb)
+    """(q, user): the auxiliary MAC's power and its user (the best if q = 0)."""
+    P = powers_via_mac(Hb, F, case, lam, mu, budget)
+    q = P.sum(axis=1)
+    return q, np.where(q > 0.0, P.argmax(axis=1), _served(Hb))
 
 
 def bc_via_dual_mac(state: ChannelStateBc, case: ConstraintCase,
                     lam: float, mu, budget: PowerBudget) -> BcStateAllocation:
     """Scalar wrapper for the auxiliary-MAC path."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    _require(mu.shape == (state.M,), "mu must have shape (M,)")
-    return _one_state(state, *solve_states_bc_via_mac(state.h[None], state.f[None], case,
-                                                      lam, mu, budget))
+    return _one_state(solve_states_bc_via_mac, state, case, lam, mu, budget)

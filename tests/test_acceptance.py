@@ -245,8 +245,13 @@ def test_c07_bc_duality():
     worst_state = 0.0
     worst_ergodic = 0.0
     for case in CASES:
+        def via_mac(H, G, point, case=case):
+            lam = float(point.lam[0]) if point.lam.size else 0.0
+            mu = point.mu if point.mu.size else np.zeros(2)
+            return perstate_bc.solve_states_bc_via_mac(Hb, F, case, lam, mu,
+                                                       budget)[0][:, None]
         direct = ergodic_capacity_bc(states, case, budget)
-        via = ergodic_capacity_bc(states, case, budget, bc_via_mac=True)
+        via = ergodic_capacity_bc(states, case, budget, per_state_solver=via_mac)
         rel = abs(direct.ergodic_sum_rate - via.ergodic_sum_rate) \
             / max(direct.ergodic_sum_rate, 1e-9)
         worst_ergodic = max(worst_ergodic, rel)

@@ -183,24 +183,29 @@ def test_bc_is_the_one_user_mac():
     assert abs(bc.ergodic_sum_rate - mac.ergodic_sum_rate) <= 1e-12
 
 
-@pytest.mark.parametrize("bc_via_mac", [False, True])
-def test_bc_solves_through_the_auxiliary_mac_only_on_request(bc_via_mac, monkeypatch,
+@pytest.mark.parametrize("via_mac", [False, True])
+def test_bc_solves_through_the_auxiliary_mac_only_on_request(via_mac, monkeypatch,
                                                              small_bc_ensemble):
     """By default a BC point makes no auxiliary-MAC solve: that path is
-    compared with the one-user path by `crsum verify --suite bc`."""
+    compared with the one-user path by `crsum verify --suite bc`. Passed
+    as the `per_state_solver`, the auxiliary MAC runs in the loop."""
     calls = []
 
     def spy(*args):
         calls.append(args[2])
         return powers_via_mac(*args)
     powers_via_mac = perstate_bc.powers_via_mac
-    for module in (capacity, perstate_bc):
-        monkeypatch.setattr(module, "powers_via_mac", spy)
+    monkeypatch.setattr(perstate_bc, "powers_via_mac", spy)
+    Hb, F = small_bc_ensemble.H, small_bc_ensemble.F
     budget = PowerBudget(tpc=np.zeros(0), ipc=[0.8, 1.2], bs_tpc=1.5)
     for case in CASES:
-        ergodic_capacity_bc(small_bc_ensemble, case, budget, bc_via_mac=bc_via_mac)
-    assert bool(calls) is bc_via_mac
-    if bc_via_mac:
+        def solver(H, G, point, case=case):
+            lam, mu = capacity._bc_prices(point, 2)
+            return perstate_bc.solve_states_bc_via_mac(Hb, F, case, lam, mu, budget)[0][:, None]
+        ergodic_capacity_bc(small_bc_ensemble, case, budget,
+                            per_state_solver=solver if via_mac else None)
+    assert bool(calls) is via_mac
+    if via_mac:
         assert set(calls) == set(CASES)
 
 

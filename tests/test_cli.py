@@ -386,6 +386,21 @@ def test_verify_bc_catches_an_auxiliary_mac_off_by_1e7(monkeypatch, capsys):
     assert out.startswith("FAIL [bc]") and out.count("[bc]") == 1
 
 
+def test_verify_bc_catches_an_auxiliary_mac_serving_another_user(monkeypatch, capsys):
+    """Each path reports the users it serves: an auxiliary MAC that gives
+    each state's power to the next user, with the same total, fails the
+    bc suite's served-user and rate comparisons."""
+    for name in ("solve_states_case1", "solve_states_case2"):
+        solver = getattr(perstate_bc, name)
+        monkeypatch.setattr(perstate_bc, name, lambda *args, solver=solver:
+                            np.roll(solver(*args), 1, axis=1))
+    rc = main(["verify", "--suite", "bc", "--checks", "4", "--seed", "3"])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert out.startswith("FAIL [bc]") and out.count("[bc]") == 1
+    assert " 0 served users differ" not in out
+
+
 def test_verify_rejects_zero_checks(capsys):
     """No checks would pass vacuously, even with a corrupted solver."""
     rc = main(["verify", "--suite", "perstate", "--checks", "0",

@@ -10,6 +10,7 @@ from crsum import (ConstraintCase, ConvergenceFailureError, FadingModel,
                    ergodic_capacity_mac_tdma, sample_bc_states,
                    sample_mac_states, tdma)
 from crsum import dual
+from crsum.constraints import feasibility_check
 from crsum.dual import (GAP_TOL, ColumnPool, DualPoint, _Master, _make_problem,
                         cutting_plane_solve, dual_value_and_subgradient)
 from crsum.oracle import saa_primal_oracle
@@ -261,6 +262,21 @@ def test_mixture_is_feasible_and_at_least_the_master_value():
         assert report.stop_reason == "gap" and report.certified
         assert report.best_primal == problem.primal_value(policy)
         assert report.rows[-1][3] >= report.gap - 1e-12   # rate >= master value
+
+
+@pytest.mark.parametrize("seed", [5, 31, 34])
+def test_returned_policy_meets_its_budgets_so_the_gap_is_nonnegative(seed):
+    """The master meets its LT budgets only up to the LP's rounding; at
+    gap_tol 1e-10 that overshoot lifted the mixture's rate above the
+    best dual value. Scaled onto its budgets, the policy meets each one
+    and the dual value bounds its rate."""
+    states = sample_mac_states(FadingModel(K=2, M=1, n_states=8, seed=seed))
+    budget = PowerBudget.symmetric(2, 1, 0.9, 0.7)
+    _, report, policy, _ = cutting_plane_solve(states, ConstraintCase.I, budget,
+                                               gap_tol=1e-10)
+    assert report.gap >= 0.0
+    for row in feasibility_check(policy, states, ConstraintCase.I, budget).rows:
+        assert row.kind == "LT" and row.achieved <= row.threshold * (1 + 1e-15)
 
 
 def test_tdma_mixture_keeps_one_user_per_state():
