@@ -151,12 +151,6 @@ def _dot(A, P):
     return out
 
 
-def _column_max(X) -> np.ndarray:
-    """X.max(axis=0), one column at a time: exact, and a reduction over
-    the short axis 1 of an (n, K) array runs state by state."""
-    return np.array([X[:, k].max() for k in range(X.shape[1])])
-
-
 def _audit(P, G, case: ConstraintCase, budget: PowerBudget):
     """`feasibility_check` on the arrays P (n, K) and G (n, K, M). Also
     returns the four statistics it reads, from one pass: each user's
@@ -168,10 +162,10 @@ def _audit(P, G, case: ConstraintCase, budget: PowerBudget):
     _check_dims(budget, K, M)
     if np.any(P < -1e-12):
         raise UsageError("negative transmit powers in the policy")
-    I = np.empty((n, M))
-    for m in range(M):
-        I[:, m] = _dot(G[:, :, m], P)
-    stats = (P.mean(axis=0), _column_max(P), I.mean(axis=0), _column_max(I))
+    # by columns (a reduction over a short axis 1 runs state by state); a mean is
+    # sum() / n, the dual loop's usage rule, where .mean(axis=0) sums row by row
+    cols = ([P[:, k] for k in range(K)], [_dot(G[:, :, m], P) for m in range(M)])
+    stats = [np.array([f(a) for a in c]) for c in cols for f in (lambda a: a.sum() / n, np.max)]
     rows = []
     for name, lt, threshold, avg, worst in (("tpc", case.tpc_is_lt, budget.tpc, *stats[:2]),
                                             ("ipc", case.ipc_is_lt, budget.ipc, *stats[2:])):

@@ -11,9 +11,12 @@ halfspaces and box faces is also enumerated explicitly: each such face
 is parameterized as a graph over its free coordinates and grid-searched
 in those coordinates, where the constrained optimum is interior again.
 `grid_state_oracles` refines many problems in lockstep: boxes, and faces
-(each listed once), of equal shape share each round's mesh, which spans
-only axes of positive width (no copies along a dead user's zero bound);
-each problem keeps its own objective calls. A box round evaluates a
+(each listed once, built for all problems of a shape at once), of equal
+shape share each round's mesh, which spans only axes of positive width
+(no copies along a dead user's zero bound); each problem keeps its own
+objective calls. A face whose box holds no acceptable point by exact
+interval ranges is dropped, as it would make none, and box rounds
+without halfspaces skip the clip. A box round evaluates a
 problem's feasible mesh points, ray points and clipped points where they
 lie, up to three calls, and the first maximum in that order wins; a
 one-row block joins the others, since numpy takes a lone row's product
@@ -32,7 +35,7 @@ certified-feasible point and lower-bounds the true SAA optimum.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -142,31 +145,35 @@ def _refine_boxes(probs, grid_step, n, max_rounds):
     upper, A, bound = (np.array([z[k] for z in probs]) for k in (1, 2, 3))
     (P, K), best_p, span = upper.shape, np.zeros(upper.shape), _span(upper[0])
     best_v = np.array([objective(best_p[:1])[0] for objective, *_ in probs])
-    live, lo, hi = np.arange(P), np.zeros((P, K)), upper
+    live, lo, hi, J = np.arange(P), np.zeros((P, K)), upper, A.shape[1]
     for _ in range(max_rounds):
         pts, axes = _mesh(lo, hi, n, span)
-        (L, N), b = pts.shape[:2], bound[live].T[:, :, None]
-        dots = np.matmul(pts, A[live].transpose(1, 0, 2)[..., None])[..., 0]   # (J, L, N)
-        feas = np.logical_and.reduce(dots <= b * (1.0 + 1e-12))
+        L, N = pts.shape[:2]
         with np.errstate(divide="ignore", invalid="ignore"):   # ray to the boundary
             box = np.where(axes > 0.0, upper[live][:, span] / axes, np.inf).T
             sigma = reduce(np.minimum, (col.reshape(L, *(1,) * k, n, *(1,) * (len(box) - 1 - k))
                                         for k, col in enumerate(box))).reshape(L, N)
-            sigma = np.minimum(sigma, np.where(dots > 0.0, b / dots, np.inf).min(
-                axis=0, initial=np.inf))
+            if J:   # cases I and III have none: no products, masks, clips or halfspace term
+                b = bound[live].T[:, :, None]
+                dots = np.matmul(pts, A[live].transpose(1, 0, 2)[..., None])[..., 0]   # (J, L, N)
+                feas = np.logical_and.reduce(dots <= b * (1.0 + 1e-12))
+                sigma = np.minimum(sigma, np.where(dots > 0.0, b / dots, np.inf).min(axis=0))
+                del dots
             ext = np.empty_like(pts)   # each point on its ray, kept where sigma is
             for col, x in zip(ext.transpose(2, 0, 1), pts.transpose(2, 0, 1)):
                 np.multiply(x, sigma, out=col)
         ext *= 1.0 - 1e-13
         ok = np.isfinite(sigma) & (sigma > 0.0)
-        del sigma, dots   # only the candidates stay alive
+        del sigma   # only the candidates stay alive
         for i, q in enumerate(live):
             objective, _, Aq, bq = probs[q]
-            # the reference clips n ** K // N copies of each row: a lone row goes twice
-            clip = _rows(pts[i], ~feas[i])
-            clip = _clip_toward(clip.repeat(2, axis=0) if len(clip) == 1 < n ** K // N else clip,
-                                best_p[q], Aq, bq)[:len(clip)]
-            blocks = [X for X in (_rows(pts[i], feas[i]), _rows(ext[i], ok[i]), clip) if len(X)]
+            blocks = [pts[i], _rows(ext[i], ok[i])]
+            if J:   # the reference clips n ** K // N copies of each row: a lone row goes twice
+                clip = _rows(pts[i], ~feas[i])
+                clip = _clip_toward(clip.repeat(2, axis=0) if len(clip) == 1 < n ** K // N
+                                    else clip, best_p[q], Aq, bq)[:len(clip)]
+                blocks = [_rows(pts[i], feas[i]), blocks[1], clip]
+            blocks = [X for X in blocks if len(X)]
             if any(len(X) == 1 for X in blocks):   # a lone row would be a dot: it joins
                 blocks = [np.concatenate(blocks)]
             for X in blocks:   # the first maximum of the blocks in order wins
@@ -238,27 +245,54 @@ def _refine_faces(probs, prob, span, faces, grid_step, n, max_rounds):
     return v_face, p_face
 
 
-def _batches(keys, n):
-    """Indices of equal keys, last the `_span`, in runs of min(n**3, MAX_MESH_POINTS) // n**s."""
-    for key, ids in groupby(sorted(range(len(keys)), key=keys.__getitem__),
-                            key=keys.__getitem__):
-        ids, step = list(ids), min(n ** 3, MAX_MESH_POINTS) // n ** sum(key[-1])
-        yield from (ids[s:s + step] for s in range(0, len(ids), step))
+def _batches(key, s, n):
+    """Index arrays of the equal entries of the int array key, stably sorted, in runs
+    of min(n**3, MAX_MESH_POINTS) // n**s[i] (s[i] mesh axes an entry)."""
+    order = np.argsort(key, kind="stable")
+    cut = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1))   # run starts, then the end
+    for a, e in zip(cut, cut[1:]):
+        step = min(n ** 3, MAX_MESH_POINTS) // n ** int(s[order[a]])
+        yield from (order[i:min(i + step, e)] for i in range(a, e, step))
+
+
+def _may_hold_points(d, x0, cols, W, A, bound, up):
+    """Whether each `_faces` row's box [0, up_ff] may hold a point its rounds accept: the
+    exact range of each coordinate's affine map over it (Moore, Interval Analysis, 1966),
+    widened by 1e-9 of its terms' size, meets a pivot's band [-1e-12, up + 1e-12], and,
+    clipped to [0, up], keeps the least a.X of every other halfspace within that margin."""
+    K, pos = cols.shape[1], np.arange(cols.shape[1])
+    free = pos < d[:, None]   # position k < d holds a free coordinate, else pivot k - d or padding
+    W = np.take_along_axis(W, np.maximum(pos - d[:, None], 0)[..., None], axis=1)
+    WU = np.where(free[..., None], np.eye(K), W) * np.where(free, up, 0.0)[:, None]
+    c0 = np.take_along_axis(x0, cols, axis=1)
+    tol = 1e-9 * (1.0 + np.abs(c0) + np.abs(WU).sum(axis=2))
+    lo, hi = c0 + np.minimum(WU, 0.0).sum(axis=2) - tol, c0 + np.maximum(WU, 0.0).sum(axis=2) + tol
+    X_lo, X_hi = x0.copy(), x0.copy()   # the coordinate box, fixed values as listed
+    np.put_along_axis(X_lo, cols, np.clip(lo, 0.0, up), axis=1)
+    np.put_along_axis(X_hi, cols, np.clip(hi, 0.0, up), axis=1)
+    least = np.minimum(A * X_lo[:, None, :K], A * X_hi[:, None, :K]).sum(axis=2)
+    size = np.abs(bound) + (np.abs(A) * X_hi[:, None, :K]).sum(axis=2)
+    return (((hi >= -1e-12) & (lo <= up + 1e-12)).all(axis=1)
+            & (least <= bound + 1e-9 * (1.0 + size)).all(axis=1))
 
 
 def _improve_on_faces(probs, best, grid_step, n, max_rounds):
     """Replace best[q] = (point, value) by problem q's best `_faces` point where
     higher, ties to the first face; an optimum with exactly a face's active set
-    is interior in its free coordinates. Faces come in blocks, by problem shape."""
-    for qs in map(np.array, _batches([(*A.shape, (True, True)) for *_, A, _ in probs], n)):
-        J, K = probs[qs[0]][2].shape   # n problems of a shape, as a two-axis mesh's run
+    is interior in its free coordinates. Faces are built n**2 problems of a shape
+    at a time, and those `_may_hold_points` drops make no call."""
+    shape = np.array([4 * len(b) + len(u) for _, u, _, b in probs], dtype=int)   # 4 J + K
+    for qs in _batches(shape, np.ones_like(shape), n):
+        J, K = probs[qs[0]][2].shape
         if not J:
             continue
         q, d, *faces = _faces(*(np.array([probs[i][k] for i in qs]) for k in (1, 2, 3)))
+        keep = _may_hold_points(d, *faces)
+        q, d, faces = q[keep], d[keep], [z[keep] for z in faces]
         free = np.arange(K) < d[:, None]
         span = _span(np.where(free, faces[-1], 0.0)) & free
         v, p = np.full(len(q), -np.inf), np.zeros((len(q), K))
-        for ids in _batches(list(zip(d.tolist(), map(tuple, span.tolist()))), n):
+        for ids in _batches(d << K | span @ (1 << np.arange(K)[::-1]), span.sum(axis=1), n):
             v[ids], p[ids] = _refine_faces(probs, qs[q[ids]], span[ids[0], :d[ids[0]]],
                                            [z[ids] for z in faces], grid_step, n, max_rounds)
         for i, qi in enumerate(qs[q]):   # each problem's faces in order
@@ -285,8 +319,9 @@ def grid_state_oracles(problems, grid_step=1e-3, points_per_dim=21, max_rounds=8
         raise UsageError(f"grid oracle needs 2 <= points_per_dim, points_per_dim ** K"
                          f" <= {MAX_MESH_POINTS}, 0 < grid_step < inf, max_rounds >= 1")
     best = [None] * len(probs)
-    for ids in _batches([(*A.shape, tuple(_span(u).tolist())) for _, u, A, _ in probs],
-                        points_per_dim):
+    shape = np.array([4 * len(b) + len(u) for _, u, _, b in probs], dtype=int)   # 4 J + K
+    span = _span(np.array([[*u, 0.0, 0.0][:3] for _, u, _, _ in probs]).reshape(-1, 3))
+    for ids in _batches(shape << 3 | span @ (4, 2, 1), span.sum(axis=1), points_per_dim):
         for q, p, v in zip(ids, *_refine_boxes([probs[q] for q in ids], grid_step,
                                                points_per_dim, max_rounds)):
             best[q] = (p, float(v))

@@ -209,25 +209,30 @@ def test_bc_solves_through_the_auxiliary_mac_only_on_request(via_mac, monkeypatc
         assert set(calls) == set(CASES)
 
 
+def _mean(X):
+    """Each column's sum / n, the dual loop's usage rule."""
+    return np.array([X[:, k].sum() / len(X) for k in range(X.shape[1])])
+
+
 def _two_pass_audit(P, G, case, budget):
     """The rows, the four achieved_* arrays and the histogram as the
-    separate audit and assembly passes computed them."""
+    separate audit and assembly passes computed them, averaging as the
+    dual loop does."""
     n, K, M = G.shape
     rows = []
-    tpc = P.mean(axis=0) if case.tpc_is_lt else P.max(axis=0)
+    tpc = _mean(P) if case.tpc_is_lt else P.max(axis=0)
     kind, tol = ("LT", LT_TOL) if case.tpc_is_lt else ("ST", ST_TOL)
     for k in range(K):
         rows.append((f"tpc_{k + 1}", kind, float(tpc[k]), float(budget.tpc[k]),
                      bool(tpc[k] <= budget.tpc[k] * (1.0 + tol))))
     I = np.einsum("tk,tkm->tm", P, G)
     if M:
-        ipc = I.mean(axis=0) if case.ipc_is_lt else I.max(axis=0)
+        ipc = _mean(I) if case.ipc_is_lt else I.max(axis=0)
         kind, tol = ("LT", LT_TOL) if case.ipc_is_lt else ("ST", ST_TOL)
         for m in range(M):
             rows.append((f"ipc_{m + 1}", kind, float(ipc[m]), float(budget.ipc[m]),
                          bool(ipc[m] <= budget.ipc[m] * (1.0 + tol))))
-    fields = (P.mean(axis=0), P.max(axis=0),
-              I.mean(axis=0) if M else np.zeros(0), I.max(axis=0) if M else np.zeros(0))
+    fields = (_mean(P), P.max(axis=0), _mean(I), I.max(axis=0) if M else np.zeros(0))
     hist = np.bincount((P > ACTIVE_TOL).sum(axis=1), minlength=K + 1)
     return rows, fields, hist
 

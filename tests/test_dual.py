@@ -279,6 +279,20 @@ def test_returned_policy_meets_its_budgets_so_the_gap_is_nonnegative(seed):
         assert row.kind == "LT" and row.achieved <= row.threshold * (1 + 1e-15)
 
 
+@pytest.mark.parametrize("case", [ConstraintCase.I, ConstraintCase.II, ConstraintCase.III])
+def test_audit_reads_the_loops_usage(case):
+    """The audit's LT achieved values are the usage `evaluate` reports for
+    the same allocation, bit for bit: each column summed over all states,
+    then divided by n (a mean over axis 0 sums row by row, and rounds
+    otherwise), so the audit and the loop agree on which policy overshoots."""
+    states = sample_mac_states(FadingModel(K=3, M=2, n_states=2000, seed=17))
+    budget = PowerBudget.symmetric(3, 2, 1.5, 0.6)
+    problem = _make_problem(states, case, budget)
+    _, _, P, usage, _, _ = problem.evaluate(np.full(problem.thresholds.size, 0.4))
+    rows = feasibility_check(P, states, case, budget).rows
+    assert [r.achieved for r in rows if r.kind == "LT"] == usage.tolist()
+
+
 def test_tdma_mixture_keeps_one_user_per_state():
     states = sample_mac_states(FadingModel(K=4, M=2, n_states=400, seed=18))
     budget = PowerBudget.symmetric(4, 2, db_to_linear(-5.0), 1.0)

@@ -290,6 +290,60 @@ def test_faces_are_listed_once(caps, n_faces):
         == n_faces
 
 
+# faces `_may_hold_points` drops, by (free coordinates d, users K), among those of
+# the perstate suite's problems with halfspaces: 40 draws at Philox key 1 and the
+# 100 of verify --seed 0: 2,626 of the 3,536 faces, where 2,655 are never feasible
+DROPPED = {(0, 1): 106, (0, 2): 397, (0, 3): 1420, (1, 2): 73, (1, 3): 554, (2, 3): 76}
+
+
+def test_dropped_faces_hold_no_point():
+    """Every listed face of these problems, refined without the drop: each
+    face the interval test drops refines to -inf, so it would make no
+    objective call, and dropping it moves no row, call or tie."""
+    rngs = [np.random.Generator(np.random.Philox(key=key)) for key in (1, 0)]
+    problems = [problem(state, *args) for rng, n in zip(rngs, (40, 100))
+                for state, cases in (cli._random_cases(rng, 1) for _ in range(n))
+                for _, _, args, problem, _, _ in cases]
+    probs = [(obj, np.asarray(up, dtype=float), *map(np.array, zip(*hs)))
+             for obj, up, hs in problems if hs]
+    dropped, counts = {}, [0, 0]
+    for J, K in {A.shape for *_, A, _ in probs}:
+        ps = [p for p in probs if p[2].shape == (J, K)]
+        q, d, *faces = oracle._faces(*(np.array([p[k] for p in ps]) for k in (1, 2, 3)))
+        keep = oracle._may_hold_points(d, *faces)
+        free = np.arange(K) < d[:, None]
+        key = np.column_stack([d, oracle._span(np.where(free, faces[-1], 0.0)) & free])
+        for row in np.unique(key, axis=0):
+            ids = np.flatnonzero((key == row).all(axis=1))
+            v, _ = oracle._refine_faces(ps, q[ids], row[1:1 + row[0]].astype(bool),
+                                        [z[ids] for z in faces], 1e-4, 21, 80)
+            assert np.isneginf(v[~keep[ids]]).all()
+            counts[0] += len(ids)
+            counts[1] += int(np.isneginf(v).sum())
+        for dd in range(K):
+            dropped[dd, K] = dropped.get((dd, K), 0) + int((~keep & (d == dd)).sum())
+    assert dropped == DROPPED and counts == [3536, 2655]
+
+
+@pytest.mark.parametrize("miss, kept", [(1e-13, True), (1e-6, False)])
+def test_faces_are_dropped_only_beyond_the_rounding_margin(monkeypatch, miss, kept):
+    """p1 + p2 <= 2 + 1e-12 + miss on the unit box. Its edge face pivots
+    p1 = b - p2 over p2 in [0, 1], a range that misses the band
+    [-1e-12, 1 + 1e-12] by miss; so does each vertex at a coordinate of 1.
+    By 1e-13, far inside the margin (4e-9 here), the edge and those two
+    vertices are kept and refined; by 1e-6 every face is dropped."""
+    refined, refine = [], oracle._refine_faces
+
+    def spy(probs, prob, span, *args):
+        refined.append((len(span), len(prob)))   # (free coordinates, faces)
+        return refine(probs, prob, span, *args)
+
+    monkeypatch.setattr(oracle, "_refine_faces", spy)
+    _assert_faces_match(lambda X: X @ np.array([1.0, 2.0]), np.ones(2),
+                        [(np.ones(2), 2.0 + 1e-12 + miss)])
+    assert refined == ([(0, 2), (1, 1)] if kept else [])
+
+
 def _own_rows(objective, upper, seen):
     """The objective, asserting that it only receives C-contiguous (N, K)
     arrays of points in its own problem's box, and counting them in
