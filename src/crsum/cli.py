@@ -25,7 +25,8 @@ from .constraints import ConstraintCase, PowerBudget, db_to_linear
 from .dual import ColumnPool, cutting_plane_solve
 from .errors import (ConfigurationError, ConvergenceFailureError, CrsumError,
                      UsageError)
-from .fading import FadingModel, check_ensemble_size, sample_bc_states, sample_mac_states
+from .fading import (FadingModel, _carve, _draw, check_ensemble_size,
+                     sample_bc_states, sample_mac_states)
 from .oracle import (case1_problem, case2_problem, case3_problem,
                      case4_problem, grid_state_oracles, saa_primal_oracle)
 from . import perstate_bc, perstate_mac, tdma
@@ -192,18 +193,14 @@ def _fmt(x) -> str:
 
 def _run_curves(curves, samples, seed, out_dir, dump_convergence=False,
                 strict=False):
-    for curve in curves:                # every ensemble, before any is drawn
-        check_ensemble_size(curve.channel, curve.K, curve.M, samples)
+    shapes = [(curve.channel, curve.K, curve.M, samples) for curve in curves]
+    size = max([check_ensemble_size(*shape) for shape in shapes])   # all, before any draw
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ensembles, starts, written = {}, {}, []    # starts: each curve family's last x
-    for curve in curves:
-        key = (curve.channel, curve.K, curve.M, samples, seed)
-        if key not in ensembles:
-            model = FadingModel(K=curve.K, M=curve.M, n_states=samples, seed=seed)
-            ensembles[key] = (sample_mac_states(model) if curve.channel == "mac"
-                              else sample_bc_states(model))
-        states, rows, last_result = ensembles[key], [], None
+    gains = _draw(size, seed)       # every curve's ensemble is a prefix of this one draw
+    starts, written = {}, []        # starts: each curve family's last x
+    for curve, shape in zip(curves, shapes):
+        states, rows, last_result = _carve(*shape, gains), [], None
         family = (curve.channel, curve.case, curve.mode, curve.M)
         pool = ColumnPool(x=starts.get(family))     # where the family's last curve stopped
         for pt in curve.points:

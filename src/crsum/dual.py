@@ -184,11 +184,21 @@ class _MacProblem:
         return [P[:, k] for k in range(self.n_lam)] + [_dot(self.G[:, :, m], P)
                                                        for m in range(self.n_mu)]
 
+    def _usage(self, P: np.ndarray) -> np.ndarray:
+        return np.array([a.sum() / P.shape[0] for a in self._loads(P)], dtype=float)
+
     def onto_budgets(self, P: np.ndarray) -> np.ndarray:
         """P scaled onto the LT budget it overshoots most, if any: the
-        master meets its budgets only up to the LP's rounding."""
-        usage = np.array([a.sum() / P.shape[0] for a in self._loads(P)])
-        return P / np.max(usage / self.thresholds, initial=1.0)
+        master meets its budgets only up to the LP's rounding. The scaled
+        sums round too, so while one still exceeds its budget the divisor
+        grows by an ulp, at most 8 times."""
+        ratio = np.max(self._usage(P) / self.thresholds, initial=1.0)
+        for _ in range(8):
+            Q = P / ratio
+            if ratio == 1.0 or np.all(self._usage(Q) <= self.thresholds):
+                break
+            ratio = np.nextafter(ratio, np.inf)
+        return Q
 
     def evaluate(self, x: np.ndarray):
         """Dual value, subgradient, allocation, usages, rate and Lagrangian mean at x.

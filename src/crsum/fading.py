@@ -6,7 +6,10 @@ ensemble is drawn once, up front, as the two read-only arrays of an
 `Ensemble` that every layer reads in place. Gains are linear-scale
 power gains; the receiver noise is normalized to unit variance
 throughout, so `rayleigh-unit-mean` fading makes every gain an i.i.d.
-Exponential(1) variate.
+Exponential(1) variate. The ensemble of (channel, K, M, n) at a seed
+is a prefix of the seed's Exp(1) stream: H's n·K values, row by row,
+then G's n·K·M or F's n·M. A run's ensembles share n and the seed, so
+they are read-only views into one draw, the largest one's.
 """
 from __future__ import annotations
 
@@ -21,13 +24,15 @@ _KINDS = ("rayleigh-unit-mean",)
 MAX_ENSEMBLE_BYTES = 1 << 30    # the largest ensemble a sampler draws: 1 GiB of gains
 
 
-def check_ensemble_size(channel: str, K: int, M: int, n: int) -> None:
+def check_ensemble_size(channel: str, K: int, M: int, n: int) -> int:
     """Refuse, before anything is allocated, an ensemble whose float64
-    gains, H (n, K) and G (n, K, M) or F (n, M), exceed MAX_ENSEMBLE_BYTES."""
-    size = 8 * n * (K + (K * M if channel == "mac" else M))
-    if size > MAX_ENSEMBLE_BYTES:
+    gains, H (n, K) and G (n, K, M) or F (n, M), exceed MAX_ENSEMBLE_BYTES.
+    Returns the number of its gains."""
+    count = n * (K + (K * M if channel == "mac" else M))
+    if 8 * count > MAX_ENSEMBLE_BYTES:
         raise UsageError(f"a {channel.upper()} ensemble of {n} states with K = {K}, M = {M} takes "
-                         f"{size:,} bytes of gains, above the {MAX_ENSEMBLE_BYTES:,}-byte limit")
+                         f"{8 * count:,} bytes of gains, above the {MAX_ENSEMBLE_BYTES:,}-byte limit")
+    return count
 
 
 @dataclass(frozen=True)
@@ -198,27 +203,39 @@ def as_ensemble(states, channel: str | None = None) -> Ensemble:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    # Philox is counter-based: the stream depends only on the key, not
-    # on how previous draws were chunked.
+    # Philox is counter-based: the stream depends only on the key, not on how
+    # draws are chunked, so a draw of N values holds every shorter draw.
     return np.random.Generator(np.random.Philox(key=seed))
+
+
+def _draw(n_gains: int, seed: int) -> np.ndarray:
+    """The first n_gains Exp(1) values of the seed's stream, read-only."""
+    gains = _rng(seed).exponential(1.0, size=n_gains)
+    gains.flags.writeable = False
+    return gains
+
+
+def _carve(channel: str, K: int, M: int, n: int, gains: np.ndarray) -> Ensemble:
+    """The ensemble of (channel, K, M, n) as views into `gains`, a draw of at
+    least its size: H (n, K) first, then G (n, K, M) or F (n, M)."""
+    shape = (n, K, M) if channel == "mac" else (n, M)
+    X = gains[n * K:n * K + int(np.prod(shape))].reshape(shape)
+    return Ensemble(channel, gains[:n * K].reshape(n, K), X)
+
+
+def _sample(channel: str, model: FadingModel) -> Ensemble:
+    shape = (channel, model.K, model.M, model.n_states)
+    return _carve(*shape, _draw(check_ensemble_size(*shape), model.seed))
 
 
 def sample_mac_states(model: FadingModel) -> Ensemble:
     """Draw the MAC ensemble for `model`. Same model => same states."""
-    check_ensemble_size("mac", model.K, model.M, model.n_states)
-    rng = _rng(model.seed)
-    H = rng.exponential(1.0, size=(model.n_states, model.K))
-    G = rng.exponential(1.0, size=(model.n_states, model.K, model.M))
-    return Ensemble("mac", H, G)
+    return _sample("mac", model)
 
 
 def sample_bc_states(model: FadingModel) -> Ensemble:
     """Draw the BC ensemble for `model`. Same model => same states."""
-    check_ensemble_size("bc", model.K, model.M, model.n_states)
-    rng = _rng(model.seed)
-    H = rng.exponential(1.0, size=(model.n_states, model.K))
-    F = rng.exponential(1.0, size=(model.n_states, model.M))
-    return Ensemble("bc", H, F)
+    return _sample("bc", model)
 
 
 def mac_arrays(states) -> tuple[np.ndarray, np.ndarray]:

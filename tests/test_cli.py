@@ -17,7 +17,7 @@ import verify_reference
 from crsum import ConvergenceFailureError, SolverFailureError, UsageError
 from crsum import cli, perstate_bc
 from crsum.cli import main
-from crsum.fading import MAX_ENSEMBLE_BYTES
+from crsum.fading import MAX_ENSEMBLE_BYTES, Ensemble, check_ensemble_size
 
 HEADER_PREFIX = ["case", "P_dB", "Q_dB", "Gamma", "rate_nats",
                  "rate_stderr", "gap", "max_lt_viol"]
@@ -274,13 +274,62 @@ def test_oversize_ensemble_refused_before_drawing(how, tmp_path):
 def test_a_preset_is_refused_before_its_first_curve(tmp_path, monkeypatch, capsys):
     """fig8's largest ensemble (K = 20, M = 4) over the limit: nothing is
     drawn and no CSV written, though its first curves would fit."""
-    monkeypatch.setattr(cli, "sample_bc_states", None)      # drawing would fail
+    monkeypatch.setattr(cli, "_draw", None)     # drawing would fail
     samples = MAX_ENSEMBLE_BYTES // (8 * 24) + 1
     rc = main(["run", "--preset", "fig8", "--samples", str(samples),
                "--out", str(tmp_path)])
     assert rc == 2
     assert "K = 20, M = 4" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("preset, largest", [("fig7", ("mac", 4, 2)),
+                                             ("fig8", ("bc", 20, 4))])
+def test_a_run_draws_once_for_its_largest_curve(preset, largest, tmp_path, monkeypatch):
+    """One draw, of the largest curve's gains, and every curve cut from it
+    writes the bytes of a run in which each curve draws its own ensemble
+    (H, then G or F, from a fresh generator of the seed)."""
+    samples, seed = 300, 4
+    calls, draw = [], cli._draw
+    monkeypatch.setattr(cli, "_draw", lambda *a: calls.append(a) or draw(*a))
+    main(["run", "--preset", preset, "--samples", str(samples), "--seed", str(seed),
+          "--out", str(tmp_path / "one")])
+    assert calls == [(check_ensemble_size(*largest, samples), seed)]
+
+    def own_draw(channel, K, M, n, gains):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        H = rng.exponential(1.0, size=(n, K))
+        return Ensemble(channel, H, rng.exponential(
+            1.0, size=(n, K, M) if channel == "mac" else (n, M)))
+    monkeypatch.setattr(cli, "_carve", own_draw)
+    main(["run", "--preset", preset, "--samples", str(samples), "--seed", str(seed),
+          "--out", str(tmp_path / "each")])
+    one = sorted((tmp_path / "one").iterdir())
+    assert [p.name for p in one] == sorted(p.name for p in (tmp_path / "each").iterdir())
+    for path in one:
+        assert path.read_bytes() == (tmp_path / "each" / path.name).read_bytes(), path.name
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fig3_to_fig8_meet_every_lt_budget_by_the_loops_rule(seed, tmp_path, monkeypatch):
+    """At 2000 samples a policy scaled onto its budgets once still rounded
+    one ulp over some (5 LT rows at seed 1, 7 at seed 2): every LT row of
+    every returned point's audit is within its threshold, with no slack."""
+    results = []
+
+    def kept(fn):
+        def call(*args, **kwargs):
+            results.append(fn(*args, **kwargs))
+            return results[-1]
+        return call
+    for name in ("ergodic_capacity_mac", "ergodic_capacity_bc"):
+        monkeypatch.setattr(cli, name, kept(getattr(cli, name)))
+    for preset in ("fig3", "fig4", "fig5", "fig6", "fig7", "fig8"):
+        main(["run", "--preset", preset, "--samples", "2000", "--seed", str(seed),
+              "--out", str(tmp_path)])
+    rows = [r for res in results for r in res.feasibility.rows if r.kind == "LT"]
+    assert len(results) == 164 and rows
+    assert [r for r in rows if r.achieved > r.threshold] == []
 
 
 SUITE_CHECKS = 40

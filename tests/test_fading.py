@@ -11,6 +11,7 @@ from crsum import (ChannelStateBc, ChannelStateMac, ConfigurationError,
                    ergodic_capacity_mac, export_bc_csv, export_mac_csv,
                    import_bc_csv, import_mac_csv, mac_arrays,
                    sample_bc_states, sample_mac_states)
+from crsum.fading import _carve, _draw, check_ensemble_size
 
 
 def test_same_seed_same_states():
@@ -130,6 +131,38 @@ def test_ensemble_is_the_documented_philox_draw():
     H, F = _philox_draw(22, (30, 4), (30, 3))
     assert np.array_equal(bc.H, H) and np.array_equal(bc.F, F)
     assert mac_arrays(mac)[1] is mac.G and bc_arrays(bc)[0] is bc.H
+
+
+@pytest.mark.parametrize("channel", ["mac", "bc"])
+def test_a_carved_ensemble_is_the_two_call_draw(channel):
+    """The ensemble of (channel, K, M, n), cut from its own draw or from
+    a longer stream of the same seed, equals H = exponential((n, K))
+    followed by exponential((n, K, M)) or ((n, M)), bit for bit."""
+    longest = check_ensemble_size(channel, 5, 4, 1000)
+    for seed in (0, 3, 41):
+        stream = _draw(longest, seed)
+        for K in range(1, 6):
+            for M in range(5):
+                for n in (1, 2, 7, 1000):
+                    H, X = _philox_draw(seed, (n, K), (n, K, M) if channel == "mac" else (n, M))
+                    own = _draw(check_ensemble_size(channel, K, M, n), seed)
+                    for ens in (_carve(channel, K, M, n, own), _carve(channel, K, M, n, stream)):
+                        assert ens.channel == channel
+                        assert ens.H.shape == H.shape and ens.X.shape == X.shape
+                        assert np.array_equal(ens.H, H) and np.array_equal(ens.X, X)
+
+
+def test_the_stream_and_its_carved_ensembles_are_read_only():
+    stream = _draw(check_ensemble_size("mac", 4, 2, 50), 5)
+    ensembles = [_carve("mac", 4, 2, 50, stream), _carve("mac", 2, 1, 50, stream),
+                 _carve("bc", 4, 2, 50, stream), _carve("bc", 3, 0, 50, stream)]
+    arrays = [stream, *(a for ens in ensembles for a in (ens.H, ens.X))]
+    assert not any(arr.flags.writeable for arr in arrays)
+    for arr in arrays:
+        if arr.size:
+            assert np.shares_memory(arr, stream)
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 5.0
 
 
 def test_sampling_allocates_only_the_arrays():
