@@ -45,7 +45,8 @@ class PolicyResult:
     achieved_avg_interference: np.ndarray
     achieved_worst_interference: np.ndarray
     active_count_histogram: np.ndarray
-    max_lt_violation: float
+    max_lt_violation: float      # worst relative overshoot of the LT rows
+    max_st_violation: float      # and of the ST rows
     n_states: int
     alloc: np.ndarray            # (n, K) for MAC, (n,) for BC
     feasibility: ConstraintReport
@@ -83,7 +84,8 @@ def _assemble_mac(ensemble, case, budget, P, *, mode, dual_point,
         achieved_avg_tx_power=avg_p, achieved_worst_tx_power=worst_p,
         achieved_avg_interference=avg_i, achieved_worst_interference=worst_i,
         active_count_histogram=hist,
-        max_lt_violation=feas.max_relative_violation,
+        max_lt_violation=feas.max_violation("LT"),
+        max_st_violation=feas.max_violation("ST"),
         n_states=n, alloc=P, feasibility=feas, convergence=report)
 
 

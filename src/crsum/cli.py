@@ -220,7 +220,7 @@ def _run_curves(curves, samples, seed, out_dir, dump_convergence=False,
             rows.append([curve.case.value, _fmt(pt["P_dB"]), _fmt(pt["Q_dB"]),
                          repr(float(curve.gamma)), repr(res.ergodic_sum_rate),
                          repr(res.rate_stderr), _fmt(res.gap),
-                         repr(res.max_lt_violation)] + hist
+                         repr(res.max_lt_violation), repr(res.max_st_violation)] + hist
                         + [str(res.certified).lower(), str(res.n_evals),
                            res.convergence.stop_reason if res.convergence else ""])
         starts[family] = pool.x
@@ -228,7 +228,7 @@ def _run_curves(curves, samples, seed, out_dir, dump_convergence=False,
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["case", "P_dB", "Q_dB", "Gamma", "rate_nats",
-                        "rate_stderr", "gap", "max_lt_viol"]
+                        "rate_stderr", "gap", "max_lt_viol", "max_st_viol"]
                        + [f"hist_{i}" for i in range(curve.K + 1)]
                        + ["certified", "n_evals", "stop_reason"])
             w.writerows(rows)

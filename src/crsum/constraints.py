@@ -125,9 +125,12 @@ class ConstraintReport:
     @property
     def max_relative_violation(self) -> float:
         """Largest (achieved - threshold)/threshold, 0 if all slack."""
-        if not self.rows:
-            return 0.0
-        return max(0.0, max((r.achieved - r.threshold) / r.threshold for r in self.rows))
+        return max(self.max_violation("LT"), self.max_violation("ST"))
+
+    def max_violation(self, kind: str) -> float:
+        """`max_relative_violation` over the rows of kind "LT" or "ST"."""
+        return max([0.0] + [(r.achieved - r.threshold) / r.threshold
+                            for r in self.rows if r.kind == kind])
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -40,7 +40,9 @@ evaluation is at x_master, as in Kelley's method. A problem that never
 rounds never tightens, and case I follows one trajectory in both modes.
 
 With zero dualized constraints (case 4) the loop is a single exact
-evaluation. There is one problem adapter, the MAC's: a BC ensemble is
+evaluation; in full mode a curve's pool keeps the last point's rows
+that no power cap shaped (the carry of `perstate_mac.solve_states_case4`).
+There is one problem adapter, the MAC's: a BC ensemble is
 solved as the one-user TDMA MAC of `perstate_bc.as_one_user_mac`. With
 one user the rounding returns the mixture, so BC points never tighten.
 """
@@ -55,7 +57,7 @@ from .constraints import ConstraintCase, PowerBudget, _check_dims, _dot
 from .errors import (ConvergenceFailureError, SolverFailureError,
                      UnboundedSubproblemError, UsageError)
 from .fading import Ensemble, as_ensemble
-from . import perstate_bc, tdma
+from . import perstate_bc, perstate_mac, tdma
 from .perstate_mac import lone_user
 
 GAP_TOL = 1e-3
@@ -159,6 +161,13 @@ class _MacProblem:
         self.st_caps = np.concatenate([     # the caps that shape each ST set
             np.zeros(0) if case.tpc_is_lt else budget.tpc,
             np.zeros(0) if case.ipc_is_lt else budget.ipc])
+        self.carry = None       # case IV in full mode: `solve_states_case4`'s carry
+        if solver is None and case is ConstraintCase.IV and not tdma_mode:
+            # the solver holds the list, not self: a reference cycle would
+            # keep each point's arrays alive until the garbage collector runs
+            self.carry = carry = [None, None]
+            solver = lambda H, G, pt: perstate_mac.solve_states_case4(
+                H, G, budget.tpc, budget.ipc, carry=carry)
         self._solve = solver or (lambda H, G, pt: tdma.solve_states(
             case, H, G, pt.lam, pt.mu, budget, tdma_mode=tdma_mode))
 
@@ -168,9 +177,17 @@ class _MacProblem:
         columns of this problem. The states compare by value: a BC
         point builds its one-user arrays afresh."""
         return (old is not None and old.case is self.case and old.G.shape == self.G.shape
-                and old.tdma_mode == self.tdma_mode and self.thresholds.size > 0
+                and old.tdma_mode == self.tdma_mode
                 and bool(np.all(self.st_caps >= old.st_caps))
                 and np.array_equal(old.H, self.H) and np.array_equal(old.G, self.G))
+
+    def resume(self, old) -> None:
+        """Start the case-IV solve from old's optimum, if it has one, at
+        the same interference caps (`extends` has checked the rest)."""
+        K = self.H.shape[1]
+        if (self.carry and old.carry and old.carry[1] is not None
+                and np.array_equal(old.st_caps[K:], self.st_caps[K:])):
+            self.carry[0] = old.carry[1]
 
     def allocation(self, x: np.ndarray) -> np.ndarray:
         """The per-state maximizer of the Lagrangian at x."""
@@ -400,7 +417,10 @@ class ColumnPool:
     that left the basis is re-solved under its own ST caps if it is
     mixed again. floors holds the a of each price floor, x the last
     point's best multipliers (a new pool may take another curve's) and
-    problem the last point's problem.
+    problem the last point's problem; in case IV, full mode, its
+    carried optimum (P, MU, free) is the solve whose free rows the next
+    point keeps if its states and Gamma are equal and no power cap is
+    lower.
     """
 
     columns: list = field(default_factory=list)
@@ -435,7 +455,8 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     A policy whose per-state optimum is single-user (TDMA mode, and case
     I in either mode) is rounded by the lone-user rule at price 0 with
     the mixed powers as caps: each state's user of largest h q keeps
-    its power (with one user, the mixture itself). That lowers
+    its power (with one user, or one mixed column, the mixture itself,
+    so no rounding pass runs for a single column). That lowers
     every usage, so the policy stays feasible, but it can open the gap
     again: the master tolerance then tightens tenfold at a time down to
     gap_tol * TIGHTEN_FLOOR, or until the master stops moving, and alpha
@@ -466,7 +487,10 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
     one_user = problem.tdma_mode or case is ConstraintCase.I
     max_iter = 100 * (d + 1) if max_iter is None else max_iter
     pool = ColumnPool() if pool is None else pool
-    if not problem.extends(pool.problem):
+    grows = problem.extends(pool.problem)
+    if grows:
+        problem.resume(pool.problem)
+    if not (grows and d):
         pool.columns, pool.means, pool.at, pool.kept, pool.floors = [], [], {}, {}, []
     x = pool.x if pool.x is not None and pool.x.size == d else 1.0 / problem.thresholds
     pool.problem = problem
@@ -514,13 +538,14 @@ def cutting_plane_solve(states, case: ConstraintCase, budget: PowerBudget, *,
             viol = np.max((usage - problem.thresholds) / problem.thresholds, initial=0.0)
             report.rows.append((it, value, float(viol), gap))
         if gap <= tol * max(report.best_dual, 1e-9):
-            mixed = np.zeros((n, K))
-            for i, w in master.mixture():
+            mixed, mixture = np.zeros((n, K)), master.mixture()
+            for i, w in mixture:
                 if i not in kept:           # it left the basis once
                     xi, _, _, owner = cols[i]
                     kept[i] = owner.allocation(xi)
                 mixed = mixed + w * kept[i]
-            policy = problem.onto_budgets(lone_user(problem.H, 0.0, mixed) if one_user else mixed)
+            rounds = one_user and len(mixture) > 1      # one column is one-user already
+            policy = problem.onto_budgets(lone_user(problem.H, 0.0, mixed) if rounds else mixed)
             report.best_primal = problem.primal_value(policy)
             if report.certified_at(gap_tol):
                 report.stop_reason = "gap"

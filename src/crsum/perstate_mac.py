@@ -15,9 +15,10 @@ fractional knapsack in decreasing h_k/g_k with one interference cap
 (M = 1), the lockstep bounded-variable simplex `bounded_simplex` with
 several, at any K; it prices by Dantzig's rule, falls back to Bland's
 on a run of degenerate pivots, and drops each state in the round it
-turns optimal. Case 2 is the same simplex swept in the rate's
-slope t = 1/(1+h.p) (`_case2_simplex`), at every M and with no limit
-on K.
+turns optimal. Along a rising power cap a case-4 solve keeps the rows
+of the last optimum that no power cap shaped (its `carry`). Case 2 is
+the same simplex swept in the rate's slope t = 1/(1+h.p)
+(`_case2_simplex`), at every M and with no limit on K.
 
 The four cases are one first-order system (`_kkt`): the prices lam
 and mu enter stationarity, and a per-state cap adds its rows with the
@@ -46,6 +47,7 @@ _LOOSE = 1e-7         # KKT acceptance tolerance of `_certify`
 _OPT_RTOL = 1e-12     # simplex: reduced costs below this times max |c| are zero
 _PIV_RTOL = 1e-11     # simplex: pivots below this times their column's max are zero
 _MAX_PIVOTS = 10_000  # simplex: a batch needing more pivots raises SolverFailureError
+KEEP_SHARE = 0.25     # case 4: least share of free rows a carried solve keeps
 
 # ---------------------------------------------------------------------------
 # result types
@@ -598,15 +600,18 @@ def bounded_simplex(c, A, b, u):
     Bland's rule cannot cycle among degenerate pivots (Bland, Math.
     Oper. Res. 1977). One batched solve with the final
     bases recomputes the basic values from the data. Returns x (n, K),
-    the row prices y (n, M) >= 0 and the upper-bound prices
-    z (n, K) >= 0: c - A^T y - z <= 0, with equality where 0 < x < u.
+    the row prices y (n, M) >= 0, the upper-bound prices
+    z (n, K) >= 0: c - A^T y - z <= 0, with equality where 0 < x < u,
+    and whether each state reached an upper bound on its way (a flip
+    or a leaving variable at u). A state that did not takes the same
+    pivots, bit for bit, at any larger u: only those steps read u.
     """
     n, M, K = A.shape
     N = K + M
     ub = np.concatenate([np.broadcast_to(u, (n, K)), np.full((n, M), np.inf)], axis=1)
     b = np.broadcast_to(np.asarray(b, dtype=float), (n, M))
     if not n:
-        return np.zeros((0, K)), np.zeros((0, M)), np.zeros((0, K))
+        return np.zeros((0, K)), np.zeros((0, M)), np.zeros((0, K)), np.zeros(0, dtype=bool)
     T, beta, basis, (d,) = _slack_tableau(A, b, c)
     upper = np.zeros((N, n), dtype=bool)                # nonbasic at its upper bound
     tol = _OPT_RTOL * np.abs(c).max(axis=1, initial=0.0)
@@ -614,18 +619,19 @@ def bounded_simplex(c, A, b, u):
     # back in batch order at the end: no full-size copy beside the batch
     done = []
     idx, ubf, pivots, stall = np.arange(n), ub.reshape(-1), 0, np.zeros(n, dtype=np.intp)
+    capped = np.zeros(n, dtype=bool)
     while True:
         gain = np.where(upper, -d, d)                   # per unit step of each column
         best = gain.max(axis=0)
         go = best > tol
         if not go.all():                            # drop the optimal states
             gone, keep = np.flatnonzero(~go), np.flatnonzero(go)
-            done.append([a.take(gone, axis=-1) for a in (idx, basis, d, upper)])
+            done.append([a.take(gone, axis=-1) for a in (idx, basis, d, upper, capped)])
             T = T.take(keep, axis=-1)               # the largest two one at a time,
             gain = gain.take(keep, axis=-1)         # so old and new never all coexist
-            idx, basis, d, upper, beta, tol, best, go, stall = (
+            idx, basis, d, upper, beta, tol, best, go, stall, capped = (
                 a.take(keep, axis=-1) for a in
-                (idx, basis, d, upper, beta, tol, best, go, stall))
+                (idx, basis, d, upper, beta, tol, best, go, stall, capped))
             if not idx.size:
                 break
         if pivots == _MAX_PIVOTS:
@@ -654,20 +660,23 @@ def bounded_simplex(c, A, b, u):
         stall = np.where(step == 0.0, stall + 1, 0)     # zero steps in a row
         beta -= step * alpha
         upper.reshape(-1)[jm] ^= flip
+        capped |= flip
         if not piv.any():
             continue
         leave = np.where(ratio == step, basis, N)
         r = _first(leave, leave.min(axis=0))
         rs, up, bf = r * m + s, upper.reshape(-1), beta.reshape(-1)
         out = basis.reshape(-1).take(rs) * m + s        # the leaving variable
-        up[out] = np.where(piv, alpha.reshape(-1).take(rs) < 0.0, up.take(out))
+        at_u = piv & (alpha.reshape(-1).take(rs) < 0.0)     # leaves at its bound
+        up[out] = np.where(piv, at_u, up.take(out))
+        capped |= at_u
         up[jm] &= ~piv
         bf[rs] = np.where(piv, np.where(sign > 0.0, 0.0, uj) + sign * step, bf.take(rs))
         _pivot(T, d[None], basis, col, r, j, s, piv)
     at, *out = (np.concatenate(a, axis=-1) for a in zip(*done))
     order = np.empty(n, dtype=np.intp)
     order[at] = np.arange(n)            # `at` is a permutation: no sort inverts it
-    basis_out, d_out, upper_out = (a.take(order, axis=-1) for a in out)
+    basis_out, d_out, upper_out, capped = (a.take(order, axis=-1) for a in out)
     x = np.where(upper_out.T, ub, 0.0)
     full = np.concatenate([A, np.broadcast_to(np.eye(M), (n, M, M))], axis=2)  # [A I]
     rhs = b - np.einsum("nmk,nk->nm", full, x)
@@ -675,11 +684,11 @@ def bounded_simplex(c, A, b, u):
     np.put_along_axis(x, basis_out.T, np.linalg.solve(B, rhs[..., None])[..., 0], axis=1)
     y = np.maximum(-d_out[K:].T, 0.0)
     z = np.where(upper_out[:K].T, np.maximum(d_out[:K].T, 0.0), 0.0)
-    return np.clip(x[:, :K], 0.0, ub[:, :K]), y, z
+    return np.clip(x[:, :K], 0.0, ub[:, :K]), y, z, capped
 
 
 def solve_states_case4(H: np.ndarray, G: np.ndarray, p_st, gamma,
-                       want_multipliers: bool = False):
+                       want_multipliers: bool = False, carry=None):
     """Vectorized case-4 solver.
 
     log(1+h.p) increases with h.p, so a state's optimum solves the LP
@@ -687,12 +696,52 @@ def solve_states_case4(H: np.ndarray, G: np.ndarray, p_st, gamma,
     with one interference cap (M = 1), `bounded_simplex` otherwise.
     With want_multipliers, also returns the per-state power-cap
     multipliers lambda (n, K) and cap multipliers mu (n, M).
+
+    carry, the [last, optimum] list a curve hands from solve to solve
+    (None for a lone solve), keeps the free rows of last (`_case4`),
+    used once, and receives this solve's (P, MU, free) as optimum. With
+    fewer than KEEP_SHARE of last's rows free, last is dropped first and
+    every state solved, which returns those rows too: the gathered rest
+    beside last's arrays would lift the memory peak above a fresh solve's.
+    """
+    last = None
+    if carry is not None:
+        last, carry[0] = carry[0], None
+        if last is not None and np.count_nonzero(last[2]) < KEEP_SHARE * len(H):
+            last = None
+    P, LAM, MU, free = _case4(H, G, p_st, gamma, last)
+    if carry is not None:
+        carry[1] = P, MU, free
+    return (P, LAM, MU) if want_multipliers else P
+
+
+def _case4(H, G, p_st, gamma, last=None):
+    """`solve_states_case4` with its multipliers, certified as a batch,
+    and `free`: whether each state's row is what the solver returns at
+    any larger power caps, bit for bit. At M = 1 that is a row with no
+    user at its cap; at M >= 2 one whose simplex never reached a cap.
+
+    last = (P0, MU0, free0) is such a result on these states, at the
+    same gamma and power caps no larger than p_st. Its free rows have
+    power-cap multipliers 0, so their KKT points survive the larger
+    caps (Boyd & Vandenberghe, Convex Optimization, 2004, sec. 5.5.3):
+    they are kept, and only the other states are solved, into last's
+    own arrays.
     """
     n, K, M = G.shape
     caps = np.broadcast_to(np.asarray(p_st, dtype=float), (n, K))
     GAM = np.broadcast_to(np.asarray(gamma, dtype=float), (n, M))
-    P, LAM, MU = (_case4_single_cap if M == 1 else _case4_simplex)(H, G, caps, GAM)
-    return (P, LAM, MU) if want_multipliers else P
+    solve = _case4_single_cap if M == 1 else _case4_simplex
+    if last is None:
+        P, LAM, MU, free = solve(H, G, caps, GAM)
+    else:
+        (P, MU, free), LAM = last, np.zeros((n, K))
+        at = np.flatnonzero(~free)
+        # the rows at of each argument; a view of a repeated row (a broadcast)
+        P[at], LAM[at], MU[at], free[at] = solve(*(a[:at.size] if a.strides[0] == 0 else a[at]
+                                                   for a in (H, G, caps, GAM)))
+    _certify("case-4 state solver", H, G, P, LAM, MU, GAM, caps)
+    return P, LAM, MU, free
 
 
 def _case4_single_cap(H, G, caps, gam):
@@ -731,20 +780,17 @@ def _case4_single_cap(H, G, caps, gam):
     LAM = np.zeros((n, K))
     np.put_along_axis(P, order, Ps, axis=1)
     np.put_along_axis(LAM, order, LAMs, axis=1)
-    MU = (t * nu)[:, None]
-    _certify("case-4 state solver", H, G, P, LAM, MU, gam, caps)
-    return P, LAM, MU
+    free = (b == 0) & (rest < full[:, 0])       # the first user alone, below its cap
+    return P, LAM, (t * nu)[:, None], free
 
 
 def _case4_simplex(H, G, caps, GAM):
     """Case 4 with several interference caps, by `bounded_simplex`. Its
     LP prices are the multipliers over the rate's slope t = 1 / (1 + h.p).
     A user with no gain never has a positive reduced gain: it stays silent."""
-    P, nu, lam = bounded_simplex(H, np.swapaxes(G, 1, 2), GAM, caps)
+    P, nu, lam, capped = bounded_simplex(H, np.swapaxes(G, 1, 2), GAM, caps)
     t = 1.0 / (1.0 + np.einsum("nk,nk->n", H, P))[:, None]
-    MU, LAM = t * nu, t * lam
-    _certify("case-4 state solver", H, G, P, LAM, MU, GAM, caps)
-    return P, LAM, MU
+    return P, t * lam, t * nu, ~capped
 
 
 def kkt_report_case4(h, g, p_st, gamma, p, lam_state, mu_state) -> KktReport:

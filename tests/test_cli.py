@@ -20,7 +20,7 @@ from crsum.cli import main
 from crsum.fading import MAX_ENSEMBLE_BYTES, Ensemble, check_ensemble_size
 
 HEADER_PREFIX = ["case", "P_dB", "Q_dB", "Gamma", "rate_nats",
-                 "rate_stderr", "gap", "max_lt_viol"]
+                 "rate_stderr", "gap", "max_lt_viol", "max_st_viol"]
 
 
 def _read(path):
@@ -40,11 +40,11 @@ def test_custom_run_schema(tmp_path):
     assert len(rows) == 3
     assert rows[1][0] == "II"
     assert float(rows[2][4]) > float(rows[1][4])  # more power, more rate
-    assert sum(int(x) for x in rows[1][8:11]) == 80
+    assert sum(int(x) for x in rows[1][9:12]) == 80
     for row in rows[1:]:
-        assert row[11] == "true"
-        assert int(row[12]) >= 1
-        assert row[13] == "gap"
+        assert row[12] == "true"
+        assert int(row[13]) >= 1
+        assert row[14] == "gap"
 
 
 def test_descending_case3_sweep_exits_0(tmp_path):
@@ -54,7 +54,7 @@ def test_descending_case3_sweep_exits_0(tmp_path):
                  "--P-dB=25,0,-5", "--samples", "300",
                  "--out", str(tmp_path)]) == 0
     rows = _read(tmp_path / "custom_III_full.csv")
-    assert [r[11] for r in rows[1:]] == ["true"] * 3
+    assert [r[12] for r in rows[1:]] == ["true"] * 3
 
 
 def test_strict_fails_on_an_uncertified_point(tmp_path, capsys):

@@ -1,15 +1,18 @@
 """Dual decomposition: function evaluation, the cutting-plane loop, its
 Dantzig-Wolfe master, and its convergence reporting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crsum import (ConstraintCase, ConvergenceFailureError, FadingModel,
                    PowerBudget, UsageError, db_to_linear, ellipsoid_solve,
                    ergodic_capacity_bc, ergodic_capacity_mac,
                    ergodic_capacity_mac_tdma, sample_bc_states,
                    sample_mac_states, tdma)
-from crsum import dual
+from crsum import dual, perstate_mac
 from crsum.constraints import feasibility_check
 from crsum.dual import (GAP_TOL, ColumnPool, DualPoint, _Master, _make_problem,
                         cutting_plane_solve, dual_value_and_subgradient)
@@ -443,6 +446,22 @@ def test_rounded_problems_smooth_until_the_tolerance_tightens(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(*trajectories))
 
 
+@pytest.mark.parametrize("case,rounds", [(ConstraintCase.IV, False), (ConstraintCase.I, True)])
+def test_only_a_mixture_of_several_columns_is_rounded(case, rounds, monkeypatch):
+    """The lone-user rounding returns one one-user column as it is, so a
+    point that mixes a single column skips it: every case-IV TDMA point,
+    whose policy is its TDMA solve. A case-I point mixes several."""
+    calls, lone_user = [], dual.lone_user
+    monkeypatch.setattr(dual, "lone_user", lambda *args: calls.append(1) or lone_user(*args))
+    states = sample_mac_states(FadingModel(K=4, M=2, n_states=300, seed=1))
+    budget = PowerBudget.symmetric(4, 2, db_to_linear(5.0), 1.0)
+    res = ergodic_capacity_mac(states, case, budget, mode="tdma")
+    assert res.certified and bool(calls) is rounds
+    if case is ConstraintCase.IV:
+        assert np.array_equal(res.alloc, tdma.tdma_states_case4(states.H, states.G,
+                                                                budget.tpc, budget.ipc))
+
+
 # ---------------------------------------------------------------------------
 # one column pool per curve
 
@@ -677,3 +696,162 @@ def test_bc_k_sweep_starts_each_curve_where_the_last_stopped(tmp_path, monkeypat
         assert a.certified and b.certified
         assert abs(a.ergodic_sum_rate - b.ergodic_sum_rate) <= max(a.gap, b.gap)
     assert sum(r.n_evals for r in family) < sum(r.n_evals for r in alone)
+
+
+# ---------------------------------------------------------------------------
+# case IV: a rising-P curve re-solves only the states where a power cap binds
+
+
+def _case4_batches(monkeypatch):
+    """The size of every batch that a case-IV solver receives, full or TDMA."""
+    sizes = []
+    for module, name in ((perstate_mac, "_case4_single_cap"), (perstate_mac, "_case4_simplex"),
+                         (tdma, "tdma_states_case4")):
+        def spy(H, *args, solve=getattr(module, name)):
+            sizes.append(len(H))
+            return solve(H, *args)
+        monkeypatch.setattr(module, name, spy)
+    return sizes
+
+
+def _case4_curve(states, dbs, pool, gammas=None, mode="full"):
+    """One case-IV curve over P = dbs at Gamma = gammas (1 throughout by
+    default), each point on states[i] if states is a list."""
+    out = []
+    for i, (db, gamma) in enumerate(zip(dbs, gammas or [1.0] * len(dbs))):
+        ens = states[i % len(states)] if isinstance(states, list) else states
+        budget = PowerBudget.symmetric(*ens.G.shape[1:], db_to_linear(db), gamma)
+        out.append(ergodic_capacity_mac(ens, ConstraintCase.IV, budget, mode=mode,
+                                        pool=pool))
+    return out
+
+
+RISING = [-5.0 + 5.0 * i for i in range(7)]
+# states each point of a rising pooled curve sends to the solver
+# (n = 300, K = 4, seed 1); a fresh point sends all 300. With fewer than
+# `perstate_mac.KEEP_SHARE` of the last rows free, a point solves every state:
+# 274 at M = 1 and 294 at M = 2 would be solved otherwise.
+CARRIED = {1: [300, 300, 300, 188, 97, 37, 12], 2: [300, 300, 203, 69, 10, 0, 0]}
+
+
+@pytest.mark.parametrize("M", sorted(CARRIED))
+def test_rising_case4_curve_solves_only_the_capped_states(M, monkeypatch):
+    """Along a rising P at a fixed Gamma, a pooled case-IV point keeps the
+    last point's rows where no power cap binds and solves the rest; the
+    curve equals fresh point-by-point solves bit for bit."""
+    states = sample_mac_states(FadingModel(K=4, M=M, n_states=300, seed=1))
+    sizes = _case4_batches(monkeypatch)
+    fresh = _case4_curve(states, RISING, None)
+    assert sizes == [300] * len(RISING)
+    del sizes[:]
+    pooled = _case4_curve(states, RISING, ColumnPool())
+    assert sizes == CARRIED[M]
+    for a, b in zip(fresh, pooled):
+        assert np.array_equal(a.alloc, b.alloc)
+        assert a.ergodic_sum_rate == b.ergodic_sum_rate
+        assert b.n_evals == 1 and b.certified
+
+
+@pytest.mark.parametrize("M", sorted(CARRIED))
+def test_a_pooled_case4_point_peaks_no_higher_than_a_fresh_one(M):
+    """The kept arrays and the gathered batch never lift a point's traced
+    memory peak above that of a fresh point, each after the same last
+    point (n = 2000): a point with few free rows solves every state."""
+    states = sample_mac_states(FadingModel(K=4, M=M, n_states=2000, seed=1))
+    peaks = []
+    for pool in (None, ColumnPool()):
+        peaks.append([])
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        for db in RISING:
+            tracemalloc.reset_peak()
+            res = _case4_curve(states, [db], pool)
+            peaks[-1].append(tracemalloc.get_traced_memory()[1] - base)
+        tracemalloc.stop()
+        del res
+    fresh, pooled = peaks
+    assert all(p <= f for p, f in zip(pooled, fresh))
+    assert pooled[-1] < 0.8 * fresh[-1]
+
+
+@pytest.mark.parametrize("change", ["falling", "gamma", "states", "tdma"])
+def test_case4_curve_solves_every_state_unless_only_the_power_caps_grow(change, monkeypatch):
+    """A falling P, a changed Gamma, other states and TDMA mode (one user
+    per state is not a convex restriction, so a capped rival can overtake
+    as P grows) keep no row: every point solves every state."""
+    states = sample_mac_states(FadingModel(K=4, M=2, n_states=300, seed=1))
+    other = sample_mac_states(FadingModel(K=4, M=2, n_states=300, seed=2))
+    dbs, gammas, mode = RISING, None, "full"
+    if change == "falling":
+        dbs = RISING[::-1]
+    elif change == "gamma":
+        gammas = [1.0 + 0.5 * i for i in range(len(dbs))]
+    elif change == "states":
+        states = [states, other]
+    else:
+        mode = "tdma"
+    sizes = _case4_batches(monkeypatch)
+    pooled = _case4_curve(states, dbs, ColumnPool(), gammas, mode)
+    assert sizes == [300] * len(dbs)
+    assert all(r.certified for r in pooled)
+
+
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_a_state_at_a_power_cap_is_always_resolved(M, monkeypatch):
+    """`perstate_mac._case4` keeps only the free rows of the last optimum:
+    a state with a user at its cap is solved again, and so, at M >= 2, is
+    one whose simplex reached a cap on its way to an optimum below every
+    cap, since the larger caps change its pivots."""
+    rng = np.random.Generator(np.random.Philox(key=M))
+    H, G = rng.exponential(1.0, (500, 4)), rng.exponential(1.0, (500, 4, M))
+    low, high, gamma = np.full(4, 0.5), np.full(4, 2.0), np.ones(M)
+    P, _, MU, free = perstate_mac._case4(H, G, low, gamma)
+    at_cap = P[:, 0] >= low[0]
+    for k in range(1, 4):
+        at_cap |= P[:, k] >= low[k]
+    assert at_cap.any() and free.any() and not (at_cap & free).any()
+    assert (~free & ~at_cap).any() == (M >= 2)
+    solved = []
+    solve = perstate_mac._case4_single_cap if M == 1 else perstate_mac._case4_simplex
+    monkeypatch.setattr(perstate_mac, solve.__name__,
+                        lambda H, *args: solved.append(H) or solve(H, *args))
+    kept = perstate_mac._case4(H, G, high, gamma, last=(P.copy(), MU.copy(), free.copy()))
+    assert len(solved) == 1 and np.array_equal(solved[0], H[~free])
+    assert np.array_equal(kept[0][free], P[free])
+    fresh = perstate_mac._case4(H, G, high, gamma)
+    for a, b in zip(kept, fresh):
+        assert np.array_equal(a, b)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(data=st.data(), K=st.integers(1, 4), M=st.integers(0, 3))
+def test_a_pooled_case4_point_equals_a_fresh_one(data, K, M):
+    """Two case-IV points on one pool, the second at power caps no lower
+    and the same Gamma: the second equals a fresh solve bit for bit."""
+    states = sample_mac_states(FadingModel(K=K, M=M, n_states=400,
+                                           seed=data.draw(st.integers(0, 1 << 16))))
+    p1 = np.array(data.draw(st.lists(st.floats(0.05, 20.0), min_size=K, max_size=K)))
+    grow = st.one_of(st.just(1.0), st.floats(1.0, 50.0))
+    p2 = p1 * np.array(data.draw(st.lists(grow, min_size=K, max_size=K)))
+    gamma = np.array(data.draw(st.lists(st.floats(0.05, 5.0), min_size=M, max_size=M)))
+    pool = ColumnPool()
+    ergodic_capacity_mac(states, ConstraintCase.IV, PowerBudget(tpc=p1, ipc=gamma), pool=pool)
+    pooled = ergodic_capacity_mac(states, ConstraintCase.IV, PowerBudget(tpc=p2, ipc=gamma),
+                                  pool=pool)
+    fresh = ergodic_capacity_mac(states, ConstraintCase.IV, PowerBudget(tpc=p2, ipc=gamma))
+    assert np.array_equal(pooled.alloc, fresh.alloc)
+    assert pooled.ergodic_sum_rate == fresh.ergodic_sum_rate
+
+
+def test_fig6_case4_curve_solves_under_30000_of_its_70000_states(tmp_path, monkeypatch):
+    """fig6's full-mode case-IV curve at 10^4 samples (seed 1): 29,061 of
+    its 70,000 states reach the simplex, and each point makes one
+    evaluation."""
+    from crsum import cli
+    curves = [c for c in cli.PRESETS["fig6"]({})
+              if c.case is ConstraintCase.IV and c.mode == "full"]
+    sizes = _case4_batches(monkeypatch)
+    path, = cli._run_curves(curves, 10_000, 1, tmp_path)
+    assert sizes == [10_000, 10_000, 6_808, 1_909, 308, 34, 2]
+    with open(path) as fh:
+        assert [line.split(",")[-2] for line in fh][1:] == ["1"] * 7
